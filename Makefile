@@ -3,10 +3,15 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench chaos obsv-smoke tenant-smoke ops-smoke interp-smoke durable-smoke phase-smoke cluster-smoke ci
+.PHONY: build test race lint bench chaos obsv-smoke tenant-smoke ops-smoke durable-smoke phase-smoke cluster-smoke ci
 
+# benchmark/ is a nested module outside `./...` that imports
+# lce/internal/...; building and vetting it here is what catches an API
+# removal that would otherwise break it silently. It is a single main
+# package, so without -o the build would drop a binary into it.
 build:
 	$(GO) build ./...
+	$(GO) -C benchmark build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -16,6 +21,7 @@ race:
 
 lint:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; \
@@ -23,8 +29,11 @@ lint:
 		exit 1; \
 	fi
 
+# The zero-alloc assertion is build-tagged out of race runs, and `ci`
+# has no plain `test` step, so it runs here.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -run 'ZeroAlloc' ./internal/interp/
 	$(GO) run ./cmd/lce-bench -alignspeed -short -workers 8 -json bench.json
 
 # Chaos soak: fault/retry packages under the race detector, then
@@ -109,18 +118,6 @@ ops-smoke:
 	kill $$pid 2>/dev/null; \
 	./lce-replay-ops -dump flight-dump.json -backend oracle -chaos -fault-rate 0.2 -chaos-seed 7; \
 	echo "ops smoke: metrics lint (prom + openmetrics), SSE stream, flight dump + byte-identical replay all OK"
-
-# Interp gate: the closure-compiled interpreter must answer
-# byte-identically to the reference tree-walker — differential suites
-# (chaos included) under the race detector, wire-level parity through
-# two full server stacks, the zero-alloc fast path (build-tagged out
-# under -race, hence the separate non-race run) — and the compiled-vs-
-# walked bench must clear the 5x speedup floor on the hot-loop row or
-# the target fails. bench-interp.json is left behind as the artifact.
-interp-smoke:
-	$(GO) test -race -run 'Interp' ./internal/interp/... ./internal/eval/... .
-	$(GO) test -run 'ZeroAlloc' ./internal/interp/
-	$(GO) run ./cmd/lce-bench -interp -interp-floor 5 -json bench-interp.json
 
 # Durable gate: the journal-torture, spill-transparency, and
 # kill-and-recover suites under the race detector; short fuzz passes
@@ -258,4 +255,4 @@ cluster-smoke:
 	$(GO) run ./cmd/lce-bench -cluster -short -json bench-cluster.json
 	$(GO) run ./cmd/lce-perfdiff -tolerance 0.5 bench/bench-cluster-baseline.json bench-cluster.json
 
-ci: build lint race chaos bench obsv-smoke tenant-smoke ops-smoke interp-smoke durable-smoke phase-smoke cluster-smoke
+ci: build lint race chaos bench obsv-smoke tenant-smoke ops-smoke durable-smoke phase-smoke cluster-smoke

@@ -8,9 +8,7 @@
 //	lce-align -service ec2 -chaos -fault-rate 0.1 -chaos-seed 7
 //
 // The comparison phase fans out across -workers goroutines (default:
-// GOMAXPROCS); the result is identical at any worker count. It runs
-// the emulator compiled to pre-resolved closures by default; -interp
-// walk forces the reference tree-walker (same result, slower rounds).
+// GOMAXPROCS); the result is identical at any worker count.
 //
 // With -chaos the oracle is wrapped in the deterministic fault
 // injector and (unless -no-retry) each worker talks to it through the
@@ -42,7 +40,6 @@ import (
 func main() {
 	service := flag.String("service", "ec2", "service to align: ec2 | dynamodb | network-firewall | azure-network")
 	workers := flag.Int("workers", 0, "comparison worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	interpM := flag.String("interp", "compiled", "comparison-phase interpreter mode: compiled | walk (identical results, different wall-clock)")
 	chaos := flag.Bool("chaos", false, "inject transient faults into the oracle")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the fault-injection stream")
 	faultRate := flag.Float64("fault-rate", 0.1, "total per-call fault probability when -chaos is set")
@@ -69,10 +66,10 @@ func main() {
 			p.Seed = *chaosSeed
 			policy = &p
 		}
-		res, err = lce.AlignWithFlakyCloudInterp(*service, opts, *workers,
-			lce.UniformFaults(*faultRate, *chaosSeed), policy, *interpM, ob)
+		res, err = lce.AlignWithFlakyCloudObserved(*service, opts, *workers,
+			lce.UniformFaults(*faultRate, *chaosSeed), policy, ob)
 	} else {
-		res, err = lce.AlignWithCloudInterp(*service, opts, *workers, *interpM, ob)
+		res, err = lce.AlignWithCloudObserved(*service, opts, *workers, ob)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lce-align:", err)

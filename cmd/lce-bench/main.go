@@ -7,7 +7,6 @@
 //	lce-bench -alignspeed -short -json out.json  # CI bench-smoke artifact
 //	lce-bench -chaos -short                 # alignment vs a flaky oracle, across fault rates
 //	lce-bench -tenant -short -json out.json # multi-tenant sweep + /batch amortization
-//	lce-bench -interp -interp-floor 5 -json out.json # compiled vs walked interpreter, with CI floor
 //	lce-bench -durable -short -json out.json # journal/spill/rehydrate latency + sessions beyond RAM
 //	lce-bench -phases -short -json out.json # phase-timing attribution, gated on coverage vs end-to-end
 //	lce-bench -cluster -short -json out.json # router hop overhead, fleet scale-out sweep, live-migration cost
@@ -30,7 +29,8 @@ import (
 // when a field changes meaning so trajectory tooling can dispatch on
 // shape instead of guessing from key presence. v3 added the run-wide
 // MemStats block and the operations-plane overhead rows; v4 added the
-// compiled-vs-walked interpreter rows; v5 added the durable-tier
+// compiled-vs-walked interpreter rows (gone with the second engine;
+// the block is simply absent now); v5 added the durable-tier
 // block (journal write path, spill/rehydrate latency,
 // sessions-beyond-RAM capacity); v6 added the phase-attribution
 // block (-phases: per-phase latency percentiles + coverage vs the
@@ -58,7 +58,6 @@ type benchArtifact struct {
 	Tenant        []tenantJSON   `json:"tenantSweep,omitempty"`
 	Batch         []batchJSON    `json:"batchAmortization,omitempty"`
 	Ops           []opsJSON      `json:"opsOverhead,omitempty"`
-	Interp        []interpJSON   `json:"interpSpeedup,omitempty"`
 	Durable       *durableJSON   `json:"durable,omitempty"`
 	Phases        *phasesJSON    `json:"phases,omitempty"`
 	Cluster       *clusterJSON   `json:"cluster,omitempty"`
@@ -126,18 +125,6 @@ type batchJSON struct {
 	SinglesNs int64   `json:"singlesNs"`
 	BatchNs   int64   `json:"batchNs"`
 	Speedup   float64 `json:"speedup"`
-}
-
-// interpJSON is one -interp cell: a workload replayed through the
-// tree-walking and closure-compiled engines, differenced structurally
-// and timed.
-type interpJSON struct {
-	Workload        string  `json:"workload"`
-	Calls           int     `json:"calls"`
-	Divergent       int     `json:"divergent"`
-	WalkedPerCallNs int64   `json:"walkedPerCallNs"`
-	CompiledPerCall int64   `json:"compiledPerCallNs"`
-	Speedup         float64 `json:"speedup"`
 }
 
 // durableJSON is the -durable block: per-call journal overhead by
@@ -314,11 +301,9 @@ func main() {
 		tenantB    = flag.Bool("tenant", false, "multi-tenant serving sweep (K sessions x M goroutines) and /batch round-trip amortization")
 		chaos      = flag.Bool("chaos", false, "alignment throughput and retry overhead against a flaky oracle, across fault rates")
 		opsB       = flag.Bool("ops", false, "operations-plane overhead: the same HTTP load with the plane off vs on")
-		interpB    = flag.Bool("interp", false, "compiled-vs-walked interpreter: differential parity over the EC2/DynamoDB suites (clean and chaos) plus per-call latency rows")
 		durableB   = flag.Bool("durable", false, "durable-tier rows: journal write path per fsync policy, spill/rehydrate latency by world size, and the sessions-beyond-RAM capacity run")
 		phasesB    = flag.Bool("phases", false, "phase-timing attribution: per-phase latency percentiles through the instrumented stack, gated on coverage vs end-to-end latency")
 		clusterB   = flag.Bool("cluster", false, "scale-out rows: router hop overhead, fleet-size throughput sweep, and join-triggered live migration with byte-continuity verification")
-		interpFlr  = flag.Float64("interp-floor", 0, "with -interp: exit non-zero if the hot-loop speedup falls below this (0 = report only)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for -chaos fault/jitter streams")
 		workers    = flag.Int("workers", 8, "worker-pool size for -alignspeed and -chaos")
 		rtt        = flag.Duration("rtt", 200*time.Microsecond, "simulated cloud round trip: per API call for -alignspeed (0 = in-process, pure CPU), per serialized call / HTTP request for -tenant")
@@ -328,7 +313,7 @@ func main() {
 		traceSeed  = flag.Int64("trace-seed", 1, "seed for span/trace IDs when -trace-out is set")
 	)
 	flag.Parse()
-	all := !(*table1 || *fig3 || *fig4 || *basic || *vsManual || *d2cTax || *multicloud || *converge || *decoding || *graphs || *alignspeed || *chaos || *tenantB || *opsB || *interpB || *durableB || *phasesB || *clusterB)
+	all := !(*table1 || *fig3 || *fig4 || *basic || *vsManual || *d2cTax || *multicloud || *converge || *decoding || *graphs || *alignspeed || *chaos || *tenantB || *opsB || *durableB || *phasesB || *clusterB)
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
 	sha, dirty := buildVCS()
@@ -495,32 +480,6 @@ func main() {
 				P50CallNs: r.P50.Nanoseconds(), P99CallNs: r.P99.Nanoseconds(),
 				ElapsedNs: r.Elapsed.Nanoseconds(), CallsPerSec: r.Throughput(),
 			})
-		}
-	}
-	if *interpB {
-		reps := 5
-		if *short {
-			reps = 2
-		}
-		rows, err := eval.InterpBench(reps, *chaosSeed)
-		check(err)
-		fmt.Println(eval.FormatInterp(rows))
-		for _, r := range rows {
-			artifact.Interp = append(artifact.Interp, interpJSON{
-				Workload: r.Workload, Calls: r.Calls, Divergent: r.Divergent,
-				WalkedPerCallNs: r.PerCallWalked().Nanoseconds(),
-				CompiledPerCall: r.PerCallCompiled().Nanoseconds(),
-				Speedup:         r.Speedup(),
-			})
-		}
-		if n := eval.InterpDivergences(rows); n > 0 {
-			fmt.Fprintf(os.Stderr, "lce-bench: interp gate FAILED: %d divergent steps between walked and compiled engines\n", n)
-			defer os.Exit(1)
-		} else if *interpFlr > 0 {
-			if h := eval.InterpHeadline(rows); h < *interpFlr {
-				fmt.Fprintf(os.Stderr, "lce-bench: interp gate FAILED: hot-loop speedup %.2fx below floor %.2fx\n", h, *interpFlr)
-				defer os.Exit(1)
-			}
 		}
 	}
 	if *durableB {

@@ -9,7 +9,7 @@
 //
 // Any artifact schema ≥ v3 is accepted; metrics present in only one
 // artifact are noted, never failed, so the gate survives schema
-// growth. Machine-independent ratios (interpreter speedup, allocs per
+// growth. Machine-independent ratios (alignment speedup, allocs per
 // request, batch amortization) are always gated at -tolerance.
 // Wall-clock latency metrics (the *Ns fields, per-phase percentiles)
 // are machine-dependent and only gated when -latency-tolerance is set

@@ -9,11 +9,6 @@
 // direct-to-code baseline), "manual" (the Moto-style partial
 // baseline).
 //
-// The learned backend serves its spec compiled to pre-resolved Go
-// closures by default; -interp walk selects the reference tree-walker
-// instead. The two modes answer byte-identically — the CI interp gate
-// proves it — so the switch only changes per-call latency.
-//
 // The server is multi-tenant by default: the X-LCE-Session header (or
 // the /v2/<service> surface generally) selects an isolated per-session
 // backend stamped from the same configuration, LRU-bounded by
@@ -81,7 +76,6 @@ func main() {
 	var (
 		service   = flag.String("service", "ec2", "service to emulate: ec2 | dynamodb | network-firewall | eks | azure-network")
 		backend   = flag.String("backend", "learned", "backend kind: learned | oracle | d2c | manual")
-		interpM   = flag.String("interp", "compiled", "learned-backend interpreter mode: compiled (pre-resolved closures) | walk (reference tree-walker); byte-identical responses either way")
 		addr      = flag.String("addr", ":4566", "listen address")
 		debugAddr = flag.String("debug-addr", "", "also serve pprof, /metrics and /debug/traces on this side listener (empty = no side listener)")
 		traceSeed = flag.Int64("trace-seed", 1, "seed for span/trace IDs (same seed + same request sequence = same IDs)")
@@ -109,7 +103,7 @@ func main() {
 	flag.Parse()
 
 	srv, err := lce.NewServer(lce.ServerConfig{
-		Service: *service, Backend: *backend, Noisy: *noisy, Interp: *interpM,
+		Service: *service, Backend: *backend, Noisy: *noisy,
 		Chaos: *chaos, ChaosSeed: *chaosSeed, FaultRate: *faultRate,
 		TraceSeed: *traceSeed,
 		Node:      *node,

@@ -119,13 +119,6 @@ type Options struct {
 	// divergences. Each worker's wrapper draws a derived jitter seed
 	// so backoff schedules stay deterministic per worker.
 	Retry *retry.Policy
-	// Interp selects the emulator's dispatch mode for the comparison
-	// phase: "" or interp.ModeCompiled lower the spec to pre-resolved
-	// closures (recompiled every round, since repairs mutate the spec);
-	// interp.ModeWalk forces the reference tree-walker. The modes are
-	// byte-identical in behaviour — this only changes comparison-phase
-	// latency — so Result is the same either way.
-	Interp string
 	// Obs, when non-nil, records the run's observability: one root
 	// span per trace comparison (keyed by round and trace index, so
 	// trace IDs are identical across runs and worker counts), nested
@@ -184,7 +177,7 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	redocumented := map[string]bool{}
 
 	for round := 1; round <= opts.MaxRounds; round++ {
-		reports, emu, err := compareRound(svc, oracle, factory, traces, workers, opts.Retry, counters, epoch, round, opts.Obs, opts.Interp)
+		reports, emu, err := compareRound(svc, oracle, factory, traces, workers, opts.Retry, counters, epoch, round, opts.Obs)
 		if err != nil {
 			return res, err
 		}
@@ -333,7 +326,7 @@ func CompareSuiteObserved(svc *spec.Service, factory cloudapi.BackendFactory, tr
 	}
 	workers = poolSize(workers, len(traces), true)
 	epoch := obs.TracerOrNil().NextEpoch()
-	reports, _, err := compareRound(svc, nil, factory, traces, workers, policy, counters, epoch, 0, obs, "")
+	reports, _, err := compareRound(svc, nil, factory, traces, workers, policy, counters, epoch, 0, obs)
 	return reports, err
 }
 
@@ -341,20 +334,20 @@ func CompareSuiteObserved(svc *spec.Service, factory cloudapi.BackendFactory, tr
 // per-trace reports in trace order plus the first worker's emulator
 // (the round's representative Final). Worker w owns emus[w] and its
 // own oracle for the whole phase; the spec is shared read-only. The
-// first emulator is built (and, unless interpMode is interp.ModeWalk,
-// compiled — repairs mutate the spec, so every round recompiles) up
-// front because spec indexing mutates the service's lookup maps;
-// remaining workers fork it, sharing the immutable compiled program so
-// the spec is lowered once per round, not once per worker. A non-nil
+// first emulator is built (and so compiled — repairs mutate the spec,
+// so every round recompiles) up front because spec indexing mutates
+// the service's lookup maps; remaining workers fork it, sharing the
+// immutable compiled program so the spec is lowered once per round,
+// not once per worker. A non-nil
 // retry policy wraps each worker's oracle in a resilient client
 // (derived jitter seed per worker) so transient oracle faults are
 // retried inside the worker instead of surfacing as divergences. A
 // non-nil obs roots one span per comparison, keyed by (epoch, round,
 // index) so trace IDs never depend on which worker drew which trace.
-func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters, epoch int64, round int, obs *obsv.Obs, interpMode string) ([]trace.Report, *interp.Emulator, error) {
+func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
 	emus := make([]*interp.Emulator, workers)
 	oracles := make([]cloudapi.Backend, workers)
-	base, err := interp.NewMode(svc, interpMode)
+	base, err := interp.New(svc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("align: emulator rebuild failed: %w", err)
 	}

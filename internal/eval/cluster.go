@@ -312,13 +312,11 @@ func ClusterBench(overheadCalls int, fleets []int, goroutines, opsPerG int, perC
 	if err != nil {
 		return nil, err
 	}
-	toyFactory := func() cloudapi.Backend {
-		emu, err := interp.New(svc)
-		if err != nil {
-			panic(err)
-		}
-		return emu
+	toy, err := interp.New(svc)
+	if err != nil {
+		return nil, err
 	}
+	toyFactory := cloudapi.FactoryOf(toy)
 	mkToyNode := func(name string) (*httptest.Server, error) {
 		return startClusterNode(name, toyFactory, toyFactory())
 	}

@@ -17,7 +17,9 @@ import (
 
 // durableEmulator builds the toy emulator the durability rows run
 // over: small enough that the journal/snapshot machinery dominates the
-// measurement instead of spec evaluation.
+// measurement instead of spec evaluation. Callers build it once and
+// fork it per session (cloudapi.FactoryOf), as lce.FactoryFor does in
+// production, so every session shares the one compiled program.
 func durableEmulator() (*interp.Emulator, error) {
 	svc, err := spec.Parse(spec.ToySource)
 	if err != nil {
@@ -111,6 +113,7 @@ func DurableBench(dir string, calls int, worldSizes []int, cycles, sessions, res
 	if err != nil {
 		return nil, err
 	}
+	fresh := cloudapi.FactoryOf(bare)
 	res.Calls = append(res.Calls, DurableCallRow{Mode: "none", Calls: calls, Elapsed: timeCalls(bare, calls)})
 	for _, pol := range []string{durable.FsyncOff, durable.FsyncBatch, durable.FsyncAlways} {
 		store, err := durable.Open(durable.Config{
@@ -122,11 +125,7 @@ func DurableBench(dir string, calls int, worldSizes []int, cycles, sessions, res
 		if err != nil {
 			return nil, err
 		}
-		emu, err := durableEmulator()
-		if err != nil {
-			return nil, err
-		}
-		b, ok := store.Adopt(context.Background(), "bench", emu)
+		b, ok := store.Adopt(context.Background(), "bench", fresh())
 		if !ok {
 			return nil, fmt.Errorf("eval: durable adopt failed")
 		}
@@ -139,11 +138,7 @@ func DurableBench(dir string, calls int, worldSizes []int, cycles, sessions, res
 		if err != nil {
 			return nil, err
 		}
-		emu, err := durableEmulator()
-		if err != nil {
-			return nil, err
-		}
-		b, ok := store.Adopt(context.Background(), "cycle", emu)
+		b, ok := store.Adopt(context.Background(), "cycle", fresh())
 		if !ok {
 			return nil, fmt.Errorf("eval: durable adopt failed")
 		}
@@ -157,12 +152,9 @@ func DurableBench(dir string, calls int, worldSizes []int, cycles, sessions, res
 			}
 			row.Spill += time.Since(start)
 			row.SnapshotBytes = n
-			fresh, err := durableEmulator()
-			if err != nil {
-				return nil, err
-			}
+			next := fresh()
 			start = time.Now()
-			b, ok = store.Adopt(context.Background(), "cycle", fresh)
+			b, ok = store.Adopt(context.Background(), "cycle", next)
 			if !ok {
 				return nil, fmt.Errorf("eval: durable re-adopt failed")
 			}
@@ -177,13 +169,7 @@ func DurableBench(dir string, calls int, worldSizes []int, cycles, sessions, res
 	if err != nil {
 		return nil, err
 	}
-	pool, err := tenant.New(func() cloudapi.Backend {
-		emu, err := durableEmulator()
-		if err != nil {
-			panic(err) // the identical build above succeeded
-		}
-		return emu
-	}, tenant.Config{Shards: 1, Capacity: resident, Spill: store})
+	pool, err := tenant.New(fresh, tenant.Config{Shards: 1, Capacity: resident, Spill: store})
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // PerfMetric is one comparable scalar extracted from a bench artifact:
-// a dotted path naming where it came from ("interpSpeedup.hot-loop
-// (clean).speedup", "phases.durable.fsync.p99Ns") plus how to judge a
-// change in it.
+// a dotted path naming where it came from
+// ("batchAmortization.n=8.speedup", "phases.durable.fsync.p99Ns") plus
+// how to judge a change in it.
 type PerfMetric struct {
 	Name  string
 	Value float64
@@ -35,8 +35,6 @@ var perfMetricClass = map[string]struct{ latency, higherBetter bool }{
 	"allocsPerReq":        {false, false},
 	"perCallNs":           {true, false},
 	"perReqNs":            {true, false},
-	"walkedPerCallNs":     {true, false},
-	"compiledPerCallNs":   {true, false},
 	"p50CallNs":           {true, false},
 	"p99CallNs":           {true, false},
 	"p50Ns":               {true, false},
@@ -50,8 +48,8 @@ var perfMetricClass = map[string]struct{ latency, higherBetter bool }{
 
 // rowIdentity lists the fields that name a row within an artifact
 // array, in precedence order. The first present becomes the row's path
-// segment, so "interpSpeedup[2]" compares by workload name rather than
-// by position.
+// segment, so "opsOverhead[1]" compares by mode name rather than by
+// position.
 var rowIdentity = []string{"name", "scenario", "workload", "mode", "phase", "service", "sessions", "n", "worldSize", "round", "faultRate", "resident"}
 
 // MinPerfSchema is the oldest artifact schema ExtractPerfMetrics

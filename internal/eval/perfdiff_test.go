@@ -8,9 +8,8 @@ import (
 const perfArtifact = `{
   "schemaVersion": 6,
   "goMaxProcs": 4,
-  "interpSpeedup": [
-    {"workload": "hot-loop (clean)", "calls": 1000, "divergent": 0,
-     "walkedPerCallNs": 900, "compiledPerCallNs": 300, "speedup": 3.0}
+  "batchAmortization": [
+    {"n": 8, "rttNs": 200000, "singlesNs": 2400000, "batchNs": 800000, "speedup": 3.0}
   ],
   "opsOverhead": [
     {"mode": "off", "requests": 300, "perReqNs": 50000, "allocsPerReq": 120.0},
@@ -49,8 +48,7 @@ func TestExtractPerfMetrics(t *testing.T) {
 		latency      bool
 		higherBetter bool
 	}{
-		"interpSpeedup.hot-loop (clean).speedup":          {3.0, false, true},
-		"interpSpeedup.hot-loop (clean).walkedPerCallNs":  {900, true, false},
+		"batchAmortization.n=8.speedup":                   {3.0, false, true},
 		"opsOverhead.on.perReqNs":                         {60000, true, false},
 		"opsOverhead.on.allocsPerReq":                     {150, false, false},
 		"durable.journalWritePath.fsync=always.perCallNs": {40000, true, false},

@@ -11,6 +11,7 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/durable"
 	"lce/internal/httpapi"
+	"lce/internal/interp"
 	"lce/internal/obsv"
 	"lce/internal/tenant"
 )
@@ -79,7 +80,7 @@ func phaseHotScenario(requests int) (PhaseScenario, error) {
 	if err != nil {
 		return PhaseScenario{}, err
 	}
-	_, emu, err := interpEngines(svc)
+	emu, err := interp.New(svc)
 	if err != nil {
 		return PhaseScenario{}, err
 	}
@@ -107,13 +108,6 @@ func phaseDurableScenario(dir string, requests int) (PhaseScenario, error) {
 	if err != nil {
 		return PhaseScenario{}, err
 	}
-	factory := func() cloudapi.Backend {
-		emu, err := durableEmulator()
-		if err != nil {
-			panic(err) // the identical build below succeeded first
-		}
-		return emu
-	}
 	probe, err := durableEmulator()
 	if err != nil {
 		return PhaseScenario{}, err
@@ -122,7 +116,7 @@ func phaseDurableScenario(dir string, requests int) (PhaseScenario, error) {
 	// Capacity 2 over one shard with four sessions rotating: every
 	// touch evicts someone, so the run continuously exercises spill on
 	// the way out and session.lookup → rehydrate on the way back in.
-	pool, err := tenant.New(factory, tenant.Config{Shards: 1, Capacity: 2, Spill: store})
+	pool, err := tenant.New(cloudapi.FactoryOf(probe), tenant.Config{Shards: 1, Capacity: 2, Spill: store})
 	if err != nil {
 		return PhaseScenario{}, err
 	}

@@ -12,8 +12,7 @@ import (
 // no-return describe path — dispatch, receiver binding, pooled
 // activation record, shared empty result — allocates nothing per call.
 // The race detector instruments allocations, so this assertion is
-// compiled out under -race (the CI interp gate runs the differential
-// suite with -race and this check without).
+// compiled out under -race (`make bench` runs it without).
 func TestInterpCompiledZeroAllocFastPath(t *testing.T) {
 	emu := benchEmulator(t, true)
 	req := cloudapi.Request{Action: "PingVpc", Params: cloudapi.Params{"self": cloudapi.Str("vpc-00000001")}}

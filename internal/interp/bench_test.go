@@ -33,17 +33,17 @@ service bench {
 }
 `
 
-func benchEmulator(tb testing.TB, compiled bool) *Emulator {
+func benchEmulator(tb testing.TB, compiled bool) cloudapi.Backend {
 	tb.Helper()
 	svc, err := spec.Parse(benchSpec)
 	if err != nil {
 		tb.Fatalf("Parse: %v", err)
 	}
-	var emu *Emulator
+	var emu cloudapi.Backend
 	if compiled {
-		emu, err = NewCompiled(svc)
-	} else {
 		emu, err = New(svc)
+	} else {
+		emu, err = newWalker(svc)
 	}
 	if err != nil {
 		tb.Fatalf("build emulator: %v", err)
@@ -57,8 +57,8 @@ func benchEmulator(tb testing.TB, compiled bool) *Emulator {
 }
 
 // BenchmarkInvokeDescribe measures the per-call cost of a describe over
-// a populated world in both engines; run with -benchmem to see the
-// allocs/op difference the compiled wire path buys.
+// a populated world in the engine and in the reference walker; run
+// with -benchmem to see the allocs/op difference compilation buys.
 func BenchmarkInvokeDescribe(b *testing.B) {
 	req := cloudapi.Request{Action: "DescribeVpcs"}
 	for _, mode := range []struct {

@@ -5,8 +5,13 @@ import (
 
 	"lce/internal/cidr"
 	"lce/internal/cloudapi"
-	"lce/internal/spec"
 )
+
+// This file holds the runtime pieces the compiled engine and the
+// reference walker (walker_test.go) both call: the assertion-failure
+// signal, ordered comparison, the builtin table and the describe
+// payload. Keeping one copy is what makes the walker a reference for
+// the compiler's lowering rather than for the builtins themselves.
 
 // DefaultAssertCode is the error code used when a failed assertion
 // carries no explicit code. Spec linking normally attaches a code to
@@ -26,345 +31,6 @@ type assertFailure struct {
 }
 
 func (a *assertFailure) Error() string { return a.err.Error() }
-
-// env is one transition activation record.
-type env struct {
-	world  *World
-	sm     *spec.SM
-	tr     *spec.Transition
-	self   *Instance // nil for service-level transitions
-	params map[string]cloudapi.Value
-	locals []localVar // foreach bindings, innermost last
-	depth  int
-	// readonly is set while executing describe transitions: the
-	// framework guarantees by construction that describes cannot
-	// mutate state (§4.2's soundness requirement, enforced at runtime
-	// as defense in depth).
-	readonly bool
-	resp     cloudapi.Result
-}
-
-type localVar struct {
-	name string
-	val  cloudapi.Value
-}
-
-func (e *env) lookupLocal(name string) (cloudapi.Value, bool) {
-	for i := len(e.locals) - 1; i >= 0; i-- {
-		if e.locals[i].name == name {
-			return e.locals[i].val, true
-		}
-	}
-	return cloudapi.Nil, false
-}
-
-// execStmts runs a statement list. It returns an *assertFailure (as
-// error) when an assertion fails, or a plain error on framework
-// malfunction.
-func (e *env) execStmts(stmts []spec.Stmt) error {
-	for _, s := range stmts {
-		if err := e.execStmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *env) execStmt(s spec.Stmt) error {
-	switch st := s.(type) {
-	case *spec.WriteStmt:
-		if e.readonly {
-			return internalErrf("describe transition %s attempted write(%s, …); the framework forbids mutation in describes", e.tr.Name, st.State)
-		}
-		if e.self == nil {
-			return internalErrf("transition %s: write(%s, …) with no receiver", e.tr.Name, st.State)
-		}
-		v, err := e.eval(st.Value)
-		if err != nil {
-			return err
-		}
-		e.self.SetAttr(st.State, v)
-		return nil
-	case *spec.AssertStmt:
-		v, err := e.eval(st.Pred)
-		if err != nil {
-			return err
-		}
-		if v.Truthy() {
-			return nil
-		}
-		code := st.Code
-		if code == "" {
-			code = DefaultAssertCode
-		}
-		msg := st.Message
-		if msg == "" {
-			msg = "constraint not satisfied: " + spec.ExprString(st.Pred)
-		}
-		return &assertFailure{err: &cloudapi.APIError{Code: code, Message: msg}}
-	case *spec.CallStmt:
-		return e.execCall(st)
-	case *spec.IfStmt:
-		v, err := e.eval(st.Cond)
-		if err != nil {
-			return err
-		}
-		if v.Truthy() {
-			return e.execStmts(st.Then)
-		}
-		return e.execStmts(st.Else)
-	case *spec.ReturnStmt:
-		v, err := e.eval(st.Value)
-		if err != nil {
-			return err
-		}
-		if e.resp == nil {
-			return internalErrf("transition %s: return outside a top-level activation", e.tr.Name)
-		}
-		e.resp[st.Name] = v
-		return nil
-	case *spec.ForEachStmt:
-		v, err := e.eval(st.Over)
-		if err != nil {
-			return err
-		}
-		if v.IsNil() {
-			return nil
-		}
-		if v.Kind() != cloudapi.KindList {
-			return internalErrf("transition %s: foreach over %s", e.tr.Name, v.Kind())
-		}
-		for _, elem := range v.AsList() {
-			e.locals = append(e.locals, localVar{name: st.Var, val: elem})
-			err := e.execStmts(st.Body)
-			e.locals = e.locals[:len(e.locals)-1]
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return internalErrf("unknown statement %T", s)
-	}
-}
-
-// execCall triggers a transition on another SM instance. Internal
-// calls bind positionally to the callee's non-self parameters and do
-// not contribute to the API response.
-func (e *env) execCall(st *spec.CallStmt) error {
-	if e.readonly {
-		return internalErrf("describe transition %s attempted call(…); the framework forbids mutation in describes", e.tr.Name)
-	}
-	if e.depth >= maxCallDepth {
-		return internalErrf("call depth limit exceeded in transition %s (cyclic spec?)", e.tr.Name)
-	}
-	tv, err := e.eval(st.Target)
-	if err != nil {
-		return err
-	}
-	if tv.Kind() != cloudapi.KindRef {
-		return internalErrf("transition %s: call target is %s, want ref", e.tr.Name, tv.Kind())
-	}
-	ref := tv.AsRef()
-	targetSM := e.world.svc.SM(ref.Type)
-	if targetSM == nil {
-		return internalErrf("transition %s: call into unknown SM %q", e.tr.Name, ref.Type)
-	}
-	callee := targetSM.Transition(st.Trans)
-	if callee == nil {
-		return internalErrf("transition %s: SM %q has no transition %q", e.tr.Name, ref.Type, st.Trans)
-	}
-	inst, ok := e.world.Get(ref)
-	if !ok || !inst.Alive {
-		code := targetSM.NotFound
-		if code == "" {
-			code = "InvalidResourceID.NotFound"
-		}
-		return &assertFailure{err: cloudapi.Errf(code, "resource %s referenced by %s does not exist", ref, e.tr.Name)}
-	}
-	args := make([]cloudapi.Value, len(st.Args))
-	for i, a := range st.Args {
-		v, err := e.eval(a)
-		if err != nil {
-			return err
-		}
-		args[i] = v
-	}
-	params := make(map[string]cloudapi.Value)
-	idx := 0
-	for _, p := range callee.Params {
-		if p.Receiver || p.Name == "self" {
-			params[p.Name] = cloudapi.RefOf(ref)
-			continue
-		}
-		if idx < len(args) {
-			params[p.Name] = args[idx]
-			idx++
-		} else if !p.Default.IsNil() {
-			params[p.Name] = p.Default
-		} else {
-			params[p.Name] = cloudapi.Nil
-		}
-	}
-	callee2 := &env{
-		world:  e.world,
-		sm:     targetSM,
-		tr:     callee,
-		self:   inst,
-		params: params,
-		depth:  e.depth + 1,
-		resp:   e.resp, // nested returns surface on the same response
-	}
-	// Destroy transitions invoked through call carry the framework's
-	// destroy semantics, so specs can cascade reclamation of dependent
-	// resources (DeleteTable reclaiming its items, DeleteSecurityGroup
-	// its rules, …).
-	if callee.Kind == spec.KDestroy {
-		if kids := e.world.LiveChildren(ref); len(kids) > 0 {
-			code := targetSM.Dependency
-			if code == "" {
-				code = cloudapi.CodeDependencyViolation
-			}
-			return &assertFailure{err: cloudapi.Errf(code, "%s has dependent resources (%s) and cannot be deleted", ref, kids[0].Ref)}
-		}
-	}
-	if err := callee2.execStmts(callee.Body); err != nil {
-		return err
-	}
-	if callee.Kind == spec.KDestroy {
-		e.world.Destroy(ref)
-	}
-	return nil
-}
-
-// eval computes an expression value.
-func (e *env) eval(x spec.Expr) (cloudapi.Value, error) {
-	switch ex := x.(type) {
-	case *spec.Lit:
-		return ex.Value, nil
-	case *spec.Ident:
-		if v, ok := e.lookupLocal(ex.Name); ok {
-			return v, nil
-		}
-		if v, ok := e.params[ex.Name]; ok {
-			return v, nil
-		}
-		if e.self != nil {
-			if e.sm.State(ex.Name) != nil {
-				return e.self.attrOrNil(ex.Name), nil
-			}
-		}
-		return cloudapi.Nil, internalErrf("transition %s: unbound identifier %q", e.tr.Name, ex.Name)
-	case *spec.ReadExpr:
-		if e.self == nil {
-			return cloudapi.Nil, internalErrf("transition %s: read(%s) with no receiver", e.tr.Name, ex.State)
-		}
-		return e.self.attrOrNil(ex.State), nil
-	case *spec.SelfExpr:
-		if e.self == nil {
-			return cloudapi.Nil, internalErrf("transition %s: self with no receiver", e.tr.Name)
-		}
-		return cloudapi.RefOf(e.self.Ref), nil
-	case *spec.FieldExpr:
-		base, err := e.eval(ex.X)
-		if err != nil {
-			return cloudapi.Nil, err
-		}
-		if base.IsNil() {
-			return cloudapi.Nil, nil
-		}
-		if base.Kind() != cloudapi.KindRef {
-			return cloudapi.Nil, internalErrf("transition %s: field access on %s", e.tr.Name, base.Kind())
-		}
-		inst, ok := e.world.Get(base.AsRef())
-		if !ok {
-			return cloudapi.Nil, nil
-		}
-		return inst.attrOrNil(ex.Name), nil
-	case *spec.BuiltinExpr:
-		return e.evalBuiltin(ex)
-	case *spec.UnaryExpr:
-		v, err := e.eval(ex.X)
-		if err != nil {
-			return cloudapi.Nil, err
-		}
-		if ex.Op == spec.TokBang {
-			return cloudapi.Bool(!v.Truthy()), nil
-		}
-		return cloudapi.Int(-v.AsInt()), nil
-	case *spec.BinaryExpr:
-		return e.evalBinary(ex)
-	default:
-		return cloudapi.Nil, internalErrf("unknown expression %T", x)
-	}
-}
-
-func (e *env) evalBinary(ex *spec.BinaryExpr) (cloudapi.Value, error) {
-	// Short-circuit logical operators.
-	switch ex.Op {
-	case spec.TokAnd:
-		l, err := e.eval(ex.X)
-		if err != nil {
-			return cloudapi.Nil, err
-		}
-		if !l.Truthy() {
-			return cloudapi.False, nil
-		}
-		r, err := e.eval(ex.Y)
-		if err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Bool(r.Truthy()), nil
-	case spec.TokOr:
-		l, err := e.eval(ex.X)
-		if err != nil {
-			return cloudapi.Nil, err
-		}
-		if l.Truthy() {
-			return cloudapi.True, nil
-		}
-		r, err := e.eval(ex.Y)
-		if err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Bool(r.Truthy()), nil
-	}
-	l, err := e.eval(ex.X)
-	if err != nil {
-		return cloudapi.Nil, err
-	}
-	r, err := e.eval(ex.Y)
-	if err != nil {
-		return cloudapi.Nil, err
-	}
-	switch ex.Op {
-	case spec.TokEq:
-		return cloudapi.Bool(l.Equal(r)), nil
-	case spec.TokNeq:
-		return cloudapi.Bool(!l.Equal(r)), nil
-	case spec.TokLt, spec.TokLe, spec.TokGt, spec.TokGe:
-		cmp, err := compareValues(&l, &r)
-		if err != nil {
-			return cloudapi.Nil, internalErrf("transition %s: %v", e.tr.Name, err)
-		}
-		switch ex.Op {
-		case spec.TokLt:
-			return cloudapi.Bool(cmp < 0), nil
-		case spec.TokLe:
-			return cloudapi.Bool(cmp <= 0), nil
-		case spec.TokGt:
-			return cloudapi.Bool(cmp > 0), nil
-		default:
-			return cloudapi.Bool(cmp >= 0), nil
-		}
-	case spec.TokPlus:
-		return cloudapi.Int(l.AsInt() + r.AsInt()), nil
-	case spec.TokMinus:
-		return cloudapi.Int(l.AsInt() - r.AsInt()), nil
-	default:
-		return cloudapi.Nil, internalErrf("unknown binary operator")
-	}
-}
 
 // compareValues orders two values of the same scalar kind. The int
 // fast path stays under the inlining budget by deferring strings and
@@ -390,21 +56,9 @@ func compareSlow(l, r *cloudapi.Value) (int, error) {
 	return 0, internalErrf("ordered comparison between %s and %s", l.Kind(), r.Kind())
 }
 
-func (e *env) evalBuiltin(ex *spec.BuiltinExpr) (cloudapi.Value, error) {
-	args := make([]cloudapi.Value, len(ex.Args))
-	for i, a := range ex.Args {
-		v, err := e.eval(a)
-		if err != nil {
-			return cloudapi.Nil, err
-		}
-		args[i] = v
-	}
-	return applyBuiltin(e.world, e.self, ex.Name, args)
-}
-
 // applyBuiltin executes one builtin over already-evaluated arguments.
-// It is shared between the tree-walker and the compiled engine (which
-// routes cold builtins here and specializes the hot ones).
+// The compiled engine routes cold builtins here and specializes the
+// hot ones; the reference walker routes all of them here.
 func applyBuiltin(world *World, self *Instance, name string, args []cloudapi.Value) (cloudapi.Value, error) {
 	need := func(n int) error {
 		if len(args) != n {

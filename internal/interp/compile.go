@@ -12,7 +12,8 @@ import (
 // table construction, arity checking and state-slot binding all happen
 // once here; the runtime (compiled.go) then executes straight-line
 // closure calls with integer-indexed state access. The contract is
-// strict behavioural equality with the tree-walker in eval.go: same
+// strict behavioural equality with the reference walker the tests
+// keep (walker_test.go): same
 // results, same error codes, same error messages, byte for byte.
 //
 // Calling conventions. cloudapi.Value is a large struct, and the
@@ -496,7 +497,7 @@ func (c *compiler) callStmt(st *spec.CallStmt) stmtFn {
 		}
 		// Destroy transitions invoked through call carry the
 		// framework's destroy semantics (cascading reclamation), same
-		// as the walker's execCall.
+		// as in the reference walker.
 		if callee.kind == spec.KDestroy {
 			if kids := f.world.LiveChildren(ref); len(kids) > 0 {
 				putFrame(nf)

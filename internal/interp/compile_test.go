@@ -10,36 +10,40 @@ import (
 	"lce/internal/spec"
 )
 
-// diffPair builds a walker emulator and a compiled emulator from the
-// same source, each over its own parsed spec so the two engines share
-// nothing but the text.
-func diffPair(t *testing.T, src string) (walk, comp *Emulator) {
+// engine is what the differential helpers need from either side: the
+// backend surface plus the world for snapshot comparison.
+type engine interface {
+	cloudapi.Backend
+	World() *World
+}
+
+// diffPair builds the reference walker and the production emulator
+// from the same source, each over its own parsed spec so the two
+// engines share nothing but the text.
+func diffPair(t *testing.T, src string) (*walker, *Emulator) {
 	t.Helper()
-	mk := func(compile bool) *Emulator {
+	parse := func() *spec.Service {
 		svc, err := spec.Parse(src)
 		if err != nil {
 			t.Fatalf("Parse: %v", err)
 		}
-		if compile {
-			emu, err := NewCompiled(svc)
-			if err != nil {
-				t.Fatalf("NewCompiled: %v", err)
-			}
-			return emu
-		}
-		emu, err := New(svc)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return emu
+		return svc
 	}
-	return mk(false), mk(true)
+	walk, err := newWalker(parse())
+	if err != nil {
+		t.Fatalf("newWalker: %v", err)
+	}
+	comp, err := New(parse())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return walk, comp
 }
 
 // invokeBoth drives one request through both engines and requires
 // identical outcomes: DeepEqual results, identical error strings,
 // matching API-error-ness, and identical world snapshots afterwards.
-func invokeBoth(t *testing.T, walk, comp *Emulator, action string, params cloudapi.Params) (cloudapi.Result, error) {
+func invokeBoth(t *testing.T, walk, comp engine, action string, params cloudapi.Params) (cloudapi.Result, error) {
 	t.Helper()
 	req := cloudapi.Request{Action: action, Params: params}
 	wres, werr := walk.Invoke(req)
@@ -290,14 +294,11 @@ func TestInterpForkSharesProgram(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	emu, err := NewCompiled(svc)
+	emu, err := New(svc)
 	if err != nil {
-		t.Fatalf("NewCompiled: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	fork := emu.Fork().(*Emulator)
-	if !fork.Compiled() {
-		t.Fatal("fork of a compiled emulator is not compiled")
-	}
 	if fork.prog != emu.prog {
 		t.Fatal("fork re-compiled instead of sharing the program")
 	}
@@ -308,24 +309,6 @@ func TestInterpForkSharesProgram(t *testing.T) {
 	id := invoke(t, fork, "CreatePublicIp", cloudapi.Params{"region": cloudapi.Str("us-east")}).Get("allocationId").AsString()
 	if id != "eipalloc-00000001" {
 		t.Fatalf("fork ID allocation = %q, want fresh sequence", id)
-	}
-}
-
-// TestInterpCompileMidSession proves Compile can swap dispatch under
-// a live world without disturbing state.
-func TestInterpCompileMidSession(t *testing.T) {
-	emu := newToyEmulator(t)
-	ipID := invoke(t, emu, "CreatePublicIp", cloudapi.Params{"region": cloudapi.Str("us-east")}).Get("allocationId").AsString()
-	if err := emu.Compile(); err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if !emu.Compiled() {
-		t.Fatal("Compile did not swap dispatch")
-	}
-	// The pre-compile instance must be visible through compiled slots.
-	invoke(t, emu, "DestroyPublicIp", cloudapi.Params{"self": cloudapi.Str(ipID)})
-	if emu.World().CountLive("PublicIp") != 0 {
-		t.Fatal("compiled destroy missed the walker-created instance")
 	}
 }
 

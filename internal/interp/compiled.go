@@ -7,11 +7,10 @@ import (
 	"lce/internal/spec"
 )
 
-// This file is the compiled runtime: the activation frame, its pool,
-// and Program.invoke — the compiled counterpart of Emulator.invokeWalk.
-// Responses must stay byte-identical to the walker's; every deviation
-// here is a bug the differential suite (and the CI interp gate) exists
-// to catch.
+// This file is the runtime: the activation frame, its pool, and
+// Program.invoke. Responses must stay byte-identical to the reference
+// walker's (walker_test.go); every deviation here is a bug the
+// differential suites exist to catch.
 
 // respOwner holds the lazily-allocated response map. It is a separate
 // struct so nested call frames can share the top-level activation's
@@ -108,12 +107,11 @@ func runBody(f *frame, body []stmtFn) error {
 // indistinguishable structurally and on the wire.
 var emptyResult = cloudapi.Result{}
 
-// invoke executes one request through the compiled program. It
-// replicates Emulator.invokeWalk step for step: action resolution,
-// parameter binding, create/parent linking, the destroy dependency
-// check, body execution with create rollback, destroy, response
-// normalization. The caller (Emulator.Invoke) holds the emulator
-// mutex.
+// invoke executes one request through the compiled program, in the
+// reference walker's order: action resolution, parameter binding,
+// create/parent linking, the destroy dependency check, body execution
+// with create rollback, destroy, response normalization. The caller
+// (Emulator.Invoke) holds the emulator mutex.
 func (p *Program) invoke(w *World, req cloudapi.Request) (cloudapi.Result, error) {
 	ct, ok := p.actions[req.Action]
 	if !ok || ct.internal {

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"sync"
 
 	"lce/internal/cloudapi"
@@ -16,7 +15,7 @@ import (
 // mutex, so one Emulator may be shared across goroutines without data
 // races. The interpreter itself keeps no global mutable state — all
 // mutation lands in the per-emulator World — but the spec the emulator
-// executes is shared and must be treated as read-only while any
+// was built from is shared and must be treated as read-only while any
 // emulator built from it is live; the alignment engine therefore
 // confines spec repairs to its single-goroutine repair phase and
 // rebuilds per-worker emulators afterwards. New (which re-indexes the
@@ -26,96 +25,38 @@ type Emulator struct {
 	mu    sync.Mutex
 	svc   *spec.Service
 	world *World
-	// prog, when non-nil, is the compiled program Invoke dispatches
-	// through instead of tree-walking the spec. It is an immutable
-	// snapshot of the spec at Compile time; mutating the spec
-	// invalidates it (call Compile again).
+	// prog is the compiled program Invoke dispatches through: an
+	// immutable snapshot of the spec taken at construction. Mutating
+	// the spec afterwards does not change this emulator's behaviour —
+	// build a new emulator to pick the change up.
 	prog *Program
 }
 
-// New builds an emulator for the given service spec. The spec must
-// index cleanly (unique SM and action names); callers that want
+// New builds an emulator for the given service spec: it indexes the
+// spec and lowers it to pre-resolved closures. The spec must index
+// cleanly (unique SM and action names); callers that want
 // well-formedness guarantees should run spec.Check first — the
 // synthesis pipeline always does.
 func New(svc *spec.Service) (*Emulator, error) {
-	if err := svc.Index(); err != nil {
-		return nil, err
-	}
-	return &Emulator{svc: svc, world: NewWorld(svc)}, nil
-}
-
-// Interpreter mode names, as accepted by the CLIs' -interp flags and
-// lce.ServerConfig.Interp. ModeCompiled is the default everywhere; the
-// walker stays available as the reference semantics and for debugging.
-const (
-	ModeWalk     = "walk"
-	ModeCompiled = "compiled"
-)
-
-// NewMode builds an emulator in the named interpreter mode: "" or
-// ModeCompiled lower the spec to closures, ModeWalk keeps tree-walking
-// dispatch. Any other name is an error.
-func NewMode(svc *spec.Service, mode string) (*Emulator, error) {
-	switch mode {
-	case ModeWalk:
-		return New(svc)
-	case "", ModeCompiled:
-		return NewCompiled(svc)
-	default:
-		return nil, fmt.Errorf("interp: unknown interpreter mode %q (want %q or %q)", mode, ModeWalk, ModeCompiled)
-	}
-}
-
-// NewCompiled is New followed by Compile.
-func NewCompiled(svc *spec.Service) (*Emulator, error) {
-	e, err := New(svc)
+	prog, err := CompileService(svc)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.Compile(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return &Emulator{svc: svc, world: NewWorld(svc), prog: prog}, nil
 }
 
-// Compile lowers the spec into pre-resolved closures and swaps the
-// emulator's dispatch to the compiled program. World state is
-// untouched: compiling mid-session is safe, and responses are
-// byte-identical to the walker's. The program is a snapshot — if the
-// spec is mutated afterwards (alignment repairs), Compile must be
-// called again.
-func (e *Emulator) Compile() error {
-	prog, err := CompileService(e.svc)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.prog = prog
-	e.mu.Unlock()
-	return nil
-}
+// NewCompiled is New. The name predates the single engine and is kept
+// because the frozen benchmark module calls it.
+func NewCompiled(svc *spec.Service) (*Emulator, error) { return New(svc) }
 
-// Compiled reports whether Invoke dispatches through the compiled
-// program.
-func (e *Emulator) Compiled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.prog != nil
-}
-
-// Fork implements cloudapi.Forker: a fresh emulator over the same
-// (already indexed) spec with an empty world and restarted ID
-// allocation. The compiled program, being immutable, is shared by the
-// fork — the tenant pool and alignment workers get compiled dispatch
+// Fork implements cloudapi.Forker: a fresh emulator over the same spec
+// with an empty world and restarted ID allocation. The compiled
+// program, being immutable, is shared by the fork — the tenant pool
+// and alignment workers stamp out one emulator per session or worker
 // without re-compiling. The fork shares the spec, so it inherits the
-// read-only constraint documented on Emulator — safe for serving (the
-// tenant pool stamps out one emulator per session this way), not for
-// concurrent alignment repair.
+// read-only constraint documented on Emulator.
 func (e *Emulator) Fork() cloudapi.Backend {
-	e.mu.Lock()
-	prog := e.prog
-	e.mu.Unlock()
-	return &Emulator{svc: e.svc, world: NewWorld(e.svc), prog: prog}
+	return &Emulator{svc: e.svc, world: NewWorld(e.svc), prog: e.prog}
 }
 
 // Service implements cloudapi.Backend.
@@ -141,34 +82,6 @@ func (e *Emulator) Spec() *spec.Service { return e.svc }
 // are invoking this emulator.
 func (e *Emulator) World() *World { return e.world }
 
-// envPool recycles top-level activation records between Invoke calls:
-// the env itself, its params map (clear-reused) and its response map.
-// Nested call activations are short-lived and stay heap-allocated.
-var envPool = sync.Pool{
-	New: func() any {
-		return &env{
-			params: make(map[string]cloudapi.Value, 8),
-			resp:   cloudapi.Result{},
-		}
-	},
-}
-
-func getEnv() *env {
-	e := envPool.Get().(*env)
-	return e
-}
-
-func putEnv(e *env) {
-	clear(e.params)
-	clear(e.resp)
-	e.world, e.sm, e.tr, e.self = nil, nil, nil, nil
-	clear(e.locals[:cap(e.locals)])
-	e.locals = e.locals[:0]
-	e.depth = 0
-	e.readonly = false
-	envPool.Put(e)
-}
-
 // Invoke implements cloudapi.Backend. API-level failures (unknown
 // action, missing/invalid parameters, missing resources, failed
 // assertions, dependency violations) come back as *cloudapi.APIError;
@@ -177,188 +90,10 @@ func (e *Emulator) Invoke(req cloudapi.Request) (cloudapi.Result, error) {
 	// The "interp.dispatch" phase covers lock wait + execution — the
 	// emulator's whole contribution to a request. PhasesFrom on a nil
 	// or bare context is a nil timer and the region is free, so the
-	// compiled hot path stays zero-alloc when uninstrumented.
+	// hot path stays zero-alloc when uninstrumented.
 	region := obsv.PhasesFrom(req.Ctx).Start(obsv.PhaseDispatch)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	defer region.End()
-	if e.prog != nil {
-		return e.prog.invoke(e.world, req)
-	}
-	return e.invokeWalk(req)
-}
-
-// invokeWalk is the tree-walking dispatch path.
-func (e *Emulator) invokeWalk(req cloudapi.Request) (cloudapi.Result, error) {
-	sm, tr, ok := e.svc.Action(req.Action)
-	if !ok || tr.Internal {
-		return nil, cloudapi.Errf(cloudapi.CodeUnknownAction, "the action %s is not valid for this service", req.Action)
-	}
-
-	activation := getEnv()
-	defer putEnv(activation)
-	activation.world = e.world
-	activation.sm = sm
-	activation.tr = tr
-	activation.readonly = tr.Kind == spec.KDescribe
-
-	self, apiErr, err := e.bindParams(sm, tr, req.Params, activation.params)
-	if err != nil {
-		return nil, err
-	}
-	if apiErr != nil {
-		return nil, apiErr
-	}
-	params := activation.params
-
-	var created *Instance
-	if tr.Kind == spec.KCreate {
-		created = e.world.Create(sm)
-		if pp := tr.ParentParam(); pp != nil {
-			pv := params[pp.Name]
-			if pv.Kind() == cloudapi.KindRef {
-				created.Parent = pv.AsRef()
-			}
-		}
-		self = created
-	}
-
-	// Framework correctness check derived from the containment
-	// hierarchy (§1, §3): deletion must ensure all children have been
-	// reclaimed.
-	if tr.Kind == spec.KDestroy && self != nil {
-		if kids := e.world.LiveChildren(self.Ref); len(kids) > 0 {
-			code := sm.Dependency
-			if code == "" {
-				code = cloudapi.CodeDependencyViolation
-			}
-			return nil, cloudapi.Errf(code, "%s has dependent resources (%s) and cannot be deleted", self.Ref, kids[0].Ref)
-		}
-	}
-
-	activation.self = self
-	if err := activation.execStmts(tr.Body); err != nil {
-		if created != nil {
-			e.world.Discard(created.Ref)
-		}
-		if af, ok := err.(*assertFailure); ok {
-			return nil, af.err
-		}
-		return nil, err
-	}
-
-	if tr.Kind == spec.KDestroy && self != nil {
-		e.world.Destroy(self.Ref)
-	}
-	return cloudapi.NormalizeResult(activation.resp), nil
-}
-
-// bindParams resolves request parameters against the transition's
-// declared parameters into dest. It returns (receiver, apiError,
-// internalError).
-func (e *Emulator) bindParams(sm *spec.SM, tr *spec.Transition, in cloudapi.Params, dest map[string]cloudapi.Value) (*Instance, *cloudapi.APIError, error) {
-	params := dest
-	var self *Instance
-	for _, p := range tr.Params {
-		isRecv := p.Receiver || p.Name == "self"
-		raw, present := in[p.Name]
-		if !present || raw.IsNil() {
-			if isRecv || !p.Optional {
-				return nil, cloudapi.Errf(cloudapi.CodeMissingParameter, "the request must contain the parameter %s", p.Name), nil
-			}
-			if !p.Default.IsNil() {
-				params[p.Name] = p.Default
-			} else {
-				params[p.Name] = cloudapi.Nil
-			}
-			continue
-		}
-		v, apiErr, err := e.coerce(p, raw)
-		if err != nil || apiErr != nil {
-			return nil, apiErr, err
-		}
-		params[p.Name] = v
-		if isRecv {
-			inst, ok := e.world.Get(v.AsRef())
-			if !ok || !inst.Alive {
-				return nil, notFoundError(sm, v.AsRef().ID), nil
-			}
-			self = inst
-		}
-	}
-	// Unknown parameters are rejected: real cloud APIs validate their
-	// request shapes, and silent acceptance would hide trace bugs.
-	for name := range in {
-		if tr.Param(name) == nil {
-			return nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "unknown parameter %s for action %s", name, tr.Name), nil
-		}
-	}
-	return self, nil, nil
-}
-
-// coerce converts a wire value to the parameter's declared type.
-// String values are accepted for ref-typed parameters and resolved as
-// resource IDs, matching how cloud APIs pass references.
-func (e *Emulator) coerce(p *spec.Param, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
-	switch p.Type.Kind {
-	case spec.TRef:
-		targetSM := e.svc.SM(p.Type.Ref)
-		if targetSM == nil {
-			return cloudapi.Nil, nil, internalErrf("parameter %s references unknown SM %q", p.Name, p.Type.Ref)
-		}
-		switch raw.Kind() {
-		case cloudapi.KindRef:
-			ref := raw.AsRef()
-			if ref.Type != p.Type.Ref {
-				return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a %s, got a %s", p.Name, p.Type.Ref, ref.Type), nil
-			}
-			if _, ok := e.world.Lookup(ref.Type, ref.ID); !ok {
-				return cloudapi.Nil, notFoundError(targetSM, ref.ID), nil
-			}
-			return raw, nil, nil
-		case cloudapi.KindString:
-			inst, ok := e.world.Lookup(p.Type.Ref, raw.AsString())
-			if !ok {
-				return cloudapi.Nil, notFoundError(targetSM, raw.AsString()), nil
-			}
-			return cloudapi.RefOf(inst.Ref), nil, nil
-		default:
-			return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a resource reference", p.Name), nil
-		}
-	case spec.TString, spec.TEnum:
-		if raw.Kind() != cloudapi.KindString {
-			return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a string", p.Name), nil
-		}
-		return raw, nil, nil
-	case spec.TInt:
-		if raw.Kind() != cloudapi.KindInt {
-			return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects an integer", p.Name), nil
-		}
-		return raw, nil, nil
-	case spec.TBool:
-		if raw.Kind() != cloudapi.KindBool {
-			return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a boolean", p.Name), nil
-		}
-		return raw, nil, nil
-	case spec.TList:
-		if raw.Kind() != cloudapi.KindList {
-			return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a list", p.Name), nil
-		}
-		return raw, nil, nil
-	case spec.TMap:
-		if raw.Kind() != cloudapi.KindMap {
-			return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a map", p.Name), nil
-		}
-		return raw, nil, nil
-	default:
-		return raw, nil, nil
-	}
-}
-
-func notFoundError(sm *spec.SM, id string) *cloudapi.APIError {
-	code := sm.NotFound
-	if code == "" {
-		code = fmt.Sprintf("Invalid%sID.NotFound", sm.Name)
-	}
-	return cloudapi.Errf(code, "the %s %q does not exist", sm.Name, id)
+	return e.prog.invoke(e.world, req)
 }

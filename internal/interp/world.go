@@ -6,11 +6,12 @@
 // checks, parameter binding, error-code mapping for failed assertions,
 // and the pure builtin functions.
 //
-// The framework has two execution engines over the same store: the
-// tree-walking interpreter (eval.go), which resolves names and error
-// tables on every step, and the compiled engine (compile.go +
-// compiled.go), which lowers a type-checked spec into pre-resolved
-// closures once and then executes with slot-indexed state access.
+// There is one execution engine: the compiler (compile.go) lowers a
+// type-checked spec into pre-resolved closures once, and the runtime
+// (compiled.go) executes them with slot-indexed state access. A
+// tree-walking interpreter that resolves everything on every step
+// lives in walker_test.go as the reference the differential suites
+// compare the engine against; it ships in no binary.
 package interp
 
 import (

@@ -143,14 +143,12 @@ type LearnReport = synth.Report
 // Learn synthesizes a learned emulator from rendered documentation:
 // wrangling, dependency-ordered incremental extraction, specification
 // linking, consistency checking, compilation to pre-resolved closures.
-// The emulator comes back in the default compiled dispatch mode;
-// NewBackendInterp("…", "learned", …, "walk") gets the tree-walker.
 func Learn(c docs.Corpus, opts Options) (*Emulator, *LearnReport, error) {
 	svc, rep, err := synth.Synthesize(c, opts)
 	if err != nil {
 		return nil, rep, err
 	}
-	emu, err := interp.NewCompiled(svc)
+	emu, err := interp.New(svc)
 	return emu, rep, err
 }
 
@@ -228,7 +226,7 @@ func AlignWithCloud(service string, opts Options) (*AlignResult, error) {
 // Every setting produces an identical AlignResult; workers only change
 // wall-clock time.
 func AlignWithCloudWorkers(service string, opts Options, workers int) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, nil, "")
+	return alignWithCloud(service, opts, workers, nil, nil, nil)
 }
 
 // AlignWithCloudObserved is AlignWithCloudWorkers under an
@@ -237,16 +235,7 @@ func AlignWithCloudWorkers(service string, opts Options, workers int) (*AlignRes
 // the registry, and run counters are published as lce_align_* metrics.
 // The AlignResult is byte-identical to the unobserved run.
 func AlignWithCloudObserved(service string, opts Options, workers int, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, ob, "")
-}
-
-// AlignWithCloudInterp is AlignWithCloudObserved with an explicit
-// comparison-phase interpreter mode: "" or "compiled" lower the spec
-// to closures (recompiled every round, since repairs mutate it),
-// "walk" forces the reference tree-walker. The AlignResult is
-// identical either way — the modes answer byte-identically.
-func AlignWithCloudInterp(service string, opts Options, workers int, interpMode string, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, ob, interpMode)
+	return alignWithCloud(service, opts, workers, nil, nil, ob)
 }
 
 // AlignWithFlakyCloud is AlignWithCloudWorkers against a degraded
@@ -258,7 +247,7 @@ func AlignWithCloudInterp(service string, opts Options, workers int, interpMode 
 // policy, injected faults surface as exhausted-transient divergences
 // (never semantic ones, and never spec repairs).
 func AlignWithFlakyCloud(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, nil, "")
+	return alignWithCloud(service, opts, workers, &cfg, policy, nil)
 }
 
 // AlignWithFlakyCloudObserved is AlignWithFlakyCloud under an
@@ -266,20 +255,10 @@ func AlignWithFlakyCloud(service string, opts Options, workers int, cfg FaultCon
 // appear as events on the comparison spans, so every divergence in the
 // result is findable by trace ID (DivergenceTraces).
 func AlignWithFlakyCloudObserved(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, ob, "")
+	return alignWithCloud(service, opts, workers, &cfg, policy, ob)
 }
 
-// AlignWithFlakyCloudInterp is AlignWithFlakyCloudObserved with an
-// explicit comparison-phase interpreter mode (see AlignWithCloudInterp).
-func AlignWithFlakyCloudInterp(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy, interpMode string, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, ob, interpMode)
-}
-
-func alignWithCloud(service string, opts Options, workers int, cfg *FaultConfig, policy *RetryPolicy, ob *Obs, interpMode string) (*AlignResult, error) {
-	c, err := Documentation(service)
-	if err != nil {
-		return nil, err
-	}
+func alignWithCloud(service string, opts Options, workers int, cfg *FaultConfig, policy *RetryPolicy, ob *Obs) (*AlignResult, error) {
 	factory, err := CloudFactory(service)
 	if err != nil {
 		return nil, err
@@ -287,33 +266,32 @@ func alignWithCloud(service string, opts Options, workers int, cfg *FaultConfig,
 	if cfg != nil {
 		factory = fault.Factory(factory, *cfg)
 	}
-	brief, briefDoc := corpusBrief(service)
+	brief := corpusBrief(service)
 	if brief == nil {
 		return nil, fmt.Errorf("lce: no brief for %q", service)
 	}
-	_ = c
 	svc, _, err := synth.SynthesizeFromBrief(brief, opts)
 	if err != nil {
 		return nil, err
 	}
-	return align.RunFactory(svc, briefDoc, factory, Scenarios(service), align.Options{GenerateViolations: true, Workers: workers, Retry: policy, Obs: ob, Interp: interpMode})
+	return align.RunFactory(svc, brief, factory, Scenarios(service), align.Options{GenerateViolations: true, Workers: workers, Retry: policy, Obs: ob})
 }
 
-func corpusBrief(service string) (*docs.ServiceDoc, *docs.ServiceDoc) {
-	var d *docs.ServiceDoc
+// corpusBrief returns the structured documentation for a learnable
+// service, or nil for one without a corpus.
+func corpusBrief(service string) *docs.ServiceDoc {
 	switch service {
 	case "ec2":
-		d = corpus.EC2()
+		return corpus.EC2()
 	case "dynamodb":
-		d = corpus.DynamoDB()
+		return corpus.DynamoDB()
 	case "network-firewall":
-		d = corpus.NetworkFirewall()
+		return corpus.NetworkFirewall()
 	case "azure-network":
-		d = corpus.Azure()
+		return corpus.Azure()
 	default:
-		return nil, nil
+		return nil
 	}
-	return d, d
 }
 
 // Scenarios returns the standard trace suite for a service (the Fig. 3

@@ -42,20 +42,8 @@ type SLOObjectives = opsplane.Objectives
 // model), "d2c" (direct-to-code baseline), or "manual" (Moto-style
 // partial baseline). The same (service, kind, noisy) triple always
 // yields a behaviourally identical instance — the property the
-// flight-recorder replay relies on. The learned backend runs in the
-// default (compiled) interpreter mode; NewBackendInterp selects it
-// explicitly.
+// flight-recorder replay relies on.
 func NewBackend(service, kind string, noisy bool) (Backend, error) {
-	return NewBackendInterp(service, kind, noisy, "")
-}
-
-// NewBackendInterp is NewBackend with an explicit interpreter mode for
-// the learned backend: "" or "compiled" lower the synthesized spec to
-// pre-resolved closures, "walk" keeps the reference tree-walker. The
-// modes answer byte-identically — the choice only affects per-call
-// latency — so the replay contract holds across modes. Non-learned
-// kinds ignore the mode.
-func NewBackendInterp(service, kind string, noisy bool, interpMode string) (Backend, error) {
 	switch kind {
 	case "oracle":
 		return Cloud(service)
@@ -91,7 +79,7 @@ func NewBackendInterp(service, kind string, noisy bool, interpMode string) (Back
 		if err != nil {
 			return nil, err
 		}
-		return interp.NewMode(svc, interpMode)
+		return interp.New(svc)
 	default:
 		return nil, fmt.Errorf("lce: unknown backend kind %q", kind)
 	}
@@ -111,12 +99,6 @@ type ServerConfig struct {
 	Service string
 	Backend string
 	Noisy   bool
-
-	// Interp selects the learned backend's dispatch mode: "" or
-	// "compiled" (pre-resolved closures, the default), or "walk" (the
-	// reference tree-walker). Byte-identical behaviour either way, so
-	// replay works across modes; non-learned backends ignore it.
-	Interp string
 
 	// Chaos fronts the backend (and every per-session backend) with
 	// the deterministic fault injector at FaultRate, seeded by
@@ -199,7 +181,7 @@ type Server struct {
 // HTTP surface. Identical configs produce behaviourally identical
 // servers — the replay contract.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	b, err := NewBackendInterp(cfg.Service, cfg.Backend, cfg.Noisy, cfg.Interp)
+	b, err := NewBackend(cfg.Service, cfg.Backend, cfg.Noisy)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +300,7 @@ func FactoryFor(b Backend, cfg ServerConfig) BackendFactory {
 		return f
 	}
 	return func() Backend {
-		nb, err := NewBackendInterp(cfg.Service, cfg.Backend, cfg.Noisy, cfg.Interp)
+		nb, err := NewBackend(cfg.Service, cfg.Backend, cfg.Noisy)
 		if err != nil {
 			// The identical build in NewServer succeeded, so this is
 			// unreachable short of resource exhaustion.

@@ -29,22 +29,29 @@ lint:
 		exit 1; \
 	fi
 
-# The zero-alloc assertion is build-tagged out of race runs, and `ci`
-# has no plain `test` step, so it runs here.
+# The allocation assertions (the interpreter's zero-alloc fast path,
+# the instrumented handler's budget) are build-tagged out of race runs,
+# and `ci` has no plain `test` step, so they run here. -bench=. also
+# runs BenchmarkRegistryLookupHit, which fails if a registry hit
+# allocates; for the observability cost model's numbers run
+#   go test -run '^$$' -bench HandlerCycle -benchtime 2000x -cpu 1 ./internal/httpapi/
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -run 'ZeroAlloc' ./internal/interp/
+	$(GO) test -run 'AllocBudget' ./internal/httpapi/
 	$(GO) run ./cmd/lce-bench -alignspeed -short -workers 8 -json bench.json
 
 # Chaos soak: fault/retry packages under the race detector, then
 # seeded end-to-end alignments against a 10%-flaky oracle. lce-align
-# exits non-zero on any semantic divergence.
+# exits non-zero on any semantic divergence. A short fuzz pass holds
+# the wire decoder's scalar fast path to encoding/json on hostile bytes.
 chaos:
 	$(GO) test -race -count=2 ./internal/fault/... ./internal/retry/...
 	$(GO) test -race -run 'Chaos' ./internal/align/... ./internal/httpapi/... ./internal/eval/...
 	$(GO) run ./cmd/lce-align -service ec2 -perfect -chaos -fault-rate 0.1 -chaos-seed 7
 	$(GO) run ./cmd/lce-align -service dynamodb -perfect -chaos -fault-rate 0.1 -chaos-seed 7
 	$(GO) run ./cmd/lce-align -service ec2 -chaos -fault-rate 0.1 -chaos-seed 7
+	$(GO) test -run '^$$' -fuzz FuzzValueUnmarshal -fuzztime 5s ./internal/cloudapi/
 
 # Observability smoke: a seeded traced alignment run exports its spans
 # as JSONL, and lce-tracecheck re-validates the trace from the outside

@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -93,7 +92,7 @@ func main() {
 		log.Printf("fleet traces: %s/debug/traces (merged; ?format=jsonl for lce-tracecheck -stitch), SLO attribution on %s/healthz", hint, hint)
 	}
 	log.Printf("try: curl -s -XPOST -H 'X-LCE-Session: alice' '%s/v2/ec2?Action=CreateVpc' -d '{\"params\":{\"cidrBlock\":\"10.0.0.0/16\"}}'", hint)
-	if err := http.ListenAndServe(*addr, rt.Handler()); err != nil {
+	if err := lce.ListenAndServe(*addr, rt.Handler()); err != nil {
 		log.Fatal(err)
 	}
 }

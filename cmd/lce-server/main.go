@@ -160,7 +160,7 @@ func main() {
 			hint, hint, hint, hint)
 	}
 	log.Printf("try: curl -s -XPOST %s/invoke -d '{\"action\":\"CreateVpc\",\"params\":{\"cidrBlock\":\"10.0.0.0/16\"}}'", hint)
-	if err := http.ListenAndServe(*addr, srv.Handler); err != nil {
+	if err := lce.ListenAndServe(*addr, srv.Handler); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -207,7 +207,7 @@ func serveDebug(addr string, ob *lce.Obs) {
 		_ = json.NewEncoder(w).Encode(obsv.GroupTraces(ob.Tracer.Snapshot()))
 	})
 	log.Printf("debug listener (pprof, /metrics, /debug/traces) on %s", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
+	if err := lce.ListenAndServe(addr, mux); err != nil {
 		log.Printf("debug listener: %v", err)
 	}
 }

@@ -159,8 +159,74 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. Scalars — what almost
+// every request parameter is — decode directly from the bytes; lists,
+// maps, refs and any spelling decodeScalar does not recognise go
+// through the generic decoder, which also owns every error text.
 func (v *Value) UnmarshalJSON(data []byte) error {
+	if val, ok := decodeScalar(data); ok {
+		*v = val
+		return nil
+	}
+	return v.unmarshalGeneric(data)
+}
+
+// decodeScalar decodes data when it is, byte for byte, null, true,
+// false, an integer of at most 18 digits in JSON's canonical spelling,
+// or a string free of escapes and control characters that is valid
+// UTF-8 — the forms whose generic decoding is a plain copy. Anything
+// else (whitespace around the value included) reports false and is the
+// generic path's to decode or reject.
+func decodeScalar(data []byte) (Value, bool) {
+	if len(data) == 0 {
+		return Nil, false
+	}
+	switch c := data[0]; {
+	case c == '"':
+		if len(data) < 2 || data[len(data)-1] != '"' {
+			return Nil, false
+		}
+		body := data[1 : len(data)-1]
+		for _, b := range body {
+			if b < 0x20 || b == '"' || b == '\\' {
+				return Nil, false
+			}
+		}
+		if !utf8.Valid(body) {
+			return Nil, false
+		}
+		return Str(string(body)), true
+	case c == '-' || (c >= '0' && c <= '9'):
+		digits := data
+		if c == '-' {
+			digits = data[1:]
+		}
+		if len(digits) == 0 || len(digits) > 18 || (digits[0] == '0' && len(digits) > 1) {
+			return Nil, false
+		}
+		var n int64
+		for _, d := range digits {
+			if d < '0' || d > '9' {
+				return Nil, false
+			}
+			n = n*10 + int64(d-'0')
+		}
+		if c == '-' {
+			n = -n
+		}
+		return Int(n), true
+	case string(data) == "null":
+		return Nil, true
+	case string(data) == "true":
+		return Bool(true), true
+	case string(data) == "false":
+		return Bool(false), true
+	}
+	return Nil, false
+}
+
+// unmarshalGeneric decodes any wire value through encoding/json.
+func (v *Value) unmarshalGeneric(data []byte) error {
 	var raw any
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()

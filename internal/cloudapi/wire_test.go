@@ -3,6 +3,7 @@ package cloudapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +96,123 @@ func BenchmarkMarshalJSON(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := json.Marshal(v); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sameDecode reports whether the scalar fast path and the generic
+// decoder agree on data: same value on success, same error text on
+// failure. It is the whole contract of decodeScalar.
+func sameDecode(data []byte) (string, bool) {
+	var fast, generic Value
+	ferr, gerr := fast.UnmarshalJSON(data), generic.unmarshalGeneric(data)
+	switch {
+	case (ferr == nil) != (gerr == nil):
+		return fmt.Sprintf("%q: fast err %v, generic err %v", data, ferr, gerr), false
+	case ferr != nil && ferr.Error() != gerr.Error():
+		return fmt.Sprintf("%q: fast err %q, generic err %q", data, ferr, gerr), false
+	case ferr == nil && (fast.Kind() != generic.Kind() || !fast.Equal(generic)):
+		return fmt.Sprintf("%q: fast %v (%v), generic %v (%v)", data, fast, fast.Kind(), generic, generic.Kind()), false
+	}
+	return "", true
+}
+
+// TestQuickUnmarshalFastPathMatchesGeneric: over random value trees
+// (through both encoders) and over random mutations of their bytes, a
+// value decodes the same with and without the scalar fast path.
+func TestQuickUnmarshalFastPathMatchesGeneric(t *testing.T) {
+	f := func(g valueGen, cut, flip uint16) bool {
+		data, err := json.Marshal(g.V)
+		if err != nil {
+			return false
+		}
+		mutated := append([]byte(nil), data[:int(cut)%(len(data)+1)]...)
+		if len(mutated) > 0 {
+			mutated[int(flip)%len(mutated)] ^= byte(flip >> 8)
+		}
+		for _, in := range [][]byte{data, mutated} {
+			if msg, ok := sameDecode(in); !ok {
+				t.Log(msg)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// unmarshalPinned are the spellings the random generator never
+// produces: escapes, surrogate pairs, invalid UTF-8, the integer
+// boundary, the number forms the wire rejects, and near-miss literals.
+var unmarshalPinned = []string{
+	`null`, `true`, `false`, `nul`, `nulll`, `True`, ` null`, `null `, ``, ` `,
+	`""`, `"a"`, `"héllo é"`, `"tab\there"`, `"quote\"d"`, `"back\\slash"`, `"é"`, `"😀"`,
+	`"\ud83d"`, `"\ude00x"`, `"\u12"`, "\"raw\ttab\"", "\"nul\x00\"", "\"bad\xff\xfeutf8\"", "\"\xe2\x80\xa8\"", `"unterminated`, `"a"b"`, `"`,
+	`0`, `-0`, `7`, `-7`, `00`, `01`, `-01`, `-`, `--1`, `+1`, `1e3`, `1E3`, `1.0`, `-1.5`, `.5`, `1.`, `0x10`, `1_000`,
+	`999999999999999999`, `-999999999999999999`, `1000000000000000000`, `9223372036854775807`, `-9223372036854775808`,
+	`9223372036854775808`, `-9223372036854775809`, `123456789012345678901234567890`,
+	`[]`, `[1,"a",null]`, `{}`, `{"a":1}`, `{"$ref":"Vpc/vpc-1"}`, `{"$ref":"noslash"}`, `{"$ref":7}`, `{"$ref":"a/b","x":1}`,
+	`1 2`, `"a" "b"`, `[1`, `{"a"`, `nullnull`, `truefalse`,
+}
+
+func TestUnmarshalFastPathPinnedCases(t *testing.T) {
+	for _, in := range unmarshalPinned {
+		if msg, ok := sameDecode([]byte(in)); !ok {
+			t.Error(msg)
+		}
+	}
+	// The error text callers see for a float on the wire is the generic
+	// path's, whatever the fast path looked at first.
+	var v Value
+	if err := v.UnmarshalJSON([]byte(`1.5`)); err == nil || err.Error() != `cloudapi: non-integer number "1.5" on the wire` {
+		t.Errorf("float on the wire: err = %v", err)
+	}
+	// And the fast path is actually taken for what requests carry.
+	for _, in := range []string{`null`, `true`, `false`, `443`, `-1`, `"10.0.0.0/16"`, `"héllo"`} {
+		if _, ok := decodeScalar([]byte(in)); !ok {
+			t.Errorf("decodeScalar(%s) fell through to the generic path", in)
+		}
+	}
+}
+
+// FuzzValueUnmarshal holds the fast path to the generic decoder on
+// arbitrary bytes, alone and as a parameter inside a request body the
+// way encoding/json hands values to UnmarshalJSON.
+func FuzzValueUnmarshal(f *testing.F) {
+	for _, in := range unmarshalPinned {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if msg, ok := sameDecode(data); !ok {
+			t.Fatal(msg)
+		}
+		body := append(append([]byte(`{"p":`), data...), '}')
+		var fast map[string]Value
+		if json.Unmarshal(body, &fast) != nil {
+			return
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatalf("%q decodes as request parameters but not as raw JSON: %v", body, err)
+		}
+		for k, msg := range raw {
+			var generic Value
+			if err := generic.unmarshalGeneric(msg); err != nil || generic.Kind() != fast[k].Kind() || !generic.Equal(fast[k]) {
+				t.Fatalf("%q: parameter %q decoded to %v, the generic path says %v (err %v)", body, k, fast[k], generic, err)
+			}
+		}
+	})
+}
+
+func BenchmarkValueUnmarshal(b *testing.B) {
+	body := []byte(`{"groupId":"sg-00000001","ipProtocol":"tcp","fromPort":443,"toPort":443,"cidrIpv4":"0.0.0.0/0","dryRun":false}`)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var params map[string]Value
+		if err := json.Unmarshal(body, &params); err != nil {
 			b.Fatal(err)
 		}
 	}

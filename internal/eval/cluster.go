@@ -3,7 +3,6 @@ package eval
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -158,7 +157,7 @@ func toyClusterCall(base, session string, i int) (int, string, error) {
 		return 0, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := httpapi.ReadBounded(resp.Body, httpapi.MaxBody)
 	if err != nil {
 		return 0, "", err
 	}

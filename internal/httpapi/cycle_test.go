@@ -1,0 +1,188 @@
+package httpapi_test
+
+import (
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"lce"
+	"lce/internal/httpapi"
+	"lce/internal/tenant"
+)
+
+// cycleStep is one call of the 22-call CI test case benchmark/script.go
+// drives (reset, apply a small VPC stack, plan against it, trip the two
+// documented error classes, destroy it): 10 reads, 10 writes, 2
+// expected errors.
+type cycleStep struct {
+	action string // "" is the session-scoped reset route
+	params string
+	status int
+}
+
+var cycleSteps = []cycleStep{
+	{"", ``, 204},
+	{"CreateVpc", `{"cidrBlock":"10.0.0.0/16"}`, 200},
+	{"CreateSubnet", `{"vpcId":"vpc-00000001","cidrBlock":"10.0.1.0/24"}`, 200},
+	{"CreateSubnet", `{"vpcId":"vpc-00000001","cidrBlock":"10.0.2.0/24"}`, 200},
+	{"CreateSecurityGroup", `{"vpcId":"vpc-00000001","groupName":"web","description":"bench"}`, 200},
+	{"AuthorizeSecurityGroupIngress", `{"groupId":"sg-00000001","ipProtocol":"tcp","fromPort":443,"toPort":443,"cidrIpv4":"0.0.0.0/0"}`, 200},
+	{"DescribeVpcs", `{}`, 200},
+	{"DescribeSubnets", `{}`, 200},
+	{"DescribeSecurityGroups", `{}`, 200},
+	{"DescribeSecurityGroupRules", `{}`, 200},
+	{"DeleteVpc", `{"vpcId":"vpc-00000001"}`, 400},                              // DependencyViolation
+	{"CreateSubnet", `{"vpcId":"vpc-00000001","cidrBlock":"10.0.3.0/29"}`, 400}, // InvalidSubnet.Range
+	{"DescribeVpcs", `{}`, 200},
+	{"DescribeSubnets", `{}`, 200},
+	{"RevokeSecurityGroupRule", `{"securityGroupRuleId":"sgr-00000001"}`, 200},
+	{"DeleteSecurityGroup", `{"groupId":"sg-00000001"}`, 200},
+	{"DeleteSubnet", `{"subnetId":"subnet-00000001"}`, 200},
+	{"DeleteSubnet", `{"subnetId":"subnet-00000002"}`, 200},
+	{"DescribeSubnets", `{}`, 200},
+	{"DeleteVpc", `{"vpcId":"vpc-00000001"}`, 200},
+	{"DescribeVpcs", `{}`, 200},
+	{"DescribeSecurityGroups", `{}`, 200},
+}
+
+// Indexes into cycleSteps the alloc-budget test singles out.
+const (
+	stepDescribe = 7  // DescribeSubnets over two subnets
+	stepError    = 10 // DeleteVpc answering DependencyViolation
+)
+
+// discardWriter is the cheapest legal http.ResponseWriter, so what the
+// harness allocates stays out of the handler's numbers.
+type discardWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header { return w.h }
+func (w *discardWriter) WriteHeader(s int)   { w.status = s }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return len(p), nil
+}
+
+// cycleDriver replays the cycle into a handler with requests built
+// once: per call it rewinds and re-attaches the body (a capturing
+// handler swaps r.Body) and clears the response headers, nothing else.
+type cycleDriver struct {
+	h       http.Handler
+	reqs    []*http.Request
+	readers []*strings.Reader
+	bodies  []io.ReadCloser
+	raw     []string
+	w       discardWriter
+}
+
+func newCycleDriver(h http.Handler) *cycleDriver {
+	d := &cycleDriver{h: h, w: discardWriter{h: http.Header{}}}
+	for _, s := range cycleSteps {
+		path, body := "/v2/ec2/reset", ""
+		if s.action != "" {
+			path, body = "/v2/ec2?Action="+s.action, `{"params":`+s.params+`}`
+		}
+		rd := strings.NewReader(body)
+		req := httptest.NewRequest("POST", path, nil)
+		req.Header.Set(httpapi.SessionHeader, "s00")
+		d.reqs, d.readers, d.raw = append(d.reqs, req), append(d.readers, rd), append(d.raw, body)
+		d.bodies = append(d.bodies, io.NopCloser(rd))
+	}
+	return d
+}
+
+// call serves step i and returns the status the handler committed.
+func (d *cycleDriver) call(i int) int {
+	d.readers[i].Reset(d.raw[i])
+	d.reqs[i].Body = d.bodies[i]
+	clear(d.w.h)
+	d.w.status = 0
+	d.h.ServeHTTP(&d.w, d.reqs[i])
+	return d.w.status
+}
+
+// run serves one whole cycle, failing tb on an unexpected status.
+func (d *cycleDriver) run(tb testing.TB) {
+	for i, s := range cycleSteps {
+		if got := d.call(i); got != s.status {
+			tb.Fatalf("step %d (%s) answered %d, want %d", i, s.action, got, s.status)
+		}
+	}
+}
+
+// instrumentedHandler is the node handler as lce-server assembles it
+// for the benchmark's hot-direct workload: tracer, registry, ops plane
+// and a 64-session pool all on.
+func instrumentedHandler(tb testing.TB) http.Handler {
+	srv, err := lce.NewServer(lce.ServerConfig{Service: "ec2", Backend: "learned", TraceSeed: 1,
+		Sessions: 64, Shards: 8, SessionTTL: 15 * time.Minute, Ops: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv.Handler
+}
+
+// bareHandler is the same backend and pool with no obs and no ops, so
+// instrument returns every route untouched.
+func bareHandler(tb testing.TB) http.Handler {
+	b, err := lce.NewBackend("ec2", "learned", false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool, err := tenant.New(lce.FactoryFor(b, lce.ServerConfig{}), tenant.Config{Shards: 8, Capacity: 64, IdleTTL: 15 * time.Minute})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return httpapi.New(b, httpapi.WithPool(pool))
+}
+
+// BenchmarkHandlerCycle prices the observability wrapper: the 22-call
+// cycle through the bare handler and through the fully instrumented
+// one, and — because this kind of box drifts by tens of percent between
+// two sub-benchmarks — a third run that alternates the two cycle by
+// cycle and reports their ratio directly. The ratio and the allocs/req
+// metric are the numbers DESIGN §12's cost model quotes; run it long
+// enough to fill the span ring (-benchtime 2000x), or the instrumented
+// side is measured on a heap it never has in a live server.
+func BenchmarkHandlerCycle(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func(testing.TB) http.Handler
+	}{{"bare", bareHandler}, {"instrumented", instrumentedHandler}} {
+		b.Run(c.name, func(b *testing.B) {
+			d := newCycleDriver(c.build(b))
+			d.run(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.run(b)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cycleSteps)), "ns/req")
+			b.ReportMetric(float64(testing.AllocsPerRun(20, func() { d.run(b) }))/float64(len(cycleSteps)), "allocs/req")
+		})
+	}
+	b.Run("ratio", func(b *testing.B) {
+		bare, inst := newCycleDriver(bareHandler(b)), newCycleDriver(instrumentedHandler(b))
+		bare.run(b)
+		inst.run(b)
+		var bareTime, instTime time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			bare.run(b)
+			t1 := time.Now()
+			inst.run(b)
+			bareTime += t1.Sub(t0)
+			instTime += time.Since(t1)
+		}
+		b.ReportMetric(float64(instTime)/float64(bareTime), "instrumented/bare")
+	})
+}

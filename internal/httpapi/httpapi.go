@@ -34,6 +34,8 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,6 +74,25 @@ const (
 	APIVersionHeader = "X-LCE-Api-Version"
 )
 
+// The wire headers as http.Header stores them. Header.Get and Set
+// canonicalize their key on every call, which for these spellings
+// ("X-LCE-…" is stored as "X-Lce-…") allocates a new string each time;
+// the request path indexes the header map with these instead. The
+// bytes on the wire are the same either way.
+var (
+	sessionKey    = http.CanonicalHeaderKey(SessionHeader)
+	requestIDKey  = http.CanonicalHeaderKey(RequestIDHeader)
+	apiVersionKey = http.CanonicalHeaderKey(APIVersionHeader)
+)
+
+// headerValue is h.Get for an already-canonical key.
+func headerValue(h http.Header, canonicalKey string) string {
+	if v := h[canonicalKey]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
 // API surface versions stamped into APIVersionHeader.
 const (
 	// APIVersion is the cluster-aware /v2 surface of one lce-server
@@ -87,6 +108,13 @@ const (
 
 // MaxBatch bounds the number of requests one /batch call may carry.
 const MaxBatch = 256
+
+// MaxBody bounds, in bytes, every invoke/batch body this package reads
+// off the wire: request bodies on the server (longer ones are cut
+// there and fail to decode), response bodies in the client (longer
+// ones are an error, see ReadBounded), and what an instrumented route
+// buffers of either for the flight recorder.
+const MaxBody = 1 << 20
 
 // Batch failure modes.
 const (
@@ -229,7 +257,7 @@ func (s *server) routes() http.Handler {
 			// router can override it with its own value).
 			inner := fn
 			fn = func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set(APIVersionHeader, APIVersion)
+				w.Header()[apiVersionKey] = []string{APIVersion}
 				inner(w, r)
 			}
 		}
@@ -309,7 +337,7 @@ func (s *server) routes() http.Handler {
 // one from the server's sequence counter (splitmix64, so IDs look
 // opaque but are deterministic per server instance).
 func (s *server) requestID(r *http.Request) string {
-	if id := r.Header.Get(RequestIDHeader); id != "" {
+	if id := headerValue(r.Header, requestIDKey); id != "" {
 		if len(id) > 128 {
 			id = id[:128]
 		}
@@ -319,11 +347,15 @@ func (s *server) requestID(r *http.Request) string {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
-	return fmt.Sprintf("lce-%016x", x)
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], x)
+	id := [20]byte{'l', 'c', 'e', '-'}
+	hex.Encode(id[4:], raw[:])
+	return string(id[:])
 }
 
 // sessionOf extracts the session selector ("" means default).
-func sessionOf(r *http.Request) string { return r.Header.Get(SessionHeader) }
+func sessionOf(r *http.Request) string { return headerValue(r.Header, sessionKey) }
 
 // backendFor resolves the backend owning the request's session. On a
 // pool-less server only the default session exists.
@@ -376,7 +408,7 @@ func (s *server) v2Invoke(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if a := r.URL.Query().Get("Action"); a != "" {
+	if a := queryAction(r); a != "" {
 		req.Action = a
 	}
 	if req.Action == "" {
@@ -415,7 +447,7 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request, b cloudapi.Backe
 	resp := wireResponse{Result: cloudapi.NormalizeResult(res)}
 	if v2 {
 		resp.RequestID = reqID
-		w.Header().Set(RequestIDHeader, reqID)
+		w.Header()[requestIDKey] = []string{reqID}
 	}
 	writeWireResponse(w, http.StatusOK, resp, obsv.PhasesFrom(r.Context()))
 }
@@ -510,7 +542,7 @@ func (s *server) v2Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	region := obsv.PhasesFrom(r.Context()).Start(obsv.PhaseDecode)
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBody))
 	if err != nil {
 		region.End()
 		s.malformed(w, reqID, "cannot read body: %v", err)
@@ -630,18 +662,31 @@ func (s *server) v2Sessions(w http.ResponseWriter, r *http.Request) {
 func (s *server) readRequest(w http.ResponseWriter, r *http.Request, reqID string) (wireRequest, bool) {
 	region := obsv.PhasesFrom(r.Context()).Start(obsv.PhaseDecode)
 	defer region.End()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		s.malformed(w, reqID, "cannot read body: %v", err)
-		return wireRequest{}, false
+	x := exchangeOf(r)
+	var body []byte
+	if x != nil && x.captured {
+		// The flight capture already holds the body, under the same
+		// size bound; decode it in place instead of reading a copy.
+		body = x.reqBody.Bytes()
+	} else {
+		var err error
+		if body, err = io.ReadAll(io.LimitReader(r.Body, MaxBody)); err != nil {
+			s.malformed(w, reqID, "cannot read body: %v", err)
+			return wireRequest{}, false
+		}
 	}
 	var req wireRequest
-	if len(bytes.TrimSpace(body)) == 0 {
-		return req, true
+	if len(bytes.TrimSpace(body)) != 0 {
+		if err := json.Unmarshal(body, &req); err != nil {
+			s.malformed(w, reqID, "malformed request: %v", err)
+			return wireRequest{}, false
+		}
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.malformed(w, reqID, "malformed request: %v", err)
-		return wireRequest{}, false
+	if x != nil {
+		// The action label and the flight record want the body's action
+		// field; hand it over rather than have the wrapper decode the
+		// body a second time.
+		x.decodedAction, x.decoded = req.Action, true
 	}
 	return req, true
 }
@@ -663,7 +708,8 @@ func (s *server) checkService(w http.ResponseWriter, r *http.Request, reqID stri
 func (s *server) writeInvokeError(w http.ResponseWriter, b cloudapi.Backend, req wireRequest, reqID string, err error) {
 	we := s.invokeError(b, req, err)
 	we.RequestID = reqID
-	w.Header().Set(RequestIDHeader, reqID)
+	w.Header()[requestIDKey] = []string{reqID}
+	noteErrorCode(w, we.Code)
 	writeJSON(w, statusFor(we.Code), we)
 }
 
@@ -716,7 +762,8 @@ func (s *server) writeAPIError(w http.ResponseWriter, reqID string, err error) {
 }
 
 func (s *server) writeError(w http.ResponseWriter, status int, reqID string, ae *cloudapi.APIError, advice *wireAdvice) {
-	w.Header().Set(RequestIDHeader, reqID)
+	w.Header()[requestIDKey] = []string{reqID}
+	noteErrorCode(w, ae.Code)
 	writeJSON(w, status, wireError{IsError: true, Code: ae.Code, Message: ae.Message, RequestID: reqID, Advice: advice})
 }
 
@@ -729,30 +776,46 @@ func (s *server) malformed(w http.ResponseWriter, reqID, format string, args ...
 
 // statusWriter captures the response status for the instrumentation
 // layer; an unset status means an implicit 200 from the first Write.
-// A non-nil tee additionally mirrors the response bytes (for the
-// flight recorder and the error-code label). A non-nil phases timer
-// renders the request's phase breakdown as a Server-Timing header at
-// the moment the status commits — the last point headers can still
-// change, by which time every pre-write phase has closed.
+// With mirror set it additionally copies the response bytes into tee
+// (for the flight recorder). A non-nil phases timer renders the
+// request's phase breakdown as a Server-Timing header at the moment
+// the status commits — the last point headers can still change, by
+// which time every pre-write phase has closed. It lives inside the
+// request's pooled exchange.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
-	tee    *bytes.Buffer
+	mirror bool
+	tee    bytes.Buffer
 	phases *obsv.PhaseTimer
+	// errorCode is the unified envelope's Code, noted by the error
+	// writers as they encode it — the request's "code" label.
+	errorCode string
+}
+
+// noteErrorCode tells an instrumented route's status writer which
+// envelope Code the response carries; on a plain route it does nothing.
+func noteErrorCode(w http.ResponseWriter, code string) {
+	if sw, ok := w.(*statusWriter); ok {
+		sw.errorCode = code
+	}
 }
 
 func (w *statusWriter) WriteHeader(status int) {
 	if w.status == 0 {
 		w.status = status
-		if h := w.phases.ServerTiming(); h != "" {
-			w.Header().Set("Server-Timing", h)
+		if w.phases != nil {
+			var buf [320]byte
+			if h := w.phases.Times().AppendServerTiming(buf[:0]); len(h) > 0 {
+				w.Header()["Server-Timing"] = []string{string(h)}
+			}
 		}
 	}
 	w.ResponseWriter.WriteHeader(status)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.tee != nil && w.tee.Len() < 1<<20 {
+	if w.mirror && w.tee.Len() < MaxBody {
 		w.tee.Write(p)
 	}
 	return w.ResponseWriter.Write(p)
@@ -1050,7 +1113,7 @@ func (c *Client) Batch(reqs []cloudapi.Request, mode string) (*BatchResult, erro
 	}
 	defer resp.Body.Close()
 	c.meta.setAPIVersion(resp.Header.Get(APIVersionHeader))
-	body, err := io.ReadAll(resp.Body)
+	body, err := ReadBounded(resp.Body, MaxBody)
 	if err != nil {
 		return nil, fmt.Errorf("httpapi: read: %w", err)
 	}
@@ -1077,6 +1140,21 @@ func (c *Client) Batch(reqs []cloudapi.Request, mode string) (*BatchResult, erro
 		}
 	}
 	return out, nil
+}
+
+// ReadBounded reads r to EOF like io.ReadAll but refuses a body longer
+// than limit bytes with an error — a peer's answer is outside input,
+// and a silently truncated one would fail later as a baffling decode
+// error, or not at all.
+func ReadBounded(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("body exceeds the %d-byte limit", limit)
+	}
+	return data, nil
 }
 
 // WireError is an API error decoded from the wire, carrying its

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lce/internal/cloudapi"
@@ -60,28 +62,25 @@ func sloError(status int, code string) bool {
 	}
 }
 
-// responseCode extracts the "code" label from a finished exchange:
-// codeOK below 400, the unified envelope's Code when the body carries
-// one, and the bare HTTP status otherwise.
-func responseCode(status int, body []byte) string {
+// responseCode is the "code" label of a finished exchange: codeOK
+// below 400, the unified envelope's Code when the handler wrote one
+// (writeError and writeInvokeError report it to the status writer as
+// they encode it), and the bare HTTP status otherwise.
+func responseCode(status int, envelopeCode string) string {
 	if status < 400 {
 		return codeOK
 	}
-	var we wireError
-	if err := json.Unmarshal(body, &we); err == nil && we.Code != "" {
-		return we.Code
+	if envelopeCode != "" {
+		return envelopeCode
 	}
 	return "HTTP" + strconv.Itoa(status)
 }
 
-// actionOf recovers the invoked action for the metric label and the
-// flight record: the v2 query parameter wins, then the request body's
-// action field. Routes without a single action (batch, reset) label
-// as "".
-func actionOf(r *http.Request, body []byte) string {
-	if a := r.URL.Query().Get("Action"); a != "" {
-		return a
-	}
+// bodyAction recovers the action field of a captured request body the
+// handler never decoded itself (batch and reset routes, requests
+// rejected before decoding); anything but a JSON object with an action
+// field reads as "".
+func bodyAction(body []byte) string {
 	if len(bytes.TrimSpace(body)) == 0 {
 		return ""
 	}
@@ -92,149 +91,266 @@ func actionOf(r *http.Request, body []byte) string {
 	return req.Action
 }
 
+// queryValue returns what r.URL.Query().Get(key) would — the first
+// value of key, pairs with a bad escape or a semicolon dropped —
+// without building the url.Values map; it allocates only when the
+// matching pair is escaped.
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if strings.ContainsAny(k, "%+") {
+			var err error
+			if k, err = url.QueryUnescape(k); err != nil {
+				continue
+			}
+		}
+		if k != key {
+			continue
+		}
+		if strings.ContainsAny(v, "%+") {
+			var err error
+			if v, err = url.QueryUnescape(v); err != nil {
+				continue
+			}
+		}
+		return v
+	}
+	return ""
+}
+
+// exchange is the per-request state of an instrumented route, pooled
+// so that a request costs none of it: the context handed to the
+// handler (the embedded Scope: span, registry and phase timer over the
+// inbound request's context), the phase timer itself, the status
+// writer with its response mirror, and the captured request body. The
+// handler reaches it through exchangeOf to share what either side
+// already computed. Everything that outlives the request (span record,
+// flight record, metric observations) copies out before release; the
+// handler's context dies with the handler, which is what makes
+// recycling the Scope safe.
+type exchange struct {
+	obsv.Scope
+	phases obsv.PhaseTimer
+	sw     statusWriter
+	// reqBody holds the captured request body (flight routes only;
+	// captured says whether it was taken), read through limit; body is
+	// the reader over it that stands in for r.Body.
+	reqBody  bytes.Buffer
+	limit    io.LimitedReader
+	body     bodyReader
+	captured bool
+	// queryAction is the ?Action= parameter, parsed once for the handler
+	// and the labels alike. decodedAction is the body's action field
+	// once readRequest has decoded it (decoded reports that it has).
+	queryAction   string
+	decodedAction string
+	decoded       bool
+}
+
+// bodyReader is a bytes.Reader that closes, so it can be a request body.
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
+
+var exchangePool = sync.Pool{New: func() any { return new(exchange) }}
+
+// exchangeOf returns the request's exchange, nil on an un-instrumented
+// route.
+func exchangeOf(r *http.Request) *exchange {
+	x, _ := r.Context().(*exchange)
+	return x
+}
+
+// queryAction returns the request's ?Action= parameter.
+func queryAction(r *http.Request) string {
+	if x := exchangeOf(r); x != nil {
+		return x.queryAction
+	}
+	return queryValue(r.URL.RawQuery, "Action")
+}
+
+// capture reads up to MaxBody bytes of body into the exchange's
+// buffer — the request wire bytes for the flight record — and returns
+// an equivalent body for the handler. A read error ends the capture
+// where it happened, as a truncated body would.
+func (x *exchange) capture(body io.Reader) io.ReadCloser {
+	x.limit = io.LimitedReader{R: body, N: MaxBody}
+	_, _ = x.reqBody.ReadFrom(&x.limit)
+	x.captured = true
+	x.body.Reset(x.reqBody.Bytes())
+	return &x.body
+}
+
+// release returns the exchange to the pool, dropping every reference
+// it holds and any buffer a pathological request grew past the pool's
+// bound.
+func (x *exchange) release() {
+	reqBody, tee := x.reqBody, x.sw.tee
+	*x = exchange{}
+	if reqBody.Cap() <= envelopePoolMaxCap {
+		reqBody.Reset()
+		x.reqBody = reqBody
+	}
+	if tee.Cap() <= envelopePoolMaxCap {
+		tee.Reset()
+		x.sw.tee = tee
+	}
+	exchangePool.Put(x)
+}
+
 // instrument wraps one route's handler with the request-scoped
 // observability: root span, request/error counters, latency histogram,
 // and — when the operations plane is mounted — dimensional metric
 // vecs, latency exemplars, SLO recording, and flight capture. With
 // everything disabled it returns fn untouched, so the plain server
 // runs the exact same code path as before.
+//
+// The wrapper does each thing once per request — one pooled exchange,
+// one query parse, one snapshot of the phase timer feeding span
+// attributes, histograms and the flight record alike — and leaves
+// every reader-side form (label rendering, phase maps, bus events) to
+// whoever reads it; DESIGN §12 has the cost model.
 func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc {
 	if !s.obs.Enabled() && s.ops == nil {
 		return fn
 	}
 	obs, ops := s.obs, s.ops
+	var reg *obsv.Registry
+	if obs != nil {
+		reg = obs.Registry
+	}
 	service := s.backend.Service()
 	capture := ops != nil && flightRoutes[route]
+	// /v2 responses advertise the phase breakdown as a Server-Timing
+	// header, injected when the handler commits its status — by which
+	// point every pre-write phase (decode through encode) has closed.
+	serverTiming := strings.HasPrefix(route, "v2.")
+	spanName := obsv.SpanHTTPPfx + route
 	return func(w http.ResponseWriter, r *http.Request) {
 		tracer := obs.TracerOrNil()
 		clock := tracer.Clock()
-		start := clock.Now()
-		ctx := obs.Context(r.Context())
-		var sp *obsv.Span
-		if tracer != nil {
-			// A propagated X-LCE-Trace header (router → node, or a traced
-			// client → router) continues the upstream trace; without one
-			// this request roots a fresh trace, exactly as before.
-			if sc, ok := obsv.Extract(r.Header); ok {
-				ctx, sp = tracer.StartRemote(ctx, obsv.SpanHTTPPfx+route, sc)
-			} else {
-				ctx, sp = tracer.StartRoot(ctx, obsv.SpanHTTPPfx+route)
-			}
+		x := exchangePool.Get().(*exchange)
+		// A propagated X-LCE-Trace header (router → node, or a traced
+		// client → router) continues the upstream trace; without one
+		// this request roots a fresh trace.
+		sp := tracer.StartRequest(spanName, r.Header)
+		if sp != nil {
 			sp.SetAttr("method", r.Method)
 			sp.SetAttr("route", route)
 			if s.node != "" {
 				sp.SetAttr("node", s.node)
 			}
 		}
-		// The phase timer rides the request context through every
-		// layer; pooled, so the instrumented path stays allocation-
-		// stable per request.
-		pt := obsv.AcquirePhaseTimer(clock)
-		ctx = obsv.ContextWithPhases(ctx, pt)
-		var reqBody []byte
+		// The phase timer rides the request context through every layer.
+		pt := &x.phases
+		pt.Reset(clock)
+		x.Scope = obsv.Scope{Context: r.Context(), Span: sp, Registry: reg, Phases: pt}
+		x.queryAction = queryValue(r.URL.RawQuery, "Action")
+		session := sessionOf(r)
+		hr := r.WithContext(x)
+		var start time.Time
 		if capture {
-			// Buffer the request wire bytes for the flight record and
-			// hand the handler an equivalent body.
-			reqBody, _ = io.ReadAll(io.LimitReader(r.Body, 1<<20))
-			r.Body = io.NopCloser(bytes.NewReader(reqBody))
+			start = clock.Now()
+			hr.Body = x.capture(r.Body)
 		}
-		sw := &statusWriter{ResponseWriter: w}
-		if ops != nil {
-			sw.tee = &bytes.Buffer{}
-		}
-		if strings.HasPrefix(route, "v2.") {
-			// /v2 responses advertise the phase breakdown as a
-			// Server-Timing header, injected when the handler commits
-			// its status — by which point every pre-write phase
-			// (decode through encode) has closed.
+		sw := &x.sw
+		sw.ResponseWriter, sw.mirror = w, capture
+		if serverTiming {
 			sw.phases = pt
 		}
 		// The catch-all region makes the named phases tile the handler
-		// window exactly: whatever no layer claimed is "other", and
-		// pt.Total() — the sum of phase self-times — IS the end-to-end
-		// handler latency. The bench's coverage gate leans on that.
+		// window exactly: whatever no layer claimed is "other", and the
+		// sum of phase self-times IS the end-to-end handler latency. The
+		// bench's coverage gate leans on that.
 		outer := pt.Start(obsv.PhaseOther)
-		fn(sw, r.WithContext(ctx))
+		fn(sw, hr)
 		outer.End()
+
 		status := sw.statusOrOK()
-		sp.SetAttrInt("status", int64(status))
-		if status >= 400 {
-			sp.SetError("status " + strconv.Itoa(status))
+		times := pt.Times()
+		dur := times.Total()
+		traceID := ""
+		if sp != nil {
+			sp.SetAttrInt("status", int64(status))
+			if status >= 400 {
+				sp.SetError("status " + strconv.Itoa(status))
+			}
+			sp.SetPhaseAttrs(times)
+			sp.End()
+			if ops != nil {
+				// The exemplar joins a latency bucket to one concrete
+				// trace: scrape the histogram, follow the trace_id into
+				// GET /debug/traces.
+				traceID = sp.TraceID()
+			}
 		}
-		pt.Each(func(name string, self time.Duration, _ uint32) {
-			sp.SetAttrInt(obsv.SpanAttrPhasePfx+name, self.Nanoseconds())
-		})
-		sp.End()
-		dur := pt.Total()
 
 		code, action := "", ""
 		if ops != nil {
-			code = responseCode(status, sw.tee.Bytes())
-			action = actionOf(r, reqBody)
+			code = responseCode(status, sw.errorCode)
+			switch {
+			case x.queryAction != "":
+				action = x.queryAction
+			case x.decoded:
+				action = x.decodedAction
+			case x.captured:
+				action = bodyAction(x.reqBody.Bytes())
+			}
 		}
-		if reg := obs.Registry; reg != nil {
+		if reg != nil {
 			// Per-route aggregates: the pre-ops series, kept stable so
 			// existing dashboards and tests read unchanged totals.
 			reg.Counter(obsv.MetricHTTPRequests, "route", route).Inc()
 			if status >= 400 {
 				reg.Counter(obsv.MetricHTTPErrors, "route", route).Inc()
 			}
-			h := reg.Histogram(obsv.MetricHTTPSeconds, "route", route)
-			if ops != nil && sp != nil {
-				// The exemplar joins this latency bucket to one concrete
-				// trace: scrape the histogram, follow the trace_id into
-				// GET /debug/traces.
-				h.ObserveDurationExemplar(dur, sp.TraceID())
-			} else {
-				h.ObserveDuration(dur)
-			}
+			reg.Histogram(obsv.MetricHTTPSeconds, "route", route).ObserveDurationExemplar(dur, traceID)
 			// Per-phase self-time histograms: lce_phase_seconds sums
 			// to lce_http_request_seconds by construction, so a
 			// dashboard can stack the phases under the request curve.
-			pt.Each(func(name string, self time.Duration, _ uint32) {
-				ph := reg.Histogram(obsv.MetricPhaseSeconds, "phase", name, "service", service)
-				if ops != nil && sp != nil {
-					ph.ObserveDurationExemplar(self, sp.TraceID())
-				} else {
-					ph.ObserveDuration(self)
+			for i, name := range obsv.PhaseNames {
+				if times.Count[i] > 0 {
+					reg.Histogram(obsv.MetricPhaseSeconds, "phase", name, "service", service).
+						ObserveDurationExemplar(times.Self[i], traceID)
 				}
-			})
+			}
 			if ops != nil {
-				session := sessionOf(r)
-				if session == "" {
-					session = tenant.DefaultSession
+				label := session
+				if label == "" {
+					label = tenant.DefaultSession
 				}
 				reg.Counter(obsv.MetricHTTPRequests,
-					"service", service, "action", action, "session", session, "code", code).Inc()
+					"service", service, "action", action, "session", label, "code", code).Inc()
 			}
 		}
 		if ops != nil {
 			ops.Health.Record(sloError(status, code), dur)
 			if capture {
-				traceID := ""
-				if sp != nil {
-					traceID = sp.TraceID()
-				}
 				ops.Flight.Add(opsplane.FlightRecord{
 					Time:         start,
 					Method:       r.Method,
 					Path:         r.URL.RequestURI(),
-					Session:      sessionOf(r),
+					Session:      session,
 					Action:       action,
 					TraceID:      traceID,
-					RequestID:    sw.Header().Get(RequestIDHeader),
+					RequestID:    headerValue(sw.Header(), requestIDKey),
 					Status:       status,
 					LatencyNs:    dur.Nanoseconds(),
-					RequestBody:  string(reqBody),
+					RequestBody:  x.reqBody.String(),
 					ResponseBody: sw.tee.String(),
-					Phases:       pt.Map(),
+					PhaseTimes:   times,
 				})
 			}
 		}
-		// Every consumer above copied what it needed; the contexts
-		// holding pt died with the handler, so it can go back to the
-		// pool.
-		pt.Release()
+		// Every consumer above copied what it needed and the contexts
+		// holding x died with the handler, so it can go back to the pool.
+		// (A handler panic skips this and simply drops the exchange.)
+		x.release()
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/cloudapi"
@@ -454,5 +456,67 @@ func TestChaosSoakCrossSessionIsolation(t *testing.T) {
 	st := pool.Stats()
 	if st.Sessions != sessions {
 		t.Errorf("pool holds %d sessions, want %d", st.Sessions, sessions)
+	}
+}
+
+// TestClientBatchRefusesOversizeReply: a reply past MaxBody is an
+// error naming the limit, not a truncated body that fails to decode
+// (or, worse, decodes); a reply of exactly MaxBody bytes still reads.
+func TestClientBatchRefusesOversizeReply(t *testing.T) {
+	if data, err := ReadBounded(strings.NewReader(strings.Repeat("x", MaxBody)), MaxBody); err != nil || len(data) != MaxBody {
+		t.Fatalf("a body of exactly MaxBody bytes: len %d, err %v", len(data), err)
+	}
+	if _, err := ReadBounded(strings.NewReader(strings.Repeat("x", MaxBody+1)), MaxBody); err == nil {
+		t.Fatal("a body one byte past MaxBody read without error")
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/actions" {
+			_, _ = w.Write([]byte(`{"service":"ec2","actions":[]}`))
+			return
+		}
+		// A well-formed batch reply, padded past the cap inside a string.
+		_, _ = w.Write([]byte(`{"mode":"stop","items":[],"succeeded":0,"failed":0,"RequestId":"` + strings.Repeat("r", MaxBody) + `"}`))
+	}))
+	defer srv.Close()
+	_, err := NewClient(srv.URL).WithSession("s").Batch([]cloudapi.Request{{Action: "DescribeVpcs"}}, "")
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 1048576-byte limit") {
+		t.Fatalf("oversize batch reply: err = %v, want the body-limit error", err)
+	}
+}
+
+// TestQueryValueMatchesURLQuery: the map-free query lookup the request
+// path uses answers exactly what r.URL.Query().Get would, over random
+// queries dense in the characters that matter (separators, escapes,
+// bad escapes, semicolons, repeated and empty keys).
+func TestQueryValueMatchesURLQuery(t *testing.T) {
+	const alphabet = "Action=&;%+4gx "
+	check := func(raw string) bool {
+		for _, key := range []string{"Action", "x", ""} {
+			if got, want := queryValue(raw, key), (&url.URL{RawQuery: raw}).Query().Get(key); got != want {
+				t.Logf("query %q key %q: queryValue %q, URL.Query %q", raw, key, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	for _, raw := range []string{
+		"", "Action=DescribeVpcs", "x=1&Action=CreateVpc&Action=Second", "Action=&Action=Late", "Action", "=v",
+		"Action=Describe%56pcs", "A%63tion=Escaped+Key", "Action=%zz&Action=AfterBadEscape", "Action=a;b&Action=AfterSemicolon",
+		"&&Action=x&&", "Action=a=b", "action=lowercase",
+	} {
+		if !check(raw) {
+			t.Errorf("pinned query %q disagrees", raw)
+		}
+	}
+	f := func(picks []byte) bool {
+		raw := make([]byte, len(picks))
+		for i, p := range picks {
+			raw[i] = alphabet[int(p)%len(alphabet)]
+		}
+		return check(string(raw))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }

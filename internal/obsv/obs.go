@@ -177,7 +177,7 @@ func (o *Obs) Summary() string {
 			if in.kind != "histogram" || in.name != MetricBackendOpSeconds || in.hist.count.Load() == 0 {
 				continue
 			}
-			h := &Histogram{h: in.hist}
+			h := (*Histogram)(in)
 			rows = append(rows, opRow{
 				labels: in.labels,
 				p50:    h.QuantileDuration(0.50),

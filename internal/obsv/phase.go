@@ -41,7 +41,8 @@ const (
 )
 
 // PhaseNames lists the taxonomy in canonical (request-path) order —
-// the order Server-Timing headers and bench tables use.
+// the order Server-Timing headers and bench tables use, and the index
+// space of PhaseTimes.
 var PhaseNames = [...]string{
 	PhaseDecode, PhaseSessionLookup, PhaseRehydrate, PhaseDispatch,
 	PhaseJournalAppend, PhaseFsync, PhaseEncode, PhaseOther,
@@ -96,7 +97,8 @@ type phaseFrame struct {
 }
 
 // PhaseTimer attributes one request's latency to named phases. It is
-// pooled (AcquirePhaseTimer/Release), allocation-free on the
+// a plain value meant to live inside its owner's pooled per-request
+// state (Reset arms it for the next request), allocation-free on the
 // Start/End path (fixed arrays, value-type regions), and nil-safe:
 // every method on a nil timer is a no-op, so un-instrumented paths
 // thread a nil pointer and pay one pointer test per phase boundary.
@@ -108,8 +110,7 @@ type phaseFrame struct {
 type PhaseTimer struct {
 	mu    sync.Mutex
 	clock Clock
-	self  [numPhases]time.Duration
-	count [numPhases]uint32
+	times PhaseTimes
 	stack [maxPhaseDepth]phaseFrame
 	depth int
 }
@@ -121,33 +122,19 @@ type PhaseRegion struct {
 	ok bool
 }
 
-var phasePool = sync.Pool{New: func() any { return new(PhaseTimer) }}
-
-// AcquirePhaseTimer takes a reset timer from the pool. A nil clock
-// means the system clock.
-func AcquirePhaseTimer(clock Clock) *PhaseTimer {
-	pt := phasePool.Get().(*PhaseTimer)
+// Reset clears the timer and arms it with clock (nil means the system
+// clock). Contexts still holding the timer from an earlier request
+// must be dead.
+func (pt *PhaseTimer) Reset(clock Clock) {
 	if clock == nil {
 		clock = System()
 	}
-	pt.clock = clock
-	return pt
-}
-
-// Release resets the timer and returns it to the pool. The caller
-// must not retain the pointer (contexts holding it must be dead).
-func (pt *PhaseTimer) Release() {
-	if pt == nil {
-		return
-	}
 	pt.mu.Lock()
-	pt.self = [numPhases]time.Duration{}
-	pt.count = [numPhases]uint32{}
+	pt.clock = clock
+	pt.times = PhaseTimes{}
 	pt.stack = [maxPhaseDepth]phaseFrame{}
 	pt.depth = 0
-	pt.clock = nil
 	pt.mu.Unlock()
-	phasePool.Put(pt)
 }
 
 // Start opens a region for the named phase. Unknown phase names and
@@ -191,8 +178,8 @@ func (r PhaseRegion) End() {
 		if self < 0 {
 			self = 0
 		}
-		pt.self[f.idx] += self
-		pt.count[f.idx]++
+		pt.times.Self[f.idx] += self
+		pt.times.Count[f.idx]++
 		if pt.depth > 0 {
 			pt.stack[pt.depth-1].child += elapsed
 		}
@@ -200,72 +187,112 @@ func (r PhaseRegion) End() {
 	pt.mu.Unlock()
 }
 
-// Each calls fn for every phase with at least one closed region, in
-// canonical order, with its accumulated self time and region count.
-func (pt *PhaseTimer) Each(fn func(name string, self time.Duration, count uint32)) {
-	if pt == nil {
+// PhaseTimes is one request's closed-region accounting, indexed like
+// PhaseNames: accumulated self time and region count per phase. A
+// phase was recorded iff its Count is non-zero. It is a pointer-free
+// value, so holders (the flight recorder's ring) retain it without
+// allocating; the map and header forms are built only for readers.
+type PhaseTimes struct {
+	Self  [numPhases]time.Duration
+	Count [numPhases]uint32
+}
+
+// phaseAttrKeys are the span attribute keys of the phases
+// (SpanAttrPhasePfx + name), indexed like PhaseNames.
+var phaseAttrKeys = func() (keys [numPhases]string) {
+	for i, name := range PhaseNames {
+		keys[i] = SpanAttrPhasePfx + name
+	}
+	return keys
+}()
+
+// SetPhaseAttrs records every phase in t as a "phase.<name>" attribute
+// holding its self time in nanoseconds. The values are rendered into
+// one buffer and the attributes are slices of the one string it
+// becomes: one allocation, not one per phase.
+func (s *Span) SetPhaseAttrs(t PhaseTimes) {
+	if s == nil {
 		return
 	}
-	pt.mu.Lock()
-	self, count := pt.self, pt.count
-	pt.mu.Unlock()
-	for i, name := range PhaseNames {
-		if count[i] > 0 {
-			fn(name, self[i], count[i])
+	var digits [numPhases * 20]byte
+	var ends [numPhases]int
+	nums := digits[:0]
+	for i := range PhaseNames {
+		if t.Count[i] > 0 {
+			nums = strconv.AppendInt(nums, t.Self[i].Nanoseconds(), 10)
 		}
+		ends[i] = len(nums)
 	}
+	all, from := string(nums), 0
+	for i, to := range ends {
+		if t.Count[i] > 0 {
+			s.SetAttr(phaseAttrKeys[i], all[from:to])
+		}
+		from = to
+	}
+}
+
+// Times returns the accounting so far (zero on a nil timer) — one lock
+// and one copy, after which every consumer reads the same snapshot.
+func (pt *PhaseTimer) Times() PhaseTimes {
+	if pt == nil {
+		return PhaseTimes{}
+	}
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	return pt.times
 }
 
 // Total returns the summed self time across all phases — exactly the
 // wall time of the outermost region when regions nest properly.
-func (pt *PhaseTimer) Total() time.Duration {
-	if pt == nil {
-		return 0
-	}
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
+func (t PhaseTimes) Total() time.Duration {
 	var total time.Duration
-	for _, d := range pt.self {
+	for _, d := range t.Self {
 		total += d
 	}
 	return total
 }
 
-// Map returns the non-zero phases as a name → nanoseconds map (nil
-// when nothing was recorded) — the flight-recorder representation.
-func (pt *PhaseTimer) Map() map[string]int64 {
-	if pt == nil {
-		return nil
-	}
+// Map returns the recorded phases as a name → nanoseconds map (nil
+// when nothing was recorded) — the flight-dump representation.
+func (t PhaseTimes) Map() map[string]int64 {
 	var m map[string]int64
-	pt.Each(func(name string, self time.Duration, _ uint32) {
+	for i, name := range PhaseNames {
+		if t.Count[i] == 0 {
+			continue
+		}
 		if m == nil {
 			m = make(map[string]int64, numPhases)
 		}
-		m[name] = self.Nanoseconds()
-	})
+		m[name] = t.Self[i].Nanoseconds()
+	}
 	return m
 }
 
-// ServerTiming renders the closed phases as a Server-Timing header
-// value ("decode;dur=0.041, encode;dur=0.012", durations in
-// milliseconds), empty when nothing was recorded. The still-open
-// catch-all region around the handler is deliberately absent: headers
-// are written before the handler returns.
-func (pt *PhaseTimer) ServerTiming() string {
-	if pt == nil {
-		return ""
-	}
-	var b strings.Builder
-	pt.Each(func(name string, self time.Duration, _ uint32) {
-		if b.Len() > 0 {
-			b.WriteString(", ")
+// AppendServerTiming appends the recorded phases as a Server-Timing
+// header value ("decode;dur=0.041, encode;dur=0.012": milliseconds to
+// three decimals, i.e. self time rounded half-up to the microsecond)
+// and appends nothing when no phase was recorded. A handler renders it
+// when its status commits, so the still-open catch-all region around
+// the handler is deliberately absent.
+func (t PhaseTimes) AppendServerTiming(dst []byte) []byte {
+	first := true
+	for i, name := range PhaseNames {
+		if t.Count[i] == 0 {
+			continue
 		}
-		b.WriteString(name)
-		b.WriteString(";dur=")
-		b.WriteString(strconv.FormatFloat(float64(self)/float64(time.Millisecond), 'f', 3, 64))
-	})
-	return b.String()
+		if !first {
+			dst = append(dst, ", "...)
+		}
+		first = false
+		us := (t.Self[i].Nanoseconds() + 500) / 1000
+		dst = append(dst, name...)
+		dst = append(dst, ";dur="...)
+		dst = strconv.AppendInt(dst, us/1000, 10)
+		frac := us % 1000
+		dst = append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	}
+	return dst
 }
 
 // ParseServerTiming decodes a ServerTiming header value back into
@@ -300,19 +327,11 @@ func ParseServerTiming(v string) map[string]time.Duration {
 	return out
 }
 
-// ContextWithPhases attaches the timer to ctx so deeper layers
-// (tenant, durable, interp) can record their phases. A nil timer
-// returns ctx unchanged.
-func ContextWithPhases(ctx context.Context, pt *PhaseTimer) context.Context {
-	if pt == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, phaseCtxKey, pt)
-}
-
-// PhasesFrom extracts the request's timer, nil when the request path
-// is un-instrumented (including a nil ctx, so backend-internal calls
-// with no context skip the context lookup entirely).
+// PhasesFrom extracts the request's timer (a Scope carries it, so
+// deeper layers — tenant, durable, interp — can record their phases),
+// nil when the request path is un-instrumented (including a nil ctx, so
+// backend-internal calls with no context skip the context lookup
+// entirely).
 func PhasesFrom(ctx context.Context) *PhaseTimer {
 	if ctx == nil {
 		return nil

@@ -3,14 +3,23 @@ package obsv
 import (
 	"context"
 	"reflect"
+	"strconv"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
+func newPhaseTimer(clock Clock) *PhaseTimer {
+	pt := new(PhaseTimer)
+	pt.Reset(clock)
+	return pt
+}
+
+func serverTiming(pt *PhaseTimer) string { return string(pt.Times().AppendServerTiming(nil)) }
+
 func TestPhaseSelfTimeNesting(t *testing.T) {
 	clk := NewFakeClock(time.Time{})
-	pt := AcquirePhaseTimer(clk)
-	defer pt.Release()
+	pt := newPhaseTimer(clk)
 
 	outer := pt.Start(PhaseOther)
 	clk.Advance(10 * time.Millisecond)
@@ -28,18 +37,17 @@ func TestPhaseSelfTimeNesting(t *testing.T) {
 		PhaseJournalAppend: (5 * time.Millisecond).Nanoseconds(),
 		PhaseOther:         (13 * time.Millisecond).Nanoseconds(),
 	}
-	if got := pt.Map(); !reflect.DeepEqual(got, want) {
+	if got := pt.Times().Map(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Map() = %v, want %v", got, want)
 	}
-	if got, want := pt.Total(), 20*time.Millisecond; got != want {
+	if got, want := pt.Times().Total(), 20*time.Millisecond; got != want {
 		t.Fatalf("Total() = %v, want %v (the outer region's wall time)", got, want)
 	}
 }
 
 func TestPhaseSameNameNesting(t *testing.T) {
 	clk := NewFakeClock(time.Time{})
-	pt := AcquirePhaseTimer(clk)
-	defer pt.Release()
+	pt := newPhaseTimer(clk)
 
 	outer := pt.Start(PhaseDecode)
 	clk.Advance(4 * time.Millisecond)
@@ -50,16 +58,10 @@ func TestPhaseSameNameNesting(t *testing.T) {
 
 	// inner self = 1ms, outer self = 5ms - 1ms child = 4ms; total 5ms,
 	// no double count.
-	if got, want := pt.Total(), 5*time.Millisecond; got != want {
+	if got, want := pt.Times().Total(), 5*time.Millisecond; got != want {
 		t.Fatalf("Total() = %v, want %v", got, want)
 	}
-	var count uint32
-	pt.Each(func(name string, _ time.Duration, n uint32) {
-		if name == PhaseDecode {
-			count = n
-		}
-	})
-	if count != 2 {
+	if count := pt.Times().Count[phaseIndex(PhaseDecode)]; count != 2 {
 		t.Fatalf("decode count = %d, want 2", count)
 	}
 }
@@ -68,21 +70,22 @@ func TestPhaseTimerNilSafe(t *testing.T) {
 	var pt *PhaseTimer
 	r := pt.Start(PhaseDecode)
 	r.End()
-	if got := pt.Total(); got != 0 {
+	if got := pt.Times().Total(); got != 0 {
 		t.Fatalf("nil Total() = %v", got)
 	}
-	if got := pt.Map(); got != nil {
+	if got := pt.Times().Map(); got != nil {
 		t.Fatalf("nil Map() = %v", got)
 	}
-	if got := pt.ServerTiming(); got != "" {
+	if got := serverTiming(pt); got != "" {
 		t.Fatalf("nil ServerTiming() = %q", got)
 	}
-	pt.Each(func(string, time.Duration, uint32) { t.Fatal("nil Each must not call fn") })
-	pt.Release()
+	if got := pt.Times(); got != (PhaseTimes{}) {
+		t.Fatalf("nil Times() = %+v", got)
+	}
 
 	ctx := context.Background()
-	if got := ContextWithPhases(ctx, nil); got != ctx {
-		t.Fatal("ContextWithPhases(ctx, nil) must return ctx unchanged")
+	if got := PhasesFrom(&Scope{Context: ctx}); got != nil {
+		t.Fatalf("PhasesFrom(scope without a timer) = %v", got)
 	}
 	if got := PhasesFrom(nil); got != nil {
 		t.Fatalf("PhasesFrom(nil) = %v", got)
@@ -93,9 +96,8 @@ func TestPhaseTimerNilSafe(t *testing.T) {
 }
 
 func TestPhaseContextRoundTrip(t *testing.T) {
-	pt := AcquirePhaseTimer(nil)
-	defer pt.Release()
-	ctx := ContextWithPhases(context.Background(), pt)
+	pt := newPhaseTimer(nil)
+	var ctx context.Context = &Scope{Context: context.Background(), Phases: pt}
 	if got := PhasesFrom(ctx); got != pt {
 		t.Fatalf("PhasesFrom = %p, want %p", got, pt)
 	}
@@ -103,13 +105,12 @@ func TestPhaseContextRoundTrip(t *testing.T) {
 
 func TestPhaseUnknownAndOverflow(t *testing.T) {
 	clk := NewFakeClock(time.Time{})
-	pt := AcquirePhaseTimer(clk)
-	defer pt.Release()
+	pt := newPhaseTimer(clk)
 
 	r := pt.Start("no-such-phase")
 	clk.Advance(time.Millisecond)
 	r.End()
-	if got := pt.Total(); got != 0 {
+	if got := pt.Times().Total(); got != 0 {
 		t.Fatalf("unknown phase recorded %v", got)
 	}
 
@@ -123,34 +124,39 @@ func TestPhaseUnknownAndOverflow(t *testing.T) {
 	}
 	// The two over-deep regions were dropped; the rest still tile
 	// their outermost window.
-	if got, want := pt.Total(), time.Duration(maxPhaseDepth+2)*time.Millisecond; got != want {
+	if got, want := pt.Times().Total(), time.Duration(maxPhaseDepth+2)*time.Millisecond; got != want {
 		t.Fatalf("Total() = %v, want %v", got, want)
 	}
 }
 
-func TestPhaseTimerPoolReset(t *testing.T) {
+// TestPhaseTimerReset: a timer recycled with its owner's pooled state
+// must read as fresh, even when the previous request left a region open.
+func TestPhaseTimerReset(t *testing.T) {
 	clk := NewFakeClock(time.Time{})
-	pt := AcquirePhaseTimer(clk)
+	pt := newPhaseTimer(clk)
 	r := pt.Start(PhaseEncode)
 	clk.Advance(time.Millisecond)
 	r.End()
-	pt.Release()
+	pt.Start(PhaseOther)
 
-	// Whatever timer the pool hands back next must read as fresh.
-	pt2 := AcquirePhaseTimer(clk)
-	defer pt2.Release()
-	if got := pt2.Total(); got != 0 {
-		t.Fatalf("pooled timer not reset: Total() = %v", got)
+	pt.Reset(clk)
+	if got := pt.Times().Total(); got != 0 {
+		t.Fatalf("timer not reset: Total() = %v", got)
 	}
-	if got := pt2.Map(); got != nil {
-		t.Fatalf("pooled timer not reset: Map() = %v", got)
+	if got := pt.Times().Map(); got != nil {
+		t.Fatalf("timer not reset: Map() = %v", got)
+	}
+	d := pt.Start(PhaseDecode)
+	clk.Advance(time.Millisecond)
+	d.End()
+	if got, want := pt.Times().Total(), time.Millisecond; got != want {
+		t.Fatalf("after reset Total() = %v, want %v (a stale open frame leaked in)", got, want)
 	}
 }
 
 func TestServerTimingFormat(t *testing.T) {
 	clk := NewFakeClock(time.Time{})
-	pt := AcquirePhaseTimer(clk)
-	defer pt.Release()
+	pt := newPhaseTimer(clk)
 
 	d := pt.Start(PhaseDecode)
 	clk.Advance(1500 * time.Microsecond)
@@ -160,8 +166,52 @@ func TestServerTimingFormat(t *testing.T) {
 	e.End()
 
 	const want = "decode;dur=1.500, encode;dur=0.250"
-	if got := pt.ServerTiming(); got != want {
+	if got := serverTiming(pt); got != want {
 		t.Fatalf("ServerTiming() = %q, want %q", got, want)
+	}
+	// The header round-trips through the parser the router reads it
+	// with, to the microsecond the format carries.
+	back := ParseServerTiming(serverTiming(pt))
+	if len(back) != 2 || back[PhaseDecode] != 1500*time.Microsecond || back[PhaseEncode] != 250*time.Microsecond {
+		t.Fatalf("ParseServerTiming(%q) = %v", want, back)
+	}
+}
+
+// TestServerTimingMatchesFloatRendering: the integer rendering is the
+// millisecond value to three decimals, exactly what formatting the
+// float with 'f', 3 gives — ties at the half microsecond aside, which
+// the integer path rounds up and a binary float rounds either way.
+func TestServerTimingMatchesFloatRendering(t *testing.T) {
+	render := func(self time.Duration) string {
+		var pt PhaseTimes
+		pt.Self[phaseIndex(PhaseFsync)], pt.Count[phaseIndex(PhaseFsync)] = self, 1
+		return string(pt.AppendServerTiming(nil))
+	}
+	for self, want := range map[time.Duration]string{
+		0: "0.000", 499: "0.000", 500: "0.001", 501: "0.001", 1499: "0.001", 1500: "0.002", 999_500: "1.000",
+		41 * time.Microsecond: "0.041", 12*time.Second + 345678*time.Microsecond + 499: "12345.678",
+	} {
+		if got := render(self); got != "fsync;dur="+want {
+			t.Errorf("%dns renders %q, want dur=%s", self, got, want)
+		}
+	}
+	f := func(ns uint32, big bool) bool {
+		self := time.Duration(ns)
+		if big {
+			self *= 1000 // up to ~70 minutes
+		}
+		if self%1000 == 500 {
+			return true
+		}
+		want := "fsync;dur=" + strconv.FormatFloat(float64(self)/float64(time.Millisecond), 'f', 3, 64)
+		if got := render(self); got != want {
+			t.Logf("%dns: %q, float rendering %q", self, got, want)
+			return false
+		}
+		return ParseServerTiming(want)[PhaseFsync].Round(time.Microsecond) == self.Round(time.Microsecond)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }
 

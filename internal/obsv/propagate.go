@@ -30,6 +30,11 @@ import (
 // TraceHeader carries trace context across process boundaries.
 const TraceHeader = "X-LCE-Trace"
 
+// traceHeaderKey is TraceHeader as http.Header stores it. Get and Set
+// canonicalize their key on every call — an allocation for this
+// spelling — so the request path indexes the map with this instead.
+var traceHeaderKey = http.CanonicalHeaderKey(TraceHeader)
+
 // FlagSampled marks the trace as recorded upstream. It is informational
 // today — both tiers record unconditionally when tracing is on — but
 // reserves the usual bit-0 meaning for future head sampling.
@@ -104,7 +109,7 @@ func Inject(h http.Header, sp *Span) {
 	if sp == nil || h == nil {
 		return
 	}
-	h.Set(TraceHeader, sp.SpanContext().String())
+	h[traceHeaderKey] = []string{sp.SpanContext().String()}
 }
 
 // Extract reads a propagated span context from h. The second return is
@@ -113,11 +118,11 @@ func Extract(h http.Header) (SpanContext, bool) {
 	if h == nil {
 		return SpanContext{}, false
 	}
-	v := h.Get(TraceHeader)
-	if v == "" {
+	vs := h[traceHeaderKey]
+	if len(vs) == 0 || vs[0] == "" {
 		return SpanContext{}, false
 	}
-	return ParseTraceContext(v)
+	return ParseTraceContext(vs[0])
 }
 
 // StartRemote begins a span that continues a trace started in another
@@ -131,16 +136,36 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, sc SpanContext) (
 	if t == nil {
 		return ctx, nil
 	}
+	sp := t.newRemote(name, sc)
+	return ContextWithSpan(ctx, sp), sp
+}
+
+// StartRequest begins the span of one inbound request without deriving
+// a context (the caller carries it in a Scope): a propagated
+// X-LCE-Trace header in h continues the upstream trace exactly as
+// StartRemote would, and without one the request roots a fresh trace
+// exactly as StartRoot would. Nil on a nil tracer.
+func (t *Tracer) StartRequest(name string, h http.Header) *Span {
+	if t == nil {
+		return nil
+	}
+	if sc, ok := Extract(h); ok {
+		return t.newRemote(name, sc)
+	}
+	return t.newRoot(name, t.nextRootID())
+}
+
+func (t *Tracer) newRemote(name string, sc SpanContext) *Span {
 	if !sc.Valid() {
-		return t.StartRoot(ctx, name)
+		return t.newRoot(name, t.nextRootID())
 	}
 	tid, err1 := strconv.ParseUint(sc.TraceID, 16, 64)
 	pid, err2 := strconv.ParseUint(sc.SpanID, 16, 64)
 	if err1 != nil || err2 != nil {
-		return t.StartRoot(ctx, name)
+		return t.newRoot(name, t.nextRootID())
 	}
 	sid := mix64(tid ^ mix64(pid))
-	sp := &Span{
+	return &Span{
 		tracer: t,
 		tid:    tid,
 		sid:    sid,
@@ -153,7 +178,6 @@ func (t *Tracer) StartRemote(ctx context.Context, name string, sc SpanContext) (
 			Remote:   true,
 		},
 	}
-	return ContextWithSpan(ctx, sp), sp
 }
 
 // StitchStats summarizes a cross-process validation pass.

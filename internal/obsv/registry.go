@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/http"
@@ -17,20 +18,31 @@ import (
 // counter structs that predate it (metrics.AlignCounters publishes
 // its snapshot into a Registry; see metrics.AlignStats.PublishTo).
 //
-// Instruments are created on first use and memoized, so hot paths
-// should hold the returned instrument rather than re-looking it up
-// per event. A nil *Registry is the disabled registry: lookups return
-// nil instruments whose methods no-op.
+// Instruments are created on first use and memoized. A lookup of a
+// series seen before costs one map probe and no allocation (see
+// lookup), so request paths may re-look a series up per event; holding
+// the returned instrument is still the cheapest. A nil *Registry is the
+// disabled registry: lookups return nil instruments whose methods
+// no-op.
 type Registry struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// items is the series table, keyed by name plus the canonical
+	// (key-sorted, escaped) label rendering the exposition prints.
 	items map[string]*instrument
+	// alias maps the raw spelling of a lookup — name and label pairs in
+	// call order, see appendAliasKey — to its instrument, so only the
+	// first lookup of each spelling pays for canonical rendering.
+	alias map[string]*instrument
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{items: map[string]*instrument{}}
+	return &Registry{items: map[string]*instrument{}, alias: map[string]*instrument{}}
 }
 
+// instrument is one series. The typed handles (Counter, Gauge,
+// FloatGauge, Histogram) are this struct under another name, so
+// handing one out is a pointer conversion, not an allocation.
 type instrument struct {
 	name   string
 	labels string // canonical rendered {k="v",...} or ""
@@ -101,40 +113,61 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-// lookup finds or creates the instrument for (name, labels). A kind
-// clash (the same series requested as two different types) panics:
-// that is a programming error worth failing loudly on.
+// appendAliasKey appends the raw spelling of a lookup to dst: name
+// and every label string in call order, each length-prefixed so no
+// label value can make two spellings collide.
+func appendAliasKey(dst []byte, name string, labels []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
+	for _, l := range labels {
+		dst = binary.AppendUvarint(dst, uint64(len(l)))
+		dst = append(dst, l...)
+	}
+	return dst
+}
+
+// lookup finds or creates the instrument for (name, labels). A spelling
+// seen before resolves through the alias index: the key is built in a
+// stack buffer and the map is probed without converting it to a string,
+// so a hit neither renders nor allocates. Only the first sight of a
+// spelling renders the canonical label form, which is what makes
+// permuted label orders land on one series. A kind clash (the same
+// series requested as two different types) panics: that is a
+// programming error worth failing loudly on.
 func (r *Registry) lookup(kind, name string, labels []string) *instrument {
 	if r == nil {
 		return nil
 	}
-	key := name + renderLabels(labels)
+	var buf [192]byte
+	raw := appendAliasKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in, ok := r.items[key]; ok {
-		if in.kind != kind {
-			panic(fmt.Sprintf("obsv: metric %s registered as %s, requested as %s", key, in.kind, kind))
+	in, seen := r.alias[string(raw)]
+	if !seen {
+		rendered := renderLabels(labels)
+		if in = r.items[name+rendered]; in == nil {
+			in = &instrument{name: name, labels: rendered, kind: kind}
+			if kind == "histogram" {
+				in.hist = newHistogram(bucketsFor(name))
+			}
+			r.items[name+rendered] = in
 		}
-		return in
 	}
-	in := &instrument{name: name, labels: renderLabels(labels), kind: kind}
-	if kind == "histogram" {
-		in.hist = newHistogram(DefaultDurationBuckets)
+	if in.kind != kind {
+		panic(fmt.Sprintf("obsv: metric %s registered as %s, requested as %s", in.name+in.labels, in.kind, kind))
 	}
-	r.items[key] = in
+	if !seen {
+		r.alias[string(raw)] = in
+	}
 	return in
 }
 
 // Counter is a monotonically increasing series.
-type Counter struct{ in *instrument }
+type Counter instrument
 
 // Counter returns the counter for name and label pairs.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	in := r.lookup("counter", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &Counter{in: in}
+	return (*Counter)(r.lookup("counter", name, labels))
 }
 
 // Inc adds 1.
@@ -142,86 +175,78 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (negative n is ignored — counters only go up).
 func (c *Counter) Add(n int64) {
-	if c == nil || c.in == nil || n < 0 {
+	if c == nil || n < 0 {
 		return
 	}
-	c.in.val.Add(n)
+	c.val.Add(n)
 }
 
 // Value returns the current total.
 func (c *Counter) Value() int64 {
-	if c == nil || c.in == nil {
+	if c == nil {
 		return 0
 	}
-	return c.in.val.Load()
+	return c.val.Load()
 }
 
 // Gauge is a series that can go up and down.
-type Gauge struct{ in *instrument }
+type Gauge instrument
 
 // Gauge returns the gauge for name and label pairs.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	in := r.lookup("gauge", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &Gauge{in: in}
+	return (*Gauge)(r.lookup("gauge", name, labels))
 }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return
 	}
-	g.in.val.Store(v)
+	g.val.Store(v)
 }
 
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return
 	}
-	g.in.val.Add(n)
+	g.val.Add(n)
 }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return 0
 	}
-	return g.in.val.Load()
+	return g.val.Load()
 }
 
 // FloatGauge is a float-valued series that can go up and down — the
 // SLO engine's burn rates are ratios, which an integer gauge cannot
 // carry without losing the signal near 1.0.
-type FloatGauge struct{ in *instrument }
+type FloatGauge instrument
 
 // FloatGauge returns the float gauge for name and label pairs. It
 // exposes as TYPE gauge; requesting the same series as an integer
 // Gauge panics (kind clash).
 func (r *Registry) FloatGauge(name string, labels ...string) *FloatGauge {
-	in := r.lookup("floatgauge", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &FloatGauge{in: in}
+	return (*FloatGauge)(r.lookup("floatgauge", name, labels))
 }
 
 // Set stores v (NaN is ignored).
 func (g *FloatGauge) Set(v float64) {
-	if g == nil || g.in == nil || math.IsNaN(v) {
+	if g == nil || math.IsNaN(v) {
 		return
 	}
-	g.in.fval.Store(math.Float64bits(v))
+	g.fval.Store(math.Float64bits(v))
 }
 
 // Value returns the current value.
 func (g *FloatGauge) Value() float64 {
-	if g == nil || g.in == nil {
+	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.in.fval.Load())
+	return math.Float64frombits(g.fval.Load())
 }
 
 // DefaultDurationBuckets are the fixed histogram bounds, in seconds:
@@ -233,15 +258,33 @@ var DefaultDurationBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// PhaseDurationBuckets are the bounds of lce_phase_seconds alone:
+// DefaultDurationBuckets extended down to 250ns, because most request
+// phases (decode, session lookup, encode) finish well under the 10µs
+// floor that suits whole requests. Request latency and the SLO engine
+// keep DefaultDurationBuckets.
+var PhaseDurationBuckets = append([]float64{2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6}, DefaultDurationBuckets...)
+
+// bucketsFor returns the bounds a histogram family is created with.
+func bucketsFor(name string) []float64 {
+	if name == MetricPhaseSeconds {
+		return PhaseDurationBuckets
+	}
+	return DefaultDurationBuckets
+}
+
 type histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last is +Inf
 	sumBits atomic.Uint64
 	count   atomic.Int64
 	// exemplars holds the most recent exemplar per bucket (last write
-	// wins) — the trace-ID breadcrumb that links a latency bucket to
-	// the request that landed in it.
-	exemplars []atomic.Pointer[Exemplar]
+	// wins; an empty TraceID is an unused slot) — the trace-ID
+	// breadcrumb that links a latency bucket to the request that landed
+	// in it. Stored by value under exMu so recording one allocates
+	// nothing; readers copy out.
+	exMu      sync.Mutex
+	exemplars []Exemplar
 }
 
 // Exemplar attaches one sampled observation's trace ID to a histogram
@@ -259,54 +302,65 @@ func newHistogram(bounds []float64) *histogram {
 	return &histogram{
 		bounds:    bounds,
 		counts:    make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		exemplars: make([]Exemplar, len(bounds)+1),
 	}
 }
 
-// Histogram is a fixed-bucket distribution series.
-type Histogram struct{ h *histogram }
-
-// Histogram returns the histogram for name and label pairs, with
-// DefaultDurationBuckets.
-func (r *Registry) Histogram(name string, labels ...string) *Histogram {
-	in := r.lookup("histogram", name, labels)
-	if in == nil {
-		return nil
-	}
-	return &Histogram{h: in.hist}
-}
-
-// Observe records one sample. Safe for concurrent use.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || h.h == nil || math.IsNaN(v) {
-		return
-	}
-	d := h.h
+// observe records one sample and returns the bucket it landed in.
+func (d *histogram) observe(v float64) int {
 	i := sort.SearchFloat64s(d.bounds, v)
 	d.counts[i].Add(1)
 	d.count.Add(1)
 	for {
 		old := d.sumBits.Load()
 		if d.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
+			return i
 		}
 	}
 }
 
+// exemplar returns bucket i's exemplar, nil when none was recorded.
+func (d *histogram) exemplar(i int) *Exemplar {
+	d.exMu.Lock()
+	ex := d.exemplars[i]
+	d.exMu.Unlock()
+	if ex.TraceID == "" {
+		return nil
+	}
+	return &ex
+}
+
+// Histogram is a fixed-bucket distribution series.
+type Histogram instrument
+
+// Histogram returns the histogram for name and label pairs, with
+// the family's buckets: PhaseDurationBuckets for lce_phase_seconds,
+// DefaultDurationBuckets for everything else.
+func (r *Registry) Histogram(name string, labels ...string) *Histogram {
+	return (*Histogram)(r.lookup("histogram", name, labels))
+}
+
+// Observe records one sample. Safe for concurrent use.
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
+
 // ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+func (h *Histogram) ObserveDuration(d time.Duration) { h.ObserveExemplar(d.Seconds(), "") }
 
 // ObserveExemplar records one sample and attaches traceID as the
 // owning bucket's exemplar (an empty traceID records the sample only —
 // the same pay-for-what-you-use rule as everywhere else in obsv).
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if h == nil || h.h == nil || traceID == "" || math.IsNaN(v) {
+	if h == nil || h.hist == nil || math.IsNaN(v) {
 		return
 	}
-	d := h.h
-	i := sort.SearchFloat64s(d.bounds, v)
-	d.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: v})
+	d := h.hist
+	i := d.observe(v)
+	if traceID == "" {
+		return
+	}
+	d.exMu.Lock()
+	d.exemplars[i] = Exemplar{TraceID: traceID, Value: v}
+	d.exMu.Unlock()
 }
 
 // ObserveDurationExemplar is ObserveExemplar over a duration in
@@ -318,30 +372,30 @@ func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID string) {
 // Exemplars returns the per-bucket exemplars (nil entries where no
 // exemplar has been recorded); index len(bounds) is the +Inf bucket.
 func (h *Histogram) Exemplars() []*Exemplar {
-	if h == nil || h.h == nil {
+	if h == nil || h.hist == nil {
 		return nil
 	}
-	out := make([]*Exemplar, len(h.h.exemplars))
-	for i := range h.h.exemplars {
-		out[i] = h.h.exemplars[i].Load()
+	out := make([]*Exemplar, len(h.hist.exemplars))
+	for i := range out {
+		out[i] = h.hist.exemplar(i)
 	}
 	return out
 }
 
 // Count returns the number of samples.
 func (h *Histogram) Count() int64 {
-	if h == nil || h.h == nil {
+	if h == nil || h.hist == nil {
 		return 0
 	}
-	return h.h.count.Load()
+	return h.hist.count.Load()
 }
 
 // Sum returns the sum of samples.
 func (h *Histogram) Sum() float64 {
-	if h == nil || h.h == nil {
+	if h == nil || h.hist == nil {
 		return 0
 	}
-	return math.Float64frombits(h.h.sumBits.Load())
+	return math.Float64frombits(h.hist.sumBits.Load())
 }
 
 // Quantile estimates the q-th quantile (q in [0, 1]) by linear
@@ -350,10 +404,10 @@ func (h *Histogram) Sum() float64 {
 // above the last bound report the last bound. Returns 0 with no
 // samples.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.h == nil {
+	if h == nil || h.hist == nil {
 		return 0
 	}
-	d := h.h
+	d := h.hist
 	total := d.count.Load()
 	if total == 0 {
 		return 0
@@ -456,7 +510,7 @@ func (r *Registry) writeExposition(w *strings.Builder, openMetrics bool) {
 				cum += d.counts[i].Load()
 				fmt.Fprintf(w, "%s_bucket%s %d", in.name, joinLabels(inner, le), cum)
 				if openMetrics {
-					if ex := d.exemplars[i].Load(); ex != nil {
+					if ex := d.exemplar(i); ex != nil {
 						fmt.Fprintf(w, ` # {trace_id="%s"} %s`, EscapeLabelValue(ex.TraceID), formatFloat(ex.Value))
 					}
 				}

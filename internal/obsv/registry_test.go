@@ -3,6 +3,7 @@ package obsv
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -66,17 +67,150 @@ func TestLabelCanonicalization(t *testing.T) {
 	if !strings.Contains(out, `m{a="1",b="2"} 2`) {
 		t.Fatalf("label order must canonicalize:\n%s", out)
 	}
+	// Every spelling of a series — first sight or alias hit, any pair
+	// order — is the same instrument, and a value that merely looks like
+	// another spelling's bytes is not.
+	first := r.Counter("m", "a", "1", "b", "2")
+	for i := 0; i < 3; i++ {
+		if r.Counter("m", "b", "2", "a", "1") != first || r.Counter("m", "a", "1", "b", "2") != first {
+			t.Fatal("permuted label order resolved to a different instrument")
+		}
+	}
+	if r.Counter("m", "a", "1b", "2", "") == first || r.Counter("m", "a", "1", "b", "2\x00") == first {
+		t.Fatal("distinct label values collided in the alias index")
+	}
+	if got := first.Value(); got != 2 {
+		t.Fatalf("shared series = %d, want 2", got)
+	}
+	// Histograms and gauges hand out stable handles the same way.
+	if r.Histogram("h", "x", "1", "y", "2") != r.Histogram("h", "y", "2", "x", "1") {
+		t.Fatal("permuted histogram labels resolved to different instruments")
+	}
 }
 
+// TestKindClashPanics: asking for a series under a second type fails
+// loudly whether the lookup resolves through the alias index (a
+// spelling seen before) or through canonical rendering (a new spelling
+// of an existing series), and a failed lookup registers nothing.
 func TestKindClashPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, `m{a="1",b="2"} registered as counter, requested as`) {
+				t.Fatalf("%s: panic = %q", name, msg)
+			}
+		}()
+		fn()
+	}
 	r := NewRegistry()
-	r.Counter("m")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("requesting a counter series as a gauge must panic")
+	r.Counter("m", "a", "1", "b", "2")
+	mustPanic("alias path", func() { r.Gauge("m", "a", "1", "b", "2") })
+	mustPanic("canonical path", func() { r.Histogram("m", "b", "2", "a", "1") })
+	mustPanic("canonical path, again", func() { r.Histogram("m", "b", "2", "a", "1") })
+	mustPanic("float gauge", func() { r.FloatGauge("m", "b", "2", "a", "1") })
+	if n := len(r.snapshotItems()); n != 1 {
+		t.Fatalf("registry holds %d series after the clashes, want 1", n)
+	}
+	// The registry is still usable: the panics released its lock.
+	r.Counter("m", "b", "2", "a", "1").Inc()
+}
+
+// TestRegistryConcurrentFirstSight: many goroutines meeting the same
+// new series at once — each under its own label order — must end up
+// on one instrument with no lost increments (run under -race).
+func TestRegistryConcurrentFirstSight(t *testing.T) {
+	r := NewRegistry()
+	const workers, series = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < series; i++ {
+				id := strconv.Itoa(i)
+				if w%2 == 0 {
+					r.Counter("c", "series", id, "kind", "x").Inc()
+					r.Histogram("h", "series", id, "kind", "x").ObserveExemplar(1e-3, "t")
+				} else {
+					r.Counter("c", "kind", "x", "series", id).Inc()
+					r.Histogram("h", "kind", "x", "series", id).ObserveExemplar(1e-3, "t")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(r.snapshotItems()); n != 2*series {
+		t.Fatalf("registry holds %d series, want %d", n, 2*series)
+	}
+	for i := 0; i < series; i++ {
+		id := strconv.Itoa(i)
+		if got := r.Counter("c", "series", id, "kind", "x").Value(); got != workers {
+			t.Fatalf("series %d counted %d, want %d", i, got, workers)
 		}
-	}()
-	r.Gauge("m")
+		if got := r.Histogram("h", "series", id, "kind", "x").Count(); got != workers {
+			t.Fatalf("series %d observed %d, want %d", i, got, workers)
+		}
+	}
+}
+
+// TestPhaseSecondsBuckets: lce_phase_seconds alone resolves below
+// 10µs; every other family keeps DefaultDurationBuckets, and the finer
+// exposition still lints.
+func TestPhaseSecondsBuckets(t *testing.T) {
+	r := NewRegistry()
+	ph := r.Histogram(MetricPhaseSeconds, "phase", PhaseDecode, "service", "ec2")
+	ph.ObserveDurationExemplar(300*time.Nanosecond, "00000000000000aa")
+	ph.ObserveDuration(3 * time.Microsecond)
+	ph.ObserveDuration(30 * time.Microsecond)
+	r.Histogram(MetricHTTPSeconds, "route", "v2.invoke").ObserveDuration(300 * time.Nanosecond)
+
+	var b strings.Builder
+	r.WriteOpenMetrics(&b)
+	out := b.String()
+	for _, want := range []string{
+		`lce_phase_seconds_bucket{phase="decode",service="ec2",le="2.5e-07"} 0`,
+		`lce_phase_seconds_bucket{phase="decode",service="ec2",le="5e-07"} 1 # {trace_id="00000000000000aa"} 3e-07`,
+		`lce_phase_seconds_bucket{phase="decode",service="ec2",le="1e-06"} 1`,
+		`lce_phase_seconds_bucket{phase="decode",service="ec2",le="2.5e-06"} 1`,
+		`lce_phase_seconds_bucket{phase="decode",service="ec2",le="5e-06"} 2`,
+		`lce_phase_seconds_bucket{phase="decode",service="ec2",le="1e-05"} 2`,
+		`lce_phase_seconds_bucket{phase="decode",service="ec2",le="+Inf"} 3`,
+		`lce_http_request_seconds_bucket{route="v2.invoke",le="1e-05"} 1`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+	if strings.Contains(out, `lce_http_request_seconds_bucket{route="v2.invoke",le="5e-06"}`) {
+		t.Error("lce_http_request_seconds gained sub-10µs buckets; only lce_phase_seconds should")
+	}
+	if got := ph.QuantileDuration(0.3); got > 500*time.Nanosecond {
+		t.Errorf("phase p30 = %v, want it resolved inside the 500ns bucket", got)
+	}
+	if _, err := LintExposition(strings.NewReader(out)); err != nil {
+		t.Errorf("exposition with the finer phase buckets does not lint: %v", err)
+	}
+}
+
+// BenchmarkRegistryLookupHit is the cost of meeting a series again —
+// what every request pays per metric touch. It fails if a hit
+// allocates.
+func BenchmarkRegistryLookupHit(b *testing.B) {
+	r := NewRegistry()
+	lookup := func() {
+		r.Counter(MetricHTTPRequests, "service", "ec2", "action", "DescribeSubnets", "session", "s00", "code", "OK").Inc()
+		r.Histogram(MetricPhaseSeconds, "phase", PhaseDispatch, "service", "ec2").ObserveDurationExemplar(time.Microsecond, "00000000000000aa")
+	}
+	lookup()
+	if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+		b.Fatalf("a registry hit allocates %.1f objects, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookup()
+	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {

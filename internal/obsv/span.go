@@ -31,11 +31,15 @@ package obsv
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +54,28 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func idString(v uint64) string { return fmt.Sprintf("%016x", v) }
+// idString renders an ID as 16 lowercase hex digits.
+func idString(v uint64) string {
+	var b [16]byte
+	putHexID(b[:], v)
+	return string(b[:])
+}
+
+// rootIDs renders a root span's trace and span IDs out of one
+// allocation.
+func rootIDs(tid, sid uint64) (traceID, spanID string) {
+	var b [32]byte
+	putHexID(b[:16], tid)
+	putHexID(b[16:], sid)
+	ids := string(b[:])
+	return ids[:16], ids[16:]
+}
+
+func putHexID(dst []byte, v uint64) {
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], v)
+	hex.Encode(dst, raw[:])
+}
 
 // Event is a timestamped annotation inside a span — the fault layer
 // records injected decisions this way, the retry layer its backoffs.
@@ -102,10 +127,10 @@ type Tracer struct {
 	seed   uint64
 	roots  atomic.Uint64
 	epochs atomic.Int64
-	onEnd  func(SpanData)
+	onEnd  func(FinishedSpan)
 
 	mu      sync.Mutex
-	ring    []SpanData
+	ring    []FinishedSpan
 	next    int
 	wrapped bool
 	total   uint64
@@ -119,7 +144,7 @@ func NewTracer(seed int64, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{clock: System(), seed: uint64(seed), ring: make([]SpanData, 0, capacity)}
+	return &Tracer{clock: System(), seed: uint64(seed), ring: make([]FinishedSpan, 0, capacity)}
 }
 
 // SetClock replaces the tracer's clock (for tests). Call before any
@@ -131,18 +156,101 @@ func (t *Tracer) SetClock(c Clock) {
 	t.clock = c
 }
 
-// SetOnEnd installs a hook invoked with every finished span's
-// immutable SpanData, after it is committed to the ring. The ops plane
-// uses it to fan span ends (and the fault/retry events they carry)
-// into its event bus. Like SetClock, call before any spans are
-// started; it is not synchronized against live spans. The hook runs
-// outside the tracer's lock, on the goroutine that ended the span, so
-// it must be cheap and must not block.
-func (t *Tracer) SetOnEnd(fn func(SpanData)) {
+// SetOnEnd installs a hook invoked with every finished span, after it
+// is committed to the ring. The ops plane uses it to fan span ends (and
+// the fault/retry events they carry) into its event bus. Like SetClock,
+// call before any spans are started; it is not synchronized against
+// live spans. The hook runs outside the tracer's lock, on the goroutine
+// that ended the span, so it must be cheap and must not block — which
+// is why it receives the compact FinishedSpan and not a SpanData: a
+// hook that only sometimes needs the attributes only sometimes pays
+// for the map.
+func (t *Tracer) SetOnEnd(fn func(FinishedSpan)) {
 	if t == nil {
 		return
 	}
 	t.onEnd = fn
+}
+
+// FinishedSpan is a finished span in the form the tracer retains: the
+// SpanData fields minus the attribute map, plus the attributes packed
+// into one pointer-free string. A server's ring holds thousands of
+// these for the life of the process, and a map per span made that ring
+// most of the live heap the garbage collector re-marks every cycle;
+// packed, a span is two small objects the collector never looks
+// inside. Data builds the SpanData — map included — for whoever
+// actually reads the span: Snapshot, the JSONL export, a subscribed
+// event stream.
+type FinishedSpan struct {
+	span  SpanData // Attrs is nil; see attrs
+	attrs string   // packAttrs form
+}
+
+// Name returns the span's name.
+func (f FinishedSpan) Name() string { return f.span.Name }
+
+// HasEvents reports whether the span recorded any events.
+func (f FinishedSpan) HasEvents() bool { return len(f.span.Events) > 0 }
+
+// Data returns the span as a SpanData with a freshly built attribute
+// map the caller owns.
+func (f FinishedSpan) Data() SpanData {
+	d := f.span
+	d.Attrs = unpackAttrs(f.attrs)
+	return d
+}
+
+// packAttrs flattens attrs into one string: the count, then each key
+// and value, every field preceded by its uvarint length (so any byte
+// may appear in a value).
+func packAttrs(attrs []spanAttr) string {
+	if len(attrs) == 0 {
+		return ""
+	}
+	size := binary.MaxVarintLen32
+	for _, a := range attrs {
+		size += 2*binary.MaxVarintLen32 + len(a.k) + len(a.v)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var lenBuf [binary.MaxVarintLen64]byte
+	field := func(s string) {
+		b.Write(binary.AppendUvarint(lenBuf[:0], uint64(len(s))))
+		b.WriteString(s)
+	}
+	b.Write(binary.AppendUvarint(lenBuf[:0], uint64(len(attrs))))
+	for _, a := range attrs {
+		field(a.k)
+		field(a.v)
+	}
+	return b.String()
+}
+
+// unpackAttrs rebuilds the attribute map (nil for no attributes); keys
+// and values are substrings of packed, so the map costs no string
+// copies.
+func unpackAttrs(packed string) map[string]string {
+	if packed == "" {
+		return nil
+	}
+	// uvarint reads one length off the front of packed.
+	uvarint := func() int {
+		n, w := binary.Uvarint([]byte(packed[:min(len(packed), binary.MaxVarintLen64)]))
+		packed = packed[w:]
+		return int(n)
+	}
+	field := func() string {
+		n := uvarint()
+		s := packed[:n]
+		packed = packed[n:]
+		return s
+	}
+	m := make(map[string]string, uvarint())
+	for packed != "" {
+		k := field()
+		m[k] = field()
+	}
+	return m
 }
 
 // SetIdentity salts every root ID derivation (sequential and keyed)
@@ -185,7 +293,7 @@ func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *
 	if t == nil {
 		return ctx, nil
 	}
-	return t.startRoot(ctx, name, mix64(t.seed^mix64(t.roots.Add(1))))
+	return t.startRoot(ctx, name, t.nextRootID())
 }
 
 // NextEpoch returns 0, 1, 2, ... — a namespace for keyed root IDs.
@@ -213,23 +321,32 @@ func (t *Tracer) StartRootKeyed(ctx context.Context, name string, key int64) (co
 }
 
 func (t *Tracer) startRoot(ctx context.Context, name string, tid uint64) (context.Context, *Span) {
-	sp := &Span{
+	sp := t.newRoot(name, tid)
+	return ContextWithSpan(ctx, sp), sp
+}
+
+// nextRootID draws the next sequential root trace ID.
+func (t *Tracer) nextRootID() uint64 { return mix64(t.seed ^ mix64(t.roots.Add(1))) }
+
+func (t *Tracer) newRoot(name string, tid uint64) *Span {
+	sid := mix64(tid)
+	traceID, spanID := rootIDs(tid, sid)
+	return &Span{
 		tracer: t,
 		tid:    tid,
-		sid:    mix64(tid),
+		sid:    sid,
 		data: SpanData{
-			TraceID: idString(tid),
-			SpanID:  idString(mix64(tid)),
+			TraceID: traceID,
+			SpanID:  spanID,
 			Name:    name,
 			Start:   t.Clock().Now(),
 		},
 	}
-	return ContextWithSpan(ctx, sp), sp
 }
 
 // record appends one finished span to the ring, evicting the oldest
 // beyond capacity, then fires the OnEnd hook (outside the lock).
-func (t *Tracer) record(d SpanData) {
+func (t *Tracer) record(d FinishedSpan) {
 	t.mu.Lock()
 	t.total++
 	if len(t.ring) < cap(t.ring) {
@@ -256,19 +373,24 @@ func (t *Tracer) Recorded() uint64 {
 	return t.total
 }
 
-// Snapshot returns the retained spans oldest-first.
+// Snapshot returns the retained spans oldest-first, each with an
+// attribute map of its own.
 func (t *Tracer) Snapshot() []SpanData {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanData, 0, len(t.ring))
+	kept := make([]FinishedSpan, 0, len(t.ring))
 	if t.wrapped {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
+		kept = append(kept, t.ring[t.next:]...)
+		kept = append(kept, t.ring[:t.next]...)
 	} else {
-		out = append(out, t.ring...)
+		kept = append(kept, t.ring...)
+	}
+	t.mu.Unlock()
+	out := make([]SpanData, len(kept))
+	for i, f := range kept {
+		out[i] = f.Data()
 	}
 	return out
 }
@@ -323,7 +445,14 @@ type Span struct {
 	childSeq uint64
 	ended    bool
 	data     SpanData
+	// attrs holds the live attributes in set order, starting in
+	// attrBuf; End packs them for the ring (see FinishedSpan), and
+	// data.Attrs stays nil throughout.
+	attrs   []spanAttr
+	attrBuf [14]spanAttr
 }
+
+type spanAttr struct{ k, v string }
 
 // TraceID returns the span's trace ID, or "" on a nil span.
 func (s *Span) TraceID() string {
@@ -348,14 +477,20 @@ func (s *Span) SetAttr(k, v string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.data.Attrs == nil {
-		s.data.Attrs = map[string]string{}
+	for i := range s.attrs {
+		if s.attrs[i].k == k {
+			s.attrs[i].v = v
+			return
+		}
 	}
-	s.data.Attrs[k] = v
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
+	s.attrs = append(s.attrs, spanAttr{k, v})
 }
 
 // SetAttrInt sets one integer attribute.
-func (s *Span) SetAttrInt(k string, v int64) { s.SetAttr(k, fmt.Sprintf("%d", v)) }
+func (s *Span) SetAttrInt(k string, v int64) { s.SetAttr(k, strconv.FormatInt(v, 10)) }
 
 // SetError marks the span failed with a status message (an API error
 // code, an HTTP status). The last call wins.
@@ -427,19 +562,14 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.data.End = now
-	d := s.data
-	// Copy the mutable containers so post-End mutation (there should
-	// be none, but the API cannot forbid it) never aliases the ring.
-	if d.Attrs != nil {
-		attrs := make(map[string]string, len(d.Attrs))
-		for k, v := range d.Attrs {
-			attrs[k] = v
-		}
-		d.Attrs = attrs
-	}
-	d.Events = append([]Event(nil), d.Events...)
+	// The record owns its containers: the attributes are packed into a
+	// string of their own and the events slice moves to the record, so
+	// post-End mutation (there should be none, but the API cannot forbid
+	// it) never aliases the ring.
+	f := FinishedSpan{span: s.data, attrs: packAttrs(s.attrs)}
+	s.data.Events = nil
 	s.mu.Unlock()
-	s.tracer.record(d)
+	s.tracer.record(f)
 }
 
 // Duration returns End-Start for an ended span, and the live elapsed
@@ -493,6 +623,42 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	sp := parent.child(name)
 	return ContextWithSpan(ctx, sp), sp
+}
+
+// Scope is one inbound request's observability state — its span, the
+// metrics registry, its phase timer — carried as a single
+// context.Context over the request's own: SpanFrom, RegistryFrom and
+// PhasesFrom resolve against it exactly as they would against the
+// ContextWithSpan / WithRegistry chain it stands in for, and every
+// other key (and Deadline, Done, Err) passes through to the embedded
+// parent. Embedding a Scope in pooled per-request state makes the
+// whole carrier cost no allocation; the owner must not recycle it
+// while a context derived from it is still in use. Nil fields read as
+// absent.
+type Scope struct {
+	context.Context
+	Span     *Span
+	Registry *Registry
+	Phases   *PhaseTimer
+}
+
+// Value implements context.Context.
+func (s *Scope) Value(key any) any {
+	switch key {
+	case spanCtxKey:
+		if s.Span != nil {
+			return s.Span
+		}
+	case registryCtxKey:
+		if s.Registry != nil {
+			return s.Registry
+		}
+	case phaseCtxKey:
+		if s.Phases != nil {
+			return s.Phases
+		}
+	}
+	return s.Context.Value(key)
 }
 
 // WithRegistry returns ctx carrying the metrics registry, so deep

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,5 +262,54 @@ func TestEndIsIdempotent(t *testing.T) {
 	sp.End()
 	if tr.Recorded() != 1 {
 		t.Fatalf("double End recorded %d spans", tr.Recorded())
+	}
+}
+
+// TestFinishedSpanAttrsRoundTrip: the packed form the ring retains
+// must give back exactly the attributes that were set — last write per
+// key, any bytes, any length — and nothing when none were.
+func TestFinishedSpanAttrsRoundTrip(t *testing.T) {
+	tr := NewTracer(1, 8)
+	_, sp := tr.StartRoot(context.Background(), "root")
+	long := strings.Repeat("x", 300)
+	want := map[string]string{"a": "1", "": "empty key", "empty": "", "nul\x00key": "v\x00\xff", "long": long, "dup": "second"}
+	sp.SetAttr("dup", "first")
+	for k, v := range want {
+		sp.SetAttr(k, v)
+	}
+	for i := 0; i < 20; i++ { // spill past the span's inline buffer
+		k := fmt.Sprintf("k%02d", i)
+		sp.SetAttrInt(k, int64(i))
+		want[k] = strconv.Itoa(i)
+	}
+	sp.End()
+	_, bare := tr.StartRoot(context.Background(), "bare")
+	bare.End()
+
+	var hooked []FinishedSpan
+	tr.SetOnEnd(func(f FinishedSpan) { hooked = append(hooked, f) })
+	_, third := tr.StartRoot(context.Background(), "third")
+	third.SetAttr("k", "v")
+	third.Event("fault.injected", "action", "X")
+	third.End()
+
+	spans := tr.Snapshot()
+	if got := spans[0].Attrs; !reflect.DeepEqual(got, want) {
+		t.Errorf("attrs = %q\nwant    %q", got, want)
+	}
+	if spans[1].Attrs != nil {
+		t.Errorf("span without attributes has Attrs %v, want nil", spans[1].Attrs)
+	}
+	// Each reader owns its map: mutating one snapshot must not leak
+	// into the next.
+	spans[0].Attrs["a"] = "mutated"
+	if got := tr.Snapshot()[0].Attrs["a"]; got != "1" {
+		t.Errorf("second snapshot saw a reader's mutation: a = %q", got)
+	}
+	if len(hooked) != 1 || hooked[0].Name() != "third" || !hooked[0].HasEvents() {
+		t.Fatalf("hook saw %+v", hooked)
+	}
+	if d := hooked[0].Data(); d.Attrs["k"] != "v" || len(d.Events) != 1 || d.TraceID != spans[2].TraceID {
+		t.Errorf("hook Data() = %+v", d)
 	}
 }

@@ -186,33 +186,46 @@ func (b *Bus) removeLocked(s *Subscription, slow bool) {
 // matching subscriber. Never blocks: a subscriber whose buffer is full
 // is disconnected (slow-consumer policy). Publishing on a closed bus
 // is a no-op.
-func (b *Bus) Publish(e Event) {
+func (b *Bus) Publish(e Event) { b.PublishLazy(e.Kind, func() Event { return e }) }
+
+// PublishLazy publishes one event of the given kind whose content is
+// only worth computing for a reader: the sequence number and the
+// per-kind counter advance exactly as Publish advances them, but build
+// runs — and the event exists — only when at least one subscriber is
+// attached. The attachment check and the fan-out happen under one
+// lock, so a subscriber attached mid-run receives complete events from
+// its first one. build runs under that lock: it must be cheap and must
+// not call back into the bus.
+func (b *Bus) PublishLazy(kind string, build func() Event) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
 	b.seq++
-	e.Seq = b.seq
-	ctr := b.kindCtr[e.Kind]
+	ctr := b.kindCtr[kind]
 	if ctr == nil && b.reg != nil {
-		ctr = b.reg.Counter(obsv.MetricOpsEvents, "kind", e.Kind)
-		b.kindCtr[e.Kind] = ctr
+		ctr = b.reg.Counter(obsv.MetricOpsEvents, "kind", kind)
+		b.kindCtr[kind] = ctr
 	}
-	var slow []*Subscription
-	for s := range b.subs {
-		if !s.filter.Match(e) {
-			continue
+	if len(b.subs) > 0 {
+		e := build()
+		e.Kind, e.Seq = kind, b.seq
+		var slow []*Subscription
+		for s := range b.subs {
+			if !s.filter.Match(e) {
+				continue
+			}
+			select {
+			case s.ch <- e:
+			default:
+				slow = append(slow, s)
+			}
 		}
-		select {
-		case s.ch <- e:
-		default:
-			slow = append(slow, s)
+		for _, s := range slow {
+			b.removeLocked(s, true)
+			b.dropped.Inc()
 		}
-	}
-	for _, s := range slow {
-		b.removeLocked(s, true)
-		b.dropped.Inc()
 	}
 	b.mu.Unlock()
 	ctr.Inc()

@@ -38,6 +38,11 @@ type FlightRecord struct {
 	// post-handler accounting), so a flight dump doubles as a
 	// per-request latency profile.
 	Phases map[string]int64 `json:"phases,omitempty"`
+	// PhaseTimes is the capture-side form of Phases: the request path
+	// hands the recorder the timer's pointer-free accounting, and
+	// Snapshot builds the Phases map from it for whoever reads the
+	// window, so capturing a request allocates no map.
+	PhaseTimes obsv.PhaseTimes `json:"-"`
 }
 
 // FlightDumpSchema versions the dump format for lce-replay.
@@ -157,6 +162,9 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 		sh.mu.Lock()
 		for _, rec := range sh.ring {
 			if rec.Seq >= oldest && rec.Seq <= newest {
+				if rec.Phases == nil {
+					rec.Phases = rec.PhaseTimes.Map()
+				}
 				out = append(out, rec)
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -137,25 +138,41 @@ func (p *Plane) Publish(e Event) {
 // every finished span — one KindSpanEnd, plus one event per fault /
 // retry span event, plus a KindDivergence for misaligned align.trace
 // roots. Runs on the ending goroutine; everything here is non-blocking.
-func (p *Plane) spanEnded(d obsv.SpanData) {
-	service := d.Attrs["service"]
-	if service == "" {
-		service = p.service
+// The span.end event — the one every request pays — is published
+// lazily, so with nobody listening a finished span costs a sequence
+// number and a counter tick: no event, and not even the span's
+// attribute map.
+func (p *Plane) spanEnded(f obsv.FinishedSpan) {
+	if f.HasEvents() || f.Name() == obsv.SpanAlignTrace {
+		p.spanDerivedEvents(f.Data())
 	}
-	session := d.Attrs["session"]
-	action := d.Attrs["action"]
-	if action == "" {
-		if a, ok := strings.CutPrefix(d.Name, obsv.SpanCallPfx); ok {
-			action = a
+	p.Bus.PublishLazy(KindSpanEnd, func() Event {
+		d := f.Data()
+		e := p.spanEvent(d)
+		e.Attrs = map[string]string{
+			"name":       d.Name,
+			"durationNs": strconv.FormatInt(d.Duration().Nanoseconds(), 10),
 		}
-	}
-	base := Event{
-		Time:    d.End,
-		Service: service,
-		Session: session,
-		Action:  action,
-		TraceID: d.TraceID,
-	}
+		// Phase attributes ride the span-end event verbatim, so an SSE
+		// subscriber sees each request's latency attribution live
+		// without scraping the trace export.
+		for k, v := range d.Attrs {
+			if strings.HasPrefix(k, obsv.SpanAttrPhasePfx) {
+				e.Attrs[k] = v
+			}
+		}
+		if d.Error != "" {
+			e.Attrs["error"] = d.Error
+		}
+		return e
+	})
+}
+
+// spanDerivedEvents publishes what a span carries besides its own end:
+// the fault/retry events recorded on it and, for a misaligned
+// align.trace root, the divergence.
+func (p *Plane) spanDerivedEvents(d obsv.SpanData) {
+	base := p.spanEvent(d)
 	for _, ev := range d.Events {
 		kind := ""
 		switch ev.Name {
@@ -191,24 +208,28 @@ func (p *Plane) spanEnded(d obsv.SpanData) {
 		}
 		p.Bus.Publish(e)
 	}
-	e := base
-	e.Kind = KindSpanEnd
-	e.Attrs = map[string]string{
-		"name":       d.Name,
-		"durationNs": fmt.Sprintf("%d", d.Duration().Nanoseconds()),
+}
+
+// spanEvent returns the dimensional identity every event derived from
+// span d shares; the caller sets Kind and Attrs.
+func (p *Plane) spanEvent(d obsv.SpanData) Event {
+	service := d.Attrs["service"]
+	if service == "" {
+		service = p.service
 	}
-	// Phase attributes ride the span-end event verbatim, so an SSE
-	// subscriber sees each request's latency attribution live without
-	// scraping the trace export.
-	for k, v := range d.Attrs {
-		if strings.HasPrefix(k, obsv.SpanAttrPhasePfx) {
-			e.Attrs[k] = v
+	action := d.Attrs["action"]
+	if action == "" {
+		if a, ok := strings.CutPrefix(d.Name, obsv.SpanCallPfx); ok {
+			action = a
 		}
 	}
-	if d.Error != "" {
-		e.Attrs["error"] = d.Error
+	return Event{
+		Time:    d.End,
+		Service: service,
+		Session: d.Attrs["session"],
+		Action:  action,
+		TraceID: d.TraceID,
 	}
-	p.Bus.Publish(e)
 }
 
 // OnEvict returns the tenant-pool eviction hook: it publishes a

@@ -378,6 +378,78 @@ func TestPlaneSpanEndDerivation(t *testing.T) {
 	}
 }
 
+// TestSpanEndCostsAReaderNotARequest: the span.end event is built only
+// for a subscriber, yet nothing an absent reader could later ask about
+// may change — the sequence number and lce_ops_events_total{kind}
+// advance identically with nobody listening, and a subscriber attached
+// mid-run gets complete events (phase.* attrs included) from its first
+// one, numbered as if it had been there all along.
+func TestSpanEndCostsAReaderNotARequest(t *testing.T) {
+	script := func(p *Plane, obs *obsv.Obs, clock *obsv.FakeClock, from, to int) {
+		for i := from; i < to; i++ {
+			ctx, root := obs.Tracer.StartRoot(context.Background(), obsv.SpanHTTPPfx+"v2.invoke")
+			root.SetAttr("action", "DescribeVpcs")
+			root.SetAttr("session", "s1")
+			root.SetAttrInt(obsv.SpanAttrPhasePfx+obsv.PhaseDecode, int64(1000+i))
+			_, call := obsv.StartSpan(ctx, obsv.SpanCallPfx+"DescribeVpcs")
+			if i%3 == 0 {
+				call.Event(obsv.EventFault, "code", "Throttling")
+				root.SetError("status 400")
+			}
+			clock.Advance(time.Millisecond)
+			call.End()
+			root.End()
+		}
+	}
+	build := func() (*Plane, *obsv.Obs, *obsv.FakeClock) {
+		obs := obsv.New(7, 128)
+		clock := obsv.NewFakeClock(time.Time{})
+		obs.Tracer.SetClock(clock)
+		return New(Config{Service: "ec2", Obs: obs, Clock: clock}), obs, clock
+	}
+	spanEnds := func(obs *obsv.Obs) int64 {
+		return obs.Registry.Counter(obsv.MetricOpsEvents, "kind", KindSpanEnd).Value()
+	}
+
+	unwatched, obs0, clock0 := build()
+	script(unwatched, obs0, clock0, 0, 12)
+
+	watched, obs1, clock1 := build()
+	script(watched, obs1, clock1, 0, 6)
+	sub := watched.Bus.Subscribe(Filter{Kind: KindSpanEnd}, 64)
+	before := watched.Bus.Published()
+	script(watched, obs1, clock1, 6, 12)
+	sub.Close()
+
+	if a, b := unwatched.Bus.Published(), watched.Bus.Published(); a != b || a != 12*2+4 {
+		t.Fatalf("Published() = %d unwatched, %d watched; want both %d", a, b, 12*2+4)
+	}
+	if a, b := spanEnds(obs0), spanEnds(obs1); a != b || a != 24 {
+		t.Fatalf("lce_ops_events_total{kind=span.end} = %d unwatched, %d watched; want both 24", a, b)
+	}
+	var got []Event
+	for e := range sub.Events() {
+		got = append(got, e)
+	}
+	if len(got) != 12 {
+		t.Fatalf("subscriber attached mid-run received %d span.end events, want 12", len(got))
+	}
+	if got[0].Seq <= before {
+		t.Fatalf("first event has seq %d, want it after the %d published unobserved", got[0].Seq, before)
+	}
+	for _, e := range got {
+		if e.Attrs["name"] == obsv.SpanHTTPPfx+"v2.invoke" {
+			if e.Action != "DescribeVpcs" || e.Session != "s1" || e.Service != "ec2" || e.TraceID == "" ||
+				e.Attrs["durationNs"] != "1000000" || !strings.HasPrefix(e.Attrs["phase.decode"], "10") {
+				t.Fatalf("incomplete span.end event: %+v", e)
+			}
+		}
+	}
+	if e := got[1]; e.Attrs["error"] != "status 400" { // request 6: the child ends first, then the failed root
+		t.Fatalf("error attr missing from %+v", e)
+	}
+}
+
 func TestServeEventsSSE(t *testing.T) {
 	p := New(Config{Service: "ec2", Obs: obsv.New(1, 16)})
 	srv := httptest.NewServer(http.HandlerFunc(p.ServeEvents))

@@ -161,8 +161,8 @@ type ServerConfig struct {
 	Clock obsv.Clock
 }
 
-// Server is one assembled stack. Handler is ready for
-// http.ListenAndServe (or in-process replay via httptest).
+// Server is one assembled stack. Handler is ready for ListenAndServe
+// (or in-process replay via httptest).
 type Server struct {
 	Handler http.Handler
 	Backend Backend
@@ -267,6 +267,29 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Store:     store,
 		Recovered: recovered,
 	}, nil
+}
+
+// Listener timeouts of every process this repository starts. A peer
+// gets headerReadTimeout to deliver a request's headers once it has
+// begun one, and an idle keep-alive connection is dropped after
+// idleConnTimeout, so a slow or vanished client cannot pin a goroutine
+// and a descriptor forever.
+const (
+	headerReadTimeout = 10 * time.Second
+	idleConnTimeout   = 2 * time.Minute
+)
+
+// ListenAndServe serves h on addr like http.ListenAndServe, with the
+// header-read and idle timeouts above. There is deliberately no
+// whole-request read or write timeout: /debug/events (SSE) and the
+// pprof profile routes hold their responses open for as long as the
+// client listens.
+func ListenAndServe(addr string, h http.Handler) error {
+	return newHTTPServer(addr, h).ListenAndServe()
+}
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerReadTimeout, IdleTimeout: idleConnTimeout}
 }
 
 // ClusterNode names one fleet member for NewClusterRouter: a stable

@@ -132,8 +132,10 @@ ops-smoke:
 # bit-flip corpus); then a real-process crash drill — boot lce-server
 # over a data directory, mint state across two sessions, kill -9 the
 # process, restart over the same directory, and assert every session
-# answers with its pre-crash state and continues its ID space. The
-# -durable bench leaves bench-durable.json behind and itself exits
+# answers with its pre-crash state and continues its ID space, and
+# that the recovered session directories hold nothing but
+# journal-*.wal segments (the journal is all a session has on disk).
+# The -durable bench leaves bench-durable.json behind and itself exits
 # non-zero if the sessions-beyond-RAM continuity oracle breaks.
 durable-smoke:
 	$(GO) test -race ./internal/durable/...
@@ -161,7 +163,10 @@ durable-smoke:
 	echo "$$out" | grep -q 'vpc-00000002' && { echo "session isolation broken after recovery: $$out"; exit 1; }; \
 	out=$$(curl -sf '127.0.0.1:4601/v2/sessions'); \
 	echo "$$out" | grep -q '"spilled"' || { echo "pool stats missing spill tier: $$out"; exit 1; }; \
-	echo "durable smoke: kill -9 recovery, ID continuity, isolation, spill stats all OK"
+	[ -n "$$(find $$datadir/sessions -type f -name 'journal-*.wal')" ] || { echo "recovered sessions have no journal segments on disk"; exit 1; }; \
+	extra=$$(find $$datadir/sessions -type f ! -name 'journal-*.wal'); \
+	[ -z "$$extra" ] || { echo "session directories hold more than journal segments: $$extra"; exit 1; }; \
+	echo "durable smoke: kill -9 recovery, ID continuity, isolation, spill stats, journal-only layout all OK"
 	$(GO) run ./cmd/lce-bench -durable -short -json bench-durable.json
 
 # Phase gate: the request-path timing spine end to end. The spine's

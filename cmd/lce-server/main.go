@@ -19,10 +19,10 @@
 //
 // With -data-dir the server is durable: every session's calls are
 // write-ahead journaled (CRC-framed, -fsync always|batch|off),
-// evicted sessions spill to deterministic binary snapshots instead of
-// being dropped, and a restarted server recovers every session from
-// its latest snapshot plus journal replay — lazily, on each session's
-// first touch:
+// evicted sessions spill a checkpoint record into that journal instead
+// of being dropped, and a restarted server recovers every session from
+// its newest checkpoint plus the records after it — lazily, on each
+// session's first touch:
 //
 //	lce-server -service ec2 -backend learned -data-dir /var/lib/lce
 //
@@ -88,7 +88,7 @@ func main() {
 		shards    = flag.Int("shards", 8, "tenant-pool shard count")
 		ttl       = flag.Duration("session-ttl", 15*time.Minute, "evict tenant sessions idle longer than this (0 = never)")
 		dataDir   = flag.String("data-dir", "", "durable tier: write-ahead journal + snapshot directory; evicted sessions spill here and a restart recovers every session (empty = in-memory only)")
-		fsyncPol  = flag.String("fsync", "batch", "journal fsync policy with -data-dir: always (sync every record) | batch (every 64 records and on rotation) | off (page cache only)")
+		fsyncPol  = flag.String("fsync", "batch", "journal fsync policy with -data-dir: always (sync every journaled call) | batch (every 64 records and at every spill and compaction) | off (page cache only)")
 		stallThr  = flag.Duration("stall-threshold", 0, "durable tier: emit a durable.stall event when a journal append exceeds this (0 = default 100ms, negative = off)")
 		telemetry = flag.Duration("telemetry", 10*time.Second, "runtime telemetry sampling interval for the lce_runtime_* gauges (0 = off)")
 

@@ -20,9 +20,16 @@ import (
 // build: learned backend (the snapshottable one), chaos on, multi-
 // tenant, durable tier over dir.
 func durableConfig(dir string) ServerConfig {
+	cfg := calmDurableConfig(dir)
+	cfg.Chaos, cfg.ChaosSeed, cfg.FaultRate = true, 7, 0.3
+	return cfg
+}
+
+// calmDurableConfig is durableConfig without the chaos layer: the
+// stack whose describes are not journaled.
+func calmDurableConfig(dir string) ServerConfig {
 	return ServerConfig{
 		Service: "ec2", Backend: "learned",
-		Chaos: true, ChaosSeed: 7, FaultRate: 0.3,
 		TraceSeed: 3,
 		Sessions:  8, Shards: 2, SessionTTL: time.Hour,
 		DataDir: dir, Fsync: "off",
@@ -59,14 +66,22 @@ func durableScript(i int) (session, action, body string) {
 // oracle: a chaos-soaked multi-session server is killed mid-traffic
 // and rebuilt over the same data directory; every session must then
 // answer byte-identically to an unkilled control that saw the same
-// full request sequence.
+// full request sequence. It runs with the chaos layer (every call is
+// journaled, reads included, to keep the fault stream in step) and
+// without it (describes skip the journal, so recovery must not need
+// them).
 func TestDurableKillRecoverByteIdentical(t *testing.T) {
+	t.Run("chaos", func(t *testing.T) { killRecoverByteIdentical(t, durableConfig) })
+	t.Run("calm", func(t *testing.T) { killRecoverByteIdentical(t, calmDurableConfig) })
+}
+
+func killRecoverByteIdentical(t *testing.T, config func(dir string) ServerConfig) {
 	dirA := t.TempDir()
-	victim, err := NewServer(durableConfig(dirA))
+	victim, err := NewServer(config(dirA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	control, err := NewServer(durableConfig(t.TempDir()))
+	control, err := NewServer(config(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +99,7 @@ func TestDurableKillRecoverByteIdentical(t *testing.T) {
 
 	// Kill: the victim is abandoned with journals unflushed-but-written
 	// and no spill — recovery has only what the WAL captured.
-	recovered, err := NewServer(durableConfig(dirA))
+	recovered, err := NewServer(config(dirA))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,13 @@
 // versioned, deterministic binary snapshot codec for interp world
 // state (plus the chaos injector's stream cursor, so replays stay
 // exact through the fault layer), and an append-only CRC-framed
-// write-ahead journal with segment rotation and compaction. Together
-// they make a session's world survive eviction and process death:
-// the tenant pool spills cold sessions to disk and rehydrates them
-// transparently on the next touch, and a server restarted over the
-// same data directory recovers every session from its latest
-// snapshot plus journal replay.
+// write-ahead journal that is everything a session has on disk —
+// calls, resets and checkpoints (snapshot images) are all records of
+// it. Together they make a session's world survive eviction and
+// process death: the tenant pool spills cold sessions by appending a
+// checkpoint and rehydrates them transparently on the next touch, and
+// a server restarted over the same data directory recovers every
+// session from its newest checkpoint plus the records after it.
 //
 // Everything in the on-disk format is explicit — varints, sorted map
 // keys, little-endian CRC trailers — so the same state encodes to
@@ -27,7 +28,7 @@ import (
 	"lce/internal/interp"
 )
 
-// snapMagic opens every snapshot file; snapVersion is bumped on any
+// snapMagic opens every snapshot image; snapVersion is bumped on any
 // incompatible layout change (decoders reject versions they don't
 // know rather than guessing).
 const (
@@ -53,6 +54,14 @@ type SessionState struct {
 // equal bytes.
 func EncodeSnapshot(st *SessionState) []byte {
 	e := &encoder{buf: make([]byte, 0, 256)}
+	e.snapshot(st)
+	return e.buf
+}
+
+// snapshot appends st's snapshot image — EncodeSnapshot's bytes — to
+// the buffer, so a checkpoint record is framed around it in place.
+func (e *encoder) snapshot(st *SessionState) {
+	start := len(e.buf)
 	e.bytes([]byte(snapMagic))
 	e.uvarint(snapVersion)
 	e.uvarint(st.LastSeq)
@@ -93,8 +102,7 @@ func EncodeSnapshot(st *SessionState) []byte {
 			e.value(a.Value)
 		}
 	}
-	sum := crc32.ChecksumIEEE(e.buf)
-	return binary.LittleEndian.AppendUint32(e.buf, sum)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf[start:]))
 }
 
 // DecodeSnapshot parses and verifies a snapshot produced by

@@ -8,7 +8,7 @@ import (
 
 // This file is the migration side of the durable tier: a session's
 // full state (world, chaos cursor) exported as the same self-verifying
-// snapshot bytes the spill path writes, and the inverse restore. The
+// snapshot bytes a checkpoint record carries, and the inverse restore. The
 // cluster front tier (internal/cluster) moves sessions between nodes
 // with exactly these two calls — drain on the old owner, export, ship
 // the bytes, restore on the new owner — so a migrated session is
@@ -26,7 +26,8 @@ func (sb *sessionBackend) Inner() cloudapi.Backend { return sb.inner }
 // learned emulator, journaled or not; non-snapshottable chains
 // (oracle, manual, d2c native state) return an error. The export is
 // taken under the emulator's invoke mutex, so it is a consistent
-// point-in-time cut.
+// point-in-time cut. A wrapper the pool has already evicted answers
+// ErrSpilled.
 func ExportBackend(b cloudapi.Backend) ([]byte, error) {
 	if sb, ok := b.(*sessionBackend); ok {
 		// Take the journal mutex too: a call that has been journaled
@@ -34,6 +35,10 @@ func ExportBackend(b cloudapi.Backend) ([]byte, error) {
 		// transfer.
 		sb.mu.Lock()
 		defer sb.mu.Unlock()
+		if sb.spilled {
+			// The session may have been rehydrated and moved on since.
+			return nil, ErrSpilled
+		}
 	}
 	emu, chaos := capture(b)
 	if emu == nil {
@@ -50,10 +55,11 @@ func ExportBackend(b cloudapi.Backend) ([]byte, error) {
 // RestoreBackend replaces a live backend chain's session state with
 // exported snapshot bytes — the rehydrate step of a migration. When
 // the chain is a journaled session wrapper (the receiving node runs a
-// durable tier), the restored state is immediately checkpointed to a
-// fresh on-disk snapshot: the wrapper's journal predates the import,
-// so without the checkpoint a crash would replay stale records over a
-// world they never produced.
+// durable tier), the restored state is immediately checkpointed into a
+// fresh segment (a forced compaction): the wrapper's journal predates
+// the import, so without the checkpoint a crash would replay stale
+// records over a world they never produced. A wrapper the pool has
+// already evicted refuses the import with ErrSpilled.
 func RestoreBackend(b cloudapi.Backend, data []byte) error {
 	st, err := DecodeSnapshot(data)
 	if err != nil {
@@ -62,16 +68,20 @@ func RestoreBackend(b cloudapi.Backend, data []byte) error {
 	if sb, ok := b.(*sessionBackend); ok {
 		sb.mu.Lock()
 		defer sb.mu.Unlock()
+		if sb.spilled {
+			return ErrSpilled
+		}
 		if err := sb.emu.RestoreState(st.World); err != nil {
 			return err
 		}
 		if st.Chaos != nil && sb.chaos != nil {
 			sb.chaos.Restore(*st.Chaos)
 		}
-		if sb.store.cfg.ReadOnly || sb.jr == nil {
+		sb.clean = false
+		if sb.jr == nil {
 			return nil
 		}
-		if _, err := sb.snapshotLocked(); err != nil {
+		if _, _, err := sb.checkpointLocked(true); err != nil {
 			return fmt.Errorf("durable: imported state not checkpointed: %w", err)
 		}
 		return nil

@@ -3,6 +3,7 @@ package durable
 import (
 	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,17 +53,20 @@ type Config struct {
 	// Fsync is the journal durability policy: FsyncAlways, FsyncBatch
 	// (the default), or FsyncOff.
 	Fsync string
-	// SegmentMaxBytes rotates journal segments past this size
+	// SegmentMaxBytes compacts a session's journal once a recovery
+	// would have this many bytes of records to replay, and keeps a
+	// spill from growing the segment past it
 	// (0 = DefaultSegmentMaxBytes).
 	SegmentMaxBytes int64
-	// CompactEvery folds the journal into a fresh snapshot after this
-	// many records (0 = DefaultCompactEvery). Compaction bounds both
+	// CompactEvery compacts the journal — restarts it from a checkpoint
+	// in a fresh segment — once a recovery would have this many records
+	// to replay (0 = DefaultCompactEvery). Compaction bounds both
 	// recovery time and disk growth.
 	CompactEvery int
 	// ReadOnly opens the store as a rehydration baseline only: Adopt
 	// restores on-disk state but nothing is ever written — no
-	// journaling, no compaction, no spill. cmd/lce-replay uses it to
-	// replay a partial flight dump against a recovered world.
+	// journaling, no checkpoint, no compaction. cmd/lce-replay uses it
+	// to replay a partial flight dump against a recovered world.
 	ReadOnly bool
 	// Registry, when non-nil, receives the lce_durable_* series.
 	Registry *obsv.Registry
@@ -85,7 +89,8 @@ type Config struct {
 type Stats struct {
 	// Sessions is the number of sessions with on-disk state.
 	Sessions int
-	// Spills / SpillBytes count evict-time snapshots and their bytes.
+	// Spills / SpillBytes count evictions persisted and the checkpoint
+	// bytes they wrote (an unchanged session's spill writes none).
 	Spills     int64
 	SpillBytes int64
 	// Rehydrations counts on-disk sessions restored into live
@@ -97,9 +102,9 @@ type Stats struct {
 }
 
 // Store is the durable tier: it owns the data directory, adopts live
-// backends into journaled session wrappers, spills evicted sessions
-// to snapshots, and rehydrates on-disk state — whether spilled by
-// this process or left behind by a crashed one. It implements
+// backends into journaled session wrappers, spills evicted sessions as
+// checkpoint records, and rehydrates on-disk state — whether spilled
+// by this process or left behind by a crashed one. It implements
 // tenant.SpillTier. All methods are safe for concurrent use.
 type Store struct {
 	cfg Config
@@ -337,16 +342,32 @@ func capture(b cloudapi.Backend) (*interp.Emulator, chaosBackend) {
 	return nil, nil
 }
 
+// ErrSpilled is what a journaled session wrapper answers once the pool
+// has evicted it: the wrapper no longer owns the session — its state is
+// on disk, and possibly already rehydrated into a newer wrapper — so
+// it executes nothing. A caller that resolved the backend before the
+// eviction resolves it again through the pool and retries. Test for it
+// with errors.Is: decorators around the wrapper pass it through.
+var ErrSpilled = errors.New("durable: session was spilled; resolve it through the pool again")
+
+// compactGrowth bounds a spilled session's segment relative to its
+// state: a spill whose checkpoint would leave the segment larger than
+// this many such checkpoints starts a fresh segment instead. It caps
+// disk per session and bytes read per rehydrate at a fixed multiple of
+// one checkpoint, at the price of one compaction (file + directory
+// sync) every few spills.
+const compactGrowth = 8
+
 // Adopt wraps a freshly created backend for session id, restoring any
 // state the store holds for it (a spilled world, or one left by a
-// crashed process) and journaling every subsequent call. ok=false
-// means the backend is not snapshottable and is returned unwrapped.
-// Adopt is the single rehydration path: crash recovery is lazy —
-// Recover only scans and reports at boot, and each session's state is
-// actually rebuilt here, on its first touch. ctx is the triggering
-// request's context: when it carries an obsv.PhaseTimer, the
-// rehydration (snapshot decode + journal replay) is charged to that
-// request as its "rehydrate" phase — the latency a cold session's
+// crashed process) and journaling every subsequent mutating call.
+// ok=false means the backend is not snapshottable and is returned
+// unwrapped. Adopt is the single rehydration path: crash recovery is
+// lazy — Recover only scans and reports at boot, and each session's
+// state is actually rebuilt here, on its first touch. ctx is the
+// triggering request's context: when it carries an obsv.PhaseTimer,
+// the rehydration (checkpoint decode + journal replay) is charged to
+// that request as its "rehydrate" phase — the latency a cold session's
 // first caller actually pays.
 func (s *Store) Adopt(ctx context.Context, id string, b cloudapi.Backend) (cloudapi.Backend, bool) {
 	emu, chaos := capture(b)
@@ -355,42 +376,52 @@ func (s *Store) Adopt(ctx context.Context, id string, b cloudapi.Backend) (cloud
 	}
 	sb := &sessionBackend{store: s, id: id, dir: s.sessionDir(id), inner: b, emu: emu, chaos: chaos}
 	region := obsv.PhasesFrom(ctx).Start(obsv.PhaseRehydrate)
-	startSeq, rehydrated := s.rehydrate(sb)
+	jr, restored, err := s.rehydrate(sb)
 	region.End()
-	sb.lastSeq = startSeq
 	if s.cfg.ReadOnly {
+		if err != nil {
+			s.emit(EventJournalError, id, map[string]string{"error": err.Error()})
+		}
 		return sb, true
 	}
-	if err := os.MkdirAll(sb.dir, 0o755); err != nil {
-		s.emit(EventJournalError, id, map[string]string{"error": err.Error()})
-		return b, false
+	if err == nil {
+		err = os.MkdirAll(sb.dir, 0o755)
 	}
-	jr, err := openJournal(sb.dir, s.cfg.Fsync, s.cfg.SegmentMaxBytes, startSeq)
+	if err == nil {
+		err = jr.open()
+	}
 	if err != nil {
 		s.emit(EventJournalError, id, map[string]string{"error": err.Error()})
 		return b, false
 	}
 	sb.jr = jr
 	s.markKnown(id)
-	if chaos != nil && !rehydrated {
+	if chaos != nil && !restored {
 		// First sight of a chaos-wrapped session: pin its derived seed
 		// so a recovered process replays the same fault stream no
 		// matter what order sessions are re-created in.
-		seed := chaos.Cursor().Seed
 		sb.mu.Lock()
-		sb.appendLocked(recChaosInit, func(e *encoder) { e.varint(seed) }, nil)
+		sb.appendLocked(record{typ: recChaosInit, seed: chaos.Cursor().Seed}, nil)
 		sb.mu.Unlock()
 	}
 	return sb, true
 }
 
 // rehydrate restores on-disk state for sb's session into its live
-// backend: latest valid snapshot first, then every journal record
-// newer than the snapshot, replayed through the full chain (chaos
-// included — faulted calls must advance the injector's PRNG exactly
-// as they did live). Returns the journal sequence to continue from
-// and whether any state was restored.
-func (s *Store) rehydrate(sb *sessionBackend) (uint64, bool) {
+// backend: the newest checkpoint that decodes first, then every
+// journal record newer than it, replayed through the full chain (chaos
+// included — faulted calls must advance the injector's PRNG exactly as
+// they did live). A directory in the layout before checkpoints were
+// journal records is still read: with no checkpoint in the journal its
+// snapshot.bin is the base. Returns the journal positioned to continue
+// — last segment, next sequence number, not yet opened — and whether
+// any state was restored. An error means the disk state could not be
+// brought to a point appends can safely continue from.
+func (s *Store) rehydrate(sb *sessionBackend) (*journal, bool, error) {
+	jr := &journal{dir: sb.dir, fsync: s.cfg.Fsync}
+	// An empty journal replays to the fresh world the factory built:
+	// until something restores or appends, a spill has nothing to add.
+	sb.clean = true
 	if !s.Has(sb.id) && !s.onDisk(sb.id) {
 		// Neither the boot-time scan nor the directory knows this
 		// session: it is genuinely new. The disk check matters in
@@ -398,46 +429,59 @@ func (s *Store) rehydrate(sb *sessionBackend) (uint64, bool) {
 		// journaled the session after this process booted — failover
 		// adoption must find that state, not shadow it with a fresh
 		// world.
-		return 0, false
+		return jr, false, nil
 	}
-	snapPath := filepath.Join(sb.dir, "snapshot.bin")
+	res, err := readJournal(sb.dir)
+	if err != nil {
+		return nil, false, err
+	}
+	jr.segIdx, jr.ckptEnd, jr.seq = res.lastSeg, res.ckptEnd, res.maxSeq
+	attrs := map[string]string{"checkpoint": "false"}
 	var st *SessionState
-	attrs := map[string]string{"snapshot": "false"}
-	if data, err := os.ReadFile(snapPath); err == nil {
-		st, err = DecodeSnapshot(data)
-		if err != nil {
-			// A damaged snapshot cannot anchor a replay; surface it and
-			// fall back to journal-only recovery from sequence zero.
-			attrs["snapshotError"] = err.Error()
-			st = nil
-		} else {
-			attrs["snapshot"] = "true"
+	base := len(res.records)
+	for st == nil && base > 0 {
+		base--
+		if res.records[base].typ != recCheckpoint {
+			continue
+		}
+		// A frame whose CRC held but whose image does not decode was
+		// written by an incompatible version; an older checkpoint plus
+		// the records after it reach the same state.
+		if st, err = DecodeSnapshot(res.records[base].snap); err != nil {
+			attrs["checkpointError"] = err.Error()
 		}
 	}
-	jr, err := readJournal(sb.dir)
-	if err != nil {
-		s.emit(EventJournalError, sb.id, map[string]string{"error": err.Error()})
-		return 0, false
+	if st == nil {
+		base = -1
+		if data, err := os.ReadFile(filepath.Join(sb.dir, legacySnapshot)); err == nil {
+			if st, err = DecodeSnapshot(data); err != nil {
+				attrs["checkpointError"] = err.Error()
+			}
+		}
 	}
-	if st == nil && len(jr.records) == 0 {
-		return jr.maxSeq, false
+	if st == nil && len(res.records) == 0 {
+		return jr, false, nil
 	}
 	var lastSeq uint64
 	if st != nil {
+		attrs["checkpoint"] = "true"
 		lastSeq = st.LastSeq
 		if err := sb.emu.RestoreState(st.World); err != nil {
-			s.emit(EventJournalError, sb.id, map[string]string{"error": err.Error()})
-			return 0, false
+			return nil, false, err
 		}
 		if st.Chaos != nil && sb.chaos != nil {
 			sb.chaos.Restore(*st.Chaos)
 		}
 	}
 	applied, skipped := 0, 0
-	for _, rec := range jr.records {
+	for _, rec := range res.records {
+		if rec.typ == recCheckpoint {
+			continue
+		}
 		if rec.seq <= lastSeq {
-			// Pre-compaction leftovers: a crash between snapshot write
-			// and segment deletion re-presents already-folded records.
+			// Folded into the checkpoint: records an earlier spill left
+			// in the segment, or a pre-compaction segment a crash kept
+			// from being unlinked.
 			skipped++
 			continue
 		}
@@ -453,38 +497,48 @@ func (s *Store) rehydrate(sb *sessionBackend) (uint64, bool) {
 		}
 		applied++
 	}
+	sb.recsSinceCkpt = applied
+	sb.clean = applied == 0 && base == len(res.records)-1
 	attrs["records"] = strconv.Itoa(applied)
 	if skipped > 0 {
 		attrs["skipped"] = strconv.Itoa(skipped)
 	}
-	if jr.dropReason != "" {
-		attrs["dropped"] = jr.dropReason
-		attrs["droppedBytes"] = strconv.FormatInt(jr.droppedBytes, 10)
-		attrs["droppedSegment"] = jr.dropSegment
+	if res.dropReason != "" {
+		attrs["dropped"] = res.dropReason
+		attrs["droppedBytes"] = strconv.FormatInt(res.droppedBytes, 10)
+		attrs["droppedSegment"] = segName(res.lastSeg)
 		if !s.cfg.ReadOnly {
 			// The damaged frame and everything after it were not
 			// replayed, so they must not survive into a future
-			// recovery: trim the torn segment to its valid prefix and
-			// delete the segments past it.
-			os.Truncate(filepath.Join(sb.dir, jr.dropSegment), jr.validPrefix)
-			dropSegmentsAfter(sb.dir, jr.dropSegIdx)
+			// recovery — and appends continue this segment, so they
+			// must land right after its last valid frame: trim the torn
+			// segment to its valid prefix and delete the segments past
+			// it.
+			if err := os.Truncate(filepath.Join(sb.dir, segName(res.lastSeg)), res.validPrefix); err != nil {
+				return nil, false, err
+			}
+			dropSegmentsAfter(sb.dir, res.lastSeg)
 		}
 	}
 	s.rehydrations.Add(1)
 	s.cRehydrate.Inc()
 	s.emit(EventRehydrated, sb.id, attrs)
-	seq := jr.maxSeq
-	if lastSeq > seq {
-		seq = lastSeq
+	if lastSeq > jr.seq {
+		jr.seq = lastSeq
 	}
-	return seq, true
+	return jr, true, nil
 }
 
-// Spill snapshots session id's state to disk and drops its journal
-// tail, so the pool can release the resident world. Returns the
-// snapshot size in bytes. Errors mean the state could not be
-// persisted (non-durable backend, read-only store, disk failure) and
-// the eviction is a plain drop.
+// Spill persists session id's state so the pool can release the
+// resident world: a checkpoint record appended to the session's
+// journal and synced per policy — one write, at most one fsync — or,
+// when that would leave the segment past its size bounds, a fresh
+// segment opening with the checkpoint (compaction). A session with
+// nothing new since its last checkpoint (rehydrated, served only
+// describes, evicted) writes and syncs nothing. Returns the bytes
+// written. Errors mean the state could not be persisted (non-durable
+// backend, read-only store, disk failure) and the eviction is a plain
+// drop. Either way the wrapper answers ErrSpilled from here on.
 func (s *Store) Spill(id string, b cloudapi.Backend) (int64, error) {
 	sb, ok := b.(*sessionBackend)
 	if !ok {
@@ -495,22 +549,29 @@ func (s *Store) Spill(id string, b cloudapi.Backend) (int64, error) {
 	}
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	n, err := sb.snapshotLocked()
+	sb.spilled = true
+	var n int64
+	var compacted bool
+	var err error
+	t0 := sb.stallStart()
+	if !sb.clean {
+		n, compacted, err = sb.checkpointLocked(false)
+	}
+	if cerr := sb.jr.closeSegment(); err == nil {
+		err = cerr
+	}
+	sb.stallEnd(t0)
 	if err != nil {
 		return 0, err
-	}
-	// The wrapper is about to be orphaned by the pool; stop journaling
-	// so a straggling in-flight call cannot append after the snapshot
-	// that no longer covers it.
-	if sb.jr != nil {
-		sb.jr.closeSegment()
-		sb.jr = nil
 	}
 	s.spills.Add(1)
 	s.spillBytes.Add(n)
 	s.cSpills.Inc()
 	s.cSpillB.Add(n)
-	s.emit(EventSpilled, id, map[string]string{"bytes": strconv.FormatInt(n, 10)})
+	s.emit(EventSpilled, id, map[string]string{
+		"bytes":     strconv.FormatInt(n, 10),
+		"compacted": strconv.FormatBool(compacted),
+	})
 	return n, nil
 }
 
@@ -531,9 +592,8 @@ func (s *Store) Forget(id string) {
 
 // RecoveredSession describes one session found on disk at boot.
 type RecoveredSession struct {
-	ID          string
-	HasSnapshot bool
-	Segments    int
+	ID       string
+	Segments int
 }
 
 // Recover scans the data directory and reports every persisted
@@ -546,19 +606,12 @@ func (s *Store) Recover() []RecoveredSession {
 	s.emit(EventRecoveryScan, "", map[string]string{"sessions": strconv.Itoa(len(ids))})
 	out := make([]RecoveredSession, 0, len(ids))
 	for _, id := range ids {
-		dir := s.sessionDir(id)
 		rs := RecoveredSession{ID: id}
-		if _, err := os.Stat(filepath.Join(dir, "snapshot.bin")); err == nil {
-			rs.HasSnapshot = true
-		}
-		if segs, err := listSegments(dir); err == nil {
+		if segs, err := listSegments(s.sessionDir(id)); err == nil {
 			rs.Segments = len(segs)
 		}
 		out = append(out, rs)
-		s.emit(EventRecoverySess, id, map[string]string{
-			"snapshot": strconv.FormatBool(rs.HasSnapshot),
-			"segments": strconv.Itoa(rs.Segments),
-		})
+		s.emit(EventRecoverySess, id, map[string]string{"segments": strconv.Itoa(rs.Segments)})
 	}
 	s.emit(EventRecoveryDone, "", map[string]string{"sessions": strconv.Itoa(len(ids))})
 	return out
@@ -567,11 +620,11 @@ func (s *Store) Recover() []RecoveredSession {
 // --- the journaled session wrapper ---
 
 // sessionBackend wraps one session's backend chain with write-ahead
-// journaling: each call is framed to the journal before it executes,
-// under one mutex, so journal order is execution order and a crash
-// after the append replays the call recovery-side (redo logging).
-// The mutex serializes calls per session — the same serialization the
-// emulator's own invoke mutex already imposes.
+// journaling: each mutating call is framed to the journal before it
+// executes, under one mutex, so journal order is execution order and a
+// crash after the append replays the call recovery-side (redo
+// logging). The mutex serializes calls per session — the same
+// serialization the emulator's own invoke mutex already imposes.
 type sessionBackend struct {
 	store *Store
 	id    string
@@ -581,14 +634,18 @@ type sessionBackend struct {
 	chaos chaosBackend
 
 	mu sync.Mutex
-	jr *journal // nil: read-only store, spilled, or broken
-	// lastSeq mirrors the journal's sequence counter so a snapshot
-	// taken after journaling broke still records the true coverage
-	// point — a LastSeq of zero there would make recovery re-apply
-	// every surviving record on top of a world that already contains
-	// their effects.
-	lastSeq       uint64
-	recsSinceSnap int
+	// jr is nil in a read-only store. Its segment is closed (not live)
+	// once the wrapper is spilled or a write has failed; a failed
+	// journal keeps its sequence counter, so a later checkpoint still
+	// records the true coverage point.
+	jr *journal
+	// spilled: the pool evicted this wrapper. It refuses every call.
+	spilled bool
+	// clean: the journal ends in a checkpoint of the current state —
+	// or is empty under a fresh world — so a spill has nothing to add.
+	clean bool
+	// recsSinceCkpt counts the records a recovery would replay.
+	recsSinceCkpt int
 }
 
 // Service implements cloudapi.Backend.
@@ -598,26 +655,23 @@ func (sb *sessionBackend) Service() string { return sb.inner.Service() }
 func (sb *sessionBackend) Actions() []string { return sb.inner.Actions() }
 
 // Invoke implements cloudapi.Backend: journal the call, execute it,
-// compact if the journal has grown past the configured interval.
+// compact if the journal has grown past its bounds. A describe cannot
+// change the world (the interpreter rejects write() and call() in
+// one), so for a session with no chaos layer — whose PRNG would
+// advance on reads too — replay has nothing to reproduce and the call
+// skips the journal altogether.
 func (sb *sessionBackend) Invoke(req cloudapi.Request) (cloudapi.Result, error) {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	action, params := req.Action, copyParams(req.Params)
+	if sb.spilled {
+		return nil, ErrSpilled
+	}
+	if sb.chaos == nil && sb.emu.ReadOnly(req.Action) {
+		return sb.inner.Invoke(req)
+	}
 	pt := obsv.PhasesFrom(req.Ctx)
 	region := pt.Start(obsv.PhaseJournalAppend)
-	sb.appendLocked(recCall, func(e *encoder) {
-		e.string(action)
-		keys := make([]string, 0, len(params))
-		for k := range params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.string(k)
-			e.value(params[k])
-		}
-	}, pt)
+	sb.appendLocked(record{typ: recCall, action: req.Action, params: req.Params}, pt)
 	region.End()
 	res, err := sb.inner.Invoke(req)
 	sb.maybeCompactLocked()
@@ -626,97 +680,115 @@ func (sb *sessionBackend) Invoke(req cloudapi.Request) (cloudapi.Result, error) 
 
 // Reset implements cloudapi.Backend, journaling the reset so replay
 // reproduces it (the chaos stream deliberately continues across
-// Reset, matching the injector's own semantics).
+// Reset, matching the injector's own semantics). The interface gives
+// Reset no way to answer ErrSpilled, so on a spilled wrapper it does
+// nothing; tenant.Pool.ResetCtx resets under the lock evictions take
+// and therefore never reaches one.
 func (sb *sessionBackend) Reset() {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	sb.appendLocked(recReset, nil, nil)
+	if sb.spilled {
+		return
+	}
+	sb.appendLocked(record{typ: recReset}, nil)
 	sb.inner.Reset()
 	sb.maybeCompactLocked()
+}
+
+// stallStart and stallEnd bracket one journal write for the stall
+// watchdog, on the store clock: past the threshold stallEnd emits a
+// "durable.stall" event and bumps lce_durable_stalls_total, the
+// operator's early warning that the disk is the bottleneck — visible
+// even when no client is watching latency.
+func (sb *sessionBackend) stallStart() time.Time {
+	if sb.store.stallThreshold <= 0 {
+		return time.Time{}
+	}
+	return sb.store.clock.Now()
+}
+
+func (sb *sessionBackend) stallEnd(t0 time.Time) {
+	s := sb.store
+	if s.stallThreshold <= 0 {
+		return
+	}
+	if d := s.clock.Now().Sub(t0); d >= s.stallThreshold {
+		s.cStalls.Inc()
+		s.emit(EventStall, sb.id, map[string]string{
+			"durationNs":  strconv.FormatInt(d.Nanoseconds(), 10),
+			"thresholdNs": strconv.FormatInt(s.stallThreshold.Nanoseconds(), 10),
+		})
+	}
 }
 
 // appendLocked writes one journal record, counting it toward the
 // compaction interval. A write failure (disk full, closed file)
 // disables journaling for the session — it keeps serving from RAM,
-// its eviction becomes a drop, and the failure is surfaced once.
-// pt, when non-nil, receives the fsync portion as its own phase.
-//
-// The store's stall watchdog times the whole append (frame + write +
-// sync) on the store clock: past the threshold it emits a
-// "durable.stall" event and bumps lce_durable_stalls_total, the
-// operator's early warning that the disk is the bottleneck — visible
-// even when no client is watching latency.
-func (sb *sessionBackend) appendLocked(typ byte, body func(*encoder), pt *obsv.PhaseTimer) {
-	if sb.jr == nil {
+// the failure is surfaced once, and its eviction makes one more
+// attempt to persist the state, as a compaction. pt, when non-nil,
+// receives the fsync portion as its own phase. The stall watchdog
+// times the whole append (frame + write + sync).
+func (sb *sessionBackend) appendLocked(rec record, pt *obsv.PhaseTimer) {
+	sb.clean = false
+	if !sb.jr.live() {
 		return
 	}
-	watch := sb.store.stallThreshold > 0
-	var t0 time.Time
-	if watch {
-		t0 = sb.store.clock.Now()
-	}
-	err := sb.jr.append(typ, body, pt)
-	if watch {
-		if d := sb.store.clock.Now().Sub(t0); d >= sb.store.stallThreshold {
-			sb.store.cStalls.Inc()
-			sb.store.emit(EventStall, sb.id, map[string]string{
-				"durationNs":  strconv.FormatInt(d.Nanoseconds(), 10),
-				"thresholdNs": strconv.FormatInt(sb.store.stallThreshold.Nanoseconds(), 10),
-			})
-		}
-	}
+	t0 := sb.stallStart()
+	err := sb.jr.append(rec, pt)
+	sb.stallEnd(t0)
 	if err != nil {
-		sb.lastSeq = sb.jr.seq
 		sb.jr.closeSegment()
-		sb.jr = nil
 		sb.store.emit(EventJournalError, sb.id, map[string]string{"error": err.Error()})
 		return
 	}
-	sb.lastSeq = sb.jr.seq
-	sb.recsSinceSnap++
+	sb.recsSinceCkpt++
 	sb.store.records.Add(1)
 	sb.store.cRecords.Inc()
 }
 
+// maybeCompactLocked compacts once a recovery would have CompactEvery
+// records, or SegmentMaxBytes of them, to replay.
 func (sb *sessionBackend) maybeCompactLocked() {
-	if sb.jr == nil || sb.recsSinceSnap < sb.store.cfg.CompactEvery {
+	jr, cfg := sb.jr, &sb.store.cfg
+	if !jr.live() || (sb.recsSinceCkpt < cfg.CompactEvery && jr.segSize-jr.ckptEnd < cfg.SegmentMaxBytes) {
 		return
 	}
-	if _, err := sb.snapshotLocked(); err != nil {
+	if _, _, err := sb.checkpointLocked(true); err != nil {
 		sb.store.emit(EventJournalError, sb.id, map[string]string{"error": err.Error()})
-		sb.jr.closeSegment()
-		sb.jr = nil
+		jr.closeSegment()
 	}
 }
 
-// snapshotLocked captures the session's full state, publishes it
-// atomically as snapshot.bin, rotates the journal onto a fresh
-// segment, and deletes the segments the snapshot made redundant.
-// Returns the snapshot's size in bytes.
-func (sb *sessionBackend) snapshotLocked() (int64, error) {
-	st := &SessionState{LastSeq: sb.lastSeq, World: sb.emu.ExportState()}
+// checkpointLocked writes the session's current state as a checkpoint
+// record: appended to the live segment (the caller syncs or closes
+// it), or — when compact is set, the journal is not live, or the
+// append would leave the segment larger than compactGrowth such
+// checkpoints or SegmentMaxBytes — as the synced first record of a
+// fresh segment, after which everything older is unlinked. Returns
+// the bytes written and whether it compacted.
+func (sb *sessionBackend) checkpointLocked(compact bool) (int64, bool, error) {
+	jr := sb.jr
+	st := &SessionState{LastSeq: jr.seq + 1, World: sb.emu.ExportState()}
 	if sb.chaos != nil {
 		c := sb.chaos.Cursor()
 		st.Chaos = &c
 	}
-	data := EncodeSnapshot(st)
-	if err := os.MkdirAll(sb.dir, 0o755); err != nil {
-		return 0, err
+	frame := checkpointFrame(st)
+	n := int64(len(frame))
+	grown := jr.segSize + n
+	compact = compact || !jr.live() || grown > compactGrowth*n || grown > sb.store.cfg.SegmentMaxBytes
+	var err error
+	if compact {
+		err = jr.compact(frame)
+	} else {
+		err = jr.write(frame)
 	}
-	if err := writeFileAtomic(filepath.Join(sb.dir, "snapshot.bin"), data, sb.store.cfg.Fsync); err != nil {
-		return 0, err
+	if err != nil {
+		return 0, compact, err
 	}
-	if sb.jr != nil {
-		if err := sb.jr.rotate(); err != nil {
-			return int64(len(data)), err
-		}
-		// Deleting old segments is an optimization, not a correctness
-		// step: their records are ≤ LastSeq and replay skips them.
-		if err := dropSegmentsBefore(sb.dir, sb.jr.segIdx); err != nil {
-			return int64(len(data)), err
-		}
-	}
-	sb.recsSinceSnap = 0
-	sb.store.markKnown(sb.id)
-	return int64(len(data)), nil
+	jr.seq, jr.ckptEnd = st.LastSeq, jr.segSize
+	sb.recsSinceCkpt, sb.clean = 0, true
+	sb.store.records.Add(1)
+	sb.store.cRecords.Inc()
+	return n, compact, nil
 }

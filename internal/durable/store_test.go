@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/fault"
 	"lce/internal/interp"
+	"lce/internal/obsv"
 	"lce/internal/spec"
 	"lce/internal/tenant"
 )
@@ -123,14 +126,14 @@ func TestCrashRecoveryJournalOnly(t *testing.T) {
 	for i := 0; i < n; i++ {
 		toyCall(b1, i)
 	}
-	// Crash: the process dies with no snapshot ever written — recovery
-	// has only the journal.
+	// Crash: the process dies with no checkpoint ever written —
+	// recovery has only the call records.
 	s2, sink := openTest(t, dir, nil)
 	if got := s2.Sessions(); !reflect.DeepEqual(got, []string{"alice"}) {
 		t.Fatalf("recovered sessions = %v", got)
 	}
 	rec := s2.Recover()
-	if len(rec) != 1 || rec[0].ID != "alice" || rec[0].HasSnapshot || rec[0].Segments == 0 {
+	if len(rec) != 1 || rec[0].ID != "alice" || rec[0].Segments != 1 {
 		t.Fatalf("Recover() = %+v", rec)
 	}
 	b2, emu2 := adoptEmu(t, s2, "alice")
@@ -138,7 +141,7 @@ func TestCrashRecoveryJournalOnly(t *testing.T) {
 		t.Fatalf("recovered state differs:\n got %+v\nwant %+v", got, want)
 	}
 	ev, ok := sink.last(EventRehydrated)
-	if !ok || ev.attrs["snapshot"] != "false" || ev.attrs["records"] != fmt.Sprint(n) {
+	if !ok || ev.attrs["checkpoint"] != "false" || ev.attrs["records"] != fmt.Sprint(n) {
 		t.Errorf("rehydrated event = %+v", ev)
 	}
 	// The recovered session keeps answering in sequence: the next
@@ -174,15 +177,20 @@ func TestSpillRehydrateRoundTrip(t *testing.T) {
 	if !s.Has("bob") || s.Count() != 1 {
 		t.Fatalf("spilled session not tracked: has=%v count=%d", s.Has("bob"), s.Count())
 	}
-	if ev, ok := sink.last(EventSpilled); !ok || ev.session != "bob" || ev.attrs["bytes"] == "" {
+	if ev, ok := sink.last(EventSpilled); !ok || ev.session != "bob" || ev.attrs["bytes"] != fmt.Sprint(n) || ev.attrs["compacted"] != "false" {
 		t.Errorf("spilled event = %+v", ev)
+	}
+	// The journal is all the session has on disk: one segment, whose
+	// last record is the checkpoint.
+	if got := dirListing(t, s.sessionDir("bob")); len(got) != 1 || !strings.HasPrefix(got[0], segName(1)+":") {
+		t.Errorf("session directory after spill: %v", got)
 	}
 
 	_, emu2 := adoptEmu(t, s, "bob")
 	if got, want := emu2.ExportState(), emu1.ExportState(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rehydrated state differs:\n got %+v\nwant %+v", got, want)
 	}
-	if ev, ok := sink.last(EventRehydrated); !ok || ev.attrs["snapshot"] != "true" {
+	if ev, ok := sink.last(EventRehydrated); !ok || ev.attrs["checkpoint"] != "true" || ev.attrs["records"] != "0" {
 		t.Errorf("rehydrated event = %+v", ev)
 	}
 	st := s.Stats()
@@ -289,35 +297,298 @@ func TestDuplicateReplayAfterPartialCompaction(t *testing.T) {
 		toyCall(b1, i)
 	}
 	// Save the pre-compaction segment (records 1–3), let the 4th call
-	// trigger compaction (snapshot at seq 4, old segment deleted), then
-	// put the stale segment back — the state a crash between snapshot
-	// publish and segment deletion leaves behind.
+	// trigger compaction (a fresh segment opening with the checkpoint,
+	// seq 5; old segment deleted), then put the stale segment back — the
+	// state a crash between the new segment's sync and the unlink leaves
+	// behind.
 	seg1 := onlySegment(t, s1.sessionDir("dup"))
 	stale, err := os.ReadFile(seg1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	toyCall(b1, 3)
-	if _, err := os.Stat(filepath.Join(s1.sessionDir("dup"), "snapshot.bin")); err != nil {
-		t.Fatalf("compaction did not publish a snapshot: %v", err)
-	}
-	if _, err := os.Stat(seg1); !os.IsNotExist(err) {
-		t.Fatalf("compaction did not delete the folded segment: %v", err)
+	if seg2 := onlySegment(t, s1.sessionDir("dup")); seg2 == seg1 {
+		t.Fatalf("compaction did not start a fresh segment: still %s", seg1)
 	}
 	if err := os.WriteFile(seg1, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	toyCall(b1, 4) // seq 5, lands in the post-compaction segment
+	toyCall(b1, 4) // seq 6, lands after the checkpoint
 
 	s2, sink := openTest(t, dir, nil)
-	_, emu2 := adoptEmu(t, s2, "dup")
+	b2, emu2 := adoptEmu(t, s2, "dup")
 	if got, want := emu2.ExportState(), controlState(t, 5); !reflect.DeepEqual(got, want) {
 		t.Fatal("stale pre-compaction segment was double-applied")
 	}
 	ev, ok := sink.last(EventRehydrated)
-	if !ok || ev.attrs["snapshot"] != "true" || ev.attrs["skipped"] != "3" || ev.attrs["records"] != "1" {
+	if !ok || ev.attrs["checkpoint"] != "true" || ev.attrs["skipped"] != "3" || ev.attrs["records"] != "1" {
 		t.Fatalf("rehydrated event = %+v", ev)
 	}
+	// The recovered session appends to the newest segment, and its next
+	// compaction clears the stale one away.
+	if _, err := s2.Spill("dup", b2); err != nil {
+		t.Fatal(err)
+	}
+	b3, _ := adoptEmu(t, s2, "dup")
+	if err := RestoreBackend(b3, mustExport(t, b3)); err != nil { // forces a compaction
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(seg1); !os.IsNotExist(err) {
+		t.Errorf("stale segment survived a compaction: %v", err)
+	}
+	onlySegment(t, s2.sessionDir("dup"))
+}
+
+// TestCrashBetweenSegmentSyncAndUnlink is the other half of the
+// compaction crash window, produced by hand rather than by restoring a
+// file: the new segment (checkpoint + later records) and the complete
+// old one sit side by side, exactly as a crash after the directory
+// sync and before the unlink leaves them.
+func TestCrashBetweenSegmentSyncAndUnlink(t *testing.T) {
+	dir := t.TempDir()
+	s1, _ := openTest(t, dir, nil)
+	b1, _ := adoptEmu(t, s1, "win")
+	const n = 5
+	for i := 0; i < n; i++ {
+		toyCall(b1, i)
+	}
+	sdir := s1.sessionDir("win")
+	old, err := os.ReadFile(onlySegment(t, sdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RestoreBackend(b1, mustExport(t, b1)); err != nil { // forces a compaction
+		t.Fatal(err)
+	}
+	toyCall(b1, n)
+	if err := os.WriteFile(filepath.Join(sdir, segName(1)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, sink := openTest(t, dir, nil)
+	b2, emu2 := adoptEmu(t, s2, "win")
+	if !reflect.DeepEqual(emu2.ExportState(), controlState(t, n+1)) {
+		t.Fatal("recovery over old+new segments differs from the control")
+	}
+	if ev, _ := sink.last(EventRehydrated); ev.attrs["skipped"] != fmt.Sprint(n) || ev.attrs["records"] != "1" || ev.attrs["dropped"] != "" {
+		t.Fatalf("rehydrated event = %+v", ev)
+	}
+	// Appends continue the new segment, not the stale one.
+	toyCall(b2, n+1)
+	if fi, err := os.Stat(filepath.Join(sdir, segName(1))); err != nil || fi.Size() != int64(len(old)) {
+		t.Errorf("stale segment was appended to: %v %v", fi, err)
+	}
+	s3, _ := openTest(t, dir, nil)
+	_, emu3 := adoptEmu(t, s3, "win")
+	if !reflect.DeepEqual(emu3.ExportState(), controlState(t, n+2)) {
+		t.Fatal("second recovery differs from the control")
+	}
+}
+
+// TestTornCheckpointTail: a crash mid-spill leaves half a checkpoint
+// at the end of the segment. The frame fails its CRC, recovery lands on
+// the state at the previous record — all of which are still there,
+// because a spill deletes nothing — and trims the tear.
+func TestTornCheckpointTail(t *testing.T) {
+	dir := t.TempDir()
+	s1, _ := openTest(t, dir, nil)
+	b1, _ := adoptEmu(t, s1, "torn")
+	const n = 6
+	for i := 0; i < n; i++ {
+		toyCall(b1, i)
+	}
+	seg := onlySegment(t, s1.sessionDir("torn"))
+	before, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Spill("torn", b1); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, (before.Size()+after.Size())/2); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, sink := openTest(t, dir, nil)
+	b2, emu2 := adoptEmu(t, s2, "torn")
+	if !reflect.DeepEqual(emu2.ExportState(), controlState(t, n)) {
+		t.Fatal("torn checkpoint: state is not the control at the previous record")
+	}
+	ev, _ := sink.last(EventRehydrated)
+	if ev.attrs["checkpoint"] != "false" || !strings.Contains(ev.attrs["dropped"], "torn tail") || ev.attrs["records"] != fmt.Sprint(n) {
+		t.Fatalf("rehydrated event = %+v", ev)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != before.Size() {
+		t.Errorf("tear not trimmed to the valid prefix: %v %v", fi, err)
+	}
+	// The next record lands right after the last good one.
+	toyCall(b2, n)
+	s3, sink3 := openTest(t, dir, nil)
+	_, emu3 := adoptEmu(t, s3, "torn")
+	if !reflect.DeepEqual(emu3.ExportState(), controlState(t, n+1)) {
+		t.Fatal("append after a trimmed tear did not recover")
+	}
+	if ev, _ := sink3.last(EventRehydrated); ev.attrs["dropped"] != "" {
+		t.Errorf("trim did not stick: %+v", ev)
+	}
+}
+
+// TestBitFlippedCheckpointMidSegment: a checkpoint in the middle of the
+// journal rots. Recovery must stop at the valid prefix before it — an
+// earlier checkpoint plus the records up to the damage — and drop
+// everything after, later segments included, never reading past the
+// damaged frame.
+func TestBitFlippedCheckpointMidSegment(t *testing.T) {
+	dir := t.TempDir()
+	s1, _ := openTest(t, dir, nil)
+	b, _ := adoptEmu(t, s1, "rot")
+	step := 0
+	run := func(k int) {
+		for ; k > 0; k-- {
+			toyCall(b, step)
+			step++
+		}
+	}
+	respill := func() int64 {
+		t.Helper()
+		if _, err := s1.Spill("rot", b); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(onlySegment(t, s1.sessionDir("rot")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ = adoptEmu(t, s1, "rot")
+		return fi.Size()
+	}
+	run(2)
+	respill() // checkpoint A
+	run(2)
+	endOfCalls := func() int64 {
+		fi, err := os.Stat(onlySegment(t, s1.sessionDir("rot")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}()
+	respill() // checkpoint B: the one that rots
+	run(2)
+	seg := onlySegment(t, s1.sessionDir("rot"))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[endOfCalls+12] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A later segment, as a compaction racing the rot would leave.
+	later := filepath.Join(s1.sessionDir("rot"), segName(2))
+	if err := os.WriteFile(later, data[:endOfCalls], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, sink := openTest(t, dir, nil)
+	_, emu2 := adoptEmu(t, s2, "rot")
+	if !reflect.DeepEqual(emu2.ExportState(), controlState(t, 4)) {
+		t.Fatal("rotted checkpoint: state is not checkpoint A plus the two calls before the damage")
+	}
+	ev, _ := sink.last(EventRehydrated)
+	if ev.attrs["checkpoint"] != "true" || ev.attrs["records"] != "2" || !strings.Contains(ev.attrs["dropped"], "crc mismatch") {
+		t.Fatalf("rehydrated event = %+v", ev)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != endOfCalls {
+		t.Errorf("damaged segment not trimmed to its valid prefix: %v %v", fi, err)
+	}
+	if _, err := os.Stat(later); !os.IsNotExist(err) {
+		t.Errorf("segment past the damage survived: %v", err)
+	}
+}
+
+// parentLayout rewrites a spilled session's directory into the layout
+// before checkpoints were journal records: the state in snapshot.bin,
+// and a journal segment holding only the records after it.
+func parentLayout(t *testing.T, sdir string, st *SessionState, tail func(j *journal)) {
+	t.Helper()
+	if err := os.RemoveAll(sdir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(sdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sdir, legacySnapshot), EncodeSnapshot(st), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := &journal{dir: sdir, fsync: FsyncOff, segIdx: 2, seq: st.LastSeq}
+	if err := j.open(); err != nil {
+		t.Fatal(err)
+	}
+	tail(j)
+	if err := j.closeSegment(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentLayoutDirectory: a data directory written before this
+// format still recovers — snapshot.bin as the base, the segment's
+// records on top — and the first compaction folds it into the new
+// layout, deleting the legacy file.
+func TestParentLayoutDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s1, _ := openTest(t, dir, nil)
+	sdir := s1.sessionDir("old")
+	parentLayout(t, sdir, &SessionState{LastSeq: 3, World: controlState(t, 3)}, func(j *journal) {
+		for i := 3; i < 5; i++ {
+			toyCall(journalOnly{j}, i)
+		}
+	})
+
+	s2, sink := openTest(t, dir, func(c *Config) { c.CompactEvery = 4 })
+	b, emu := adoptEmu(t, s2, "old")
+	if !reflect.DeepEqual(emu.ExportState(), controlState(t, 5)) {
+		t.Fatal("parent-layout directory did not recover to the control")
+	}
+	if ev, _ := sink.last(EventRehydrated); ev.attrs["checkpoint"] != "true" || ev.attrs["records"] != "2" {
+		t.Fatalf("rehydrated event = %+v", ev)
+	}
+	// A spill appends a checkpoint beside the legacy file; only a
+	// compaction removes it.
+	if _, err := s2.Spill("old", b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(sdir, legacySnapshot)); err != nil {
+		t.Fatalf("legacy snapshot gone before any compaction: %v", err)
+	}
+	b, emu = adoptEmu(t, s2, "old")
+	if !reflect.DeepEqual(emu.ExportState(), controlState(t, 5)) {
+		t.Fatal("rehydrate from the appended checkpoint differs")
+	}
+	for i := 5; i < 9; i++ { // CompactEvery = 4
+		toyCall(b, i)
+	}
+	if got := dirListing(t, sdir); len(got) != 1 || !strings.HasPrefix(got[0], segName(3)+":") {
+		t.Fatalf("after the first compaction the directory holds %v, want only %s", got, segName(3))
+	}
+	s3, _ := openTest(t, dir, nil)
+	_, emu3 := adoptEmu(t, s3, "old")
+	if !reflect.DeepEqual(emu3.ExportState(), controlState(t, 9)) {
+		t.Fatal("recovery after folding the parent layout differs from the control")
+	}
+}
+
+// journalOnly is a backend that only journals: toyCall through it
+// writes the script's call records without executing them.
+type journalOnly struct{ j *journal }
+
+func (journalOnly) Service() string   { return "toy" }
+func (journalOnly) Actions() []string { return nil }
+func (journalOnly) Reset()            {}
+func (b journalOnly) Invoke(req cloudapi.Request) (cloudapi.Result, error) {
+	return nil, b.j.append(record{typ: recCall, action: req.Action, params: req.Params}, nil)
 }
 
 func TestChaosSessionRecovery(t *testing.T) {
@@ -369,10 +640,17 @@ func TestReadOnlyStore(t *testing.T) {
 	}
 	before := dirListing(t, dir)
 
-	s2, _ := openTest(t, dir, func(c *Config) { c.ReadOnly = true })
-	_, emu2 := adoptEmu(t, s2, "ro")
+	s2, sink := openTest(t, dir, func(c *Config) { c.ReadOnly = true })
+	b2, emu2 := adoptEmu(t, s2, "ro")
 	if !reflect.DeepEqual(emu2.ExportState(), emu1.ExportState()) {
 		t.Fatal("read-only rehydration differs")
+	}
+	if ev, _ := sink.last(EventRehydrated); ev.attrs["checkpoint"] != "true" || ev.attrs["records"] != "0" {
+		t.Errorf("read-only store did not rehydrate from the checkpoint: %+v", ev)
+	}
+	// Calls are served and nothing is written.
+	if _, err := toyCall(b2, 5); err != nil {
+		t.Errorf("call on a read-only store's session: %v", err)
 	}
 	if _, err := s2.Spill("ro", b1); err == nil {
 		t.Error("Spill succeeded on a read-only store")
@@ -470,6 +748,326 @@ func TestPoolSpillTransparency(t *testing.T) {
 	wg.Wait()
 }
 
+// vpcSource is a small EC2-shaped spec with what the toy spec lacks: a
+// describe transition.
+const vpcSource = `
+service vpcs {
+  sm Vpc {
+    idprefix "vpc"
+    notfound "InvalidVpcID.NotFound"
+    states {
+      cidrBlock: str
+    }
+    transition CreateVpc(cidrBlock: str) create {
+      write(cidrBlock, cidrBlock)
+      return(vpcId, id(self))
+    }
+    transition DescribeVpcs() describe {
+      return(vpcs, describeAll("Vpc"))
+    }
+  }
+}
+`
+
+func newVpcEmu(t testing.TB) *interp.Emulator {
+	t.Helper()
+	svc, err := spec.Parse(vpcSource)
+	if err != nil {
+		t.Fatalf("Parse(vpcSource): %v", err)
+	}
+	emu, err := interp.New(svc)
+	if err != nil {
+		t.Fatalf("interp.New: %v", err)
+	}
+	return emu
+}
+
+func createVpc(b cloudapi.Backend) (cloudapi.Result, error) {
+	return b.Invoke(cloudapi.Request{Action: "CreateVpc", Params: cloudapi.Params{"cidrBlock": cloudapi.Str("10.0.0.0/16")}})
+}
+
+func describeVpcs(t testing.TB, b cloudapi.Backend) []cloudapi.Value {
+	t.Helper()
+	out, err := b.Invoke(cloudapi.Request{Action: "DescribeVpcs"})
+	if err != nil {
+		t.Fatalf("DescribeVpcs: %v", err)
+	}
+	return out.Get("vpcs").AsList()
+}
+
+// TestDescribesSkipJournalWithoutChaos: a describe cannot change the
+// world, so with no fault stream to keep in step it leaves the journal
+// alone — records counter and segment size both unchanged. Under a
+// chaos wrapper the injector's PRNG advances on reads too, so every
+// call is journaled exactly as before.
+func TestDescribesSkipJournalWithoutChaos(t *testing.T) {
+	for _, chaos := range []bool{false, true} {
+		t.Run(fmt.Sprintf("chaos=%v", chaos), func(t *testing.T) {
+			reg := obsv.NewRegistry()
+			s, _ := openTest(t, t.TempDir(), func(c *Config) { c.Registry = reg })
+			var inner cloudapi.Backend = newVpcEmu(t)
+			if chaos {
+				inner = fault.New(inner, fault.Uniform(0.3, 5))
+			}
+			b, ok := s.Adopt(context.Background(), "d", inner)
+			if !ok {
+				t.Fatal("Adopt failed")
+			}
+			for i := 0; i < 3; i++ {
+				createVpc(b)
+			}
+			records := reg.Counter(obsv.MetricDurableJournalRecords)
+			seg := onlySegment(t, s.sessionDir("d"))
+			size := func() int64 {
+				fi, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+			recs0, size0 := records.Value(), size()
+			const reads = 5
+			for i := 0; i < reads; i++ {
+				b.Invoke(cloudapi.Request{Action: "DescribeVpcs"})
+			}
+			wantRecs := recs0
+			if chaos {
+				wantRecs += reads
+			}
+			if got := records.Value(); got != wantRecs {
+				t.Errorf("journal records after %d describes: %d, want %d", reads, got, wantRecs)
+			}
+			if grew := size() > size0; grew != chaos {
+				t.Errorf("segment grew=%v after describes (%d -> %d bytes), want grew=%v", grew, size0, size(), chaos)
+			}
+		})
+	}
+}
+
+// TestEvictAfterReadsOnly: a session that is rehydrated, serves only
+// describes and is evicted again has nothing new to persist — the
+// spill leaves its file byte-identical, and it still recovers equal.
+func TestEvictAfterReadsOnly(t *testing.T) {
+	dir := t.TempDir()
+	s, sink := openTest(t, dir, func(c *Config) { c.Fsync = FsyncBatch })
+	b, _ := s.Adopt(context.Background(), "r", newVpcEmu(t))
+	createVpc(b)
+	createVpc(b)
+	if n, err := s.Spill("r", b); err != nil || n == 0 {
+		t.Fatalf("first spill: n=%d err=%v", n, err)
+	}
+	seg := onlySegment(t, s.sessionDir("r"))
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 3; cycle++ {
+		b, _ = s.Adopt(context.Background(), "r", newVpcEmu(t))
+		if got := describeVpcs(t, b); len(got) != 2 {
+			t.Fatalf("cycle %d: rehydrated session describes %d VPCs, want 2", cycle, len(got))
+		}
+		n, err := s.Spill("r", b)
+		if err != nil || n != 0 {
+			t.Fatalf("cycle %d: unchanged spill wrote %d bytes, err=%v", cycle, n, err)
+		}
+		if ev, _ := sink.last(EventSpilled); ev.attrs["bytes"] != "0" || ev.attrs["compacted"] != "false" {
+			t.Errorf("cycle %d: spilled event = %+v", cycle, ev)
+		}
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("evictions after reads only changed the segment: %d -> %d bytes", len(before), len(after))
+	}
+	s2, _ := openTest(t, dir, nil)
+	b2, _ := s2.Adopt(context.Background(), "r", newVpcEmu(t))
+	if got := describeVpcs(t, b2); len(got) != 2 {
+		t.Fatalf("recovered session describes %d VPCs, want 2", len(got))
+	}
+}
+
+// TestStragglerAfterEviction: a caller resolves its session, another
+// lookup evicts (spills) it, and only then does the caller's call
+// arrive at the now-orphaned wrapper. The wrapper must refuse it: an
+// acknowledged CreateVpc there would land in a world no later request
+// rehydrates, and the write would be lost. The caller resolves the
+// session again and the retried call sticks.
+func TestStragglerAfterEviction(t *testing.T) {
+	store, _ := openTest(t, t.TempDir(), nil)
+	pool, err := tenant.New(func() cloudapi.Backend { return newVpcEmu(t) },
+		tenant.Config{Shards: 1, Capacity: 1, Spill: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := pool.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Get("b"); err != nil { // evicts and spills a
+		t.Fatal(err)
+	}
+	if res, err := createVpc(stale); !errors.Is(err, ErrSpilled) {
+		t.Fatalf("call on an evicted session's backend = (%v, %v), want ErrSpilled", res, err)
+	}
+	if _, err := stale.Invoke(cloudapi.Request{Action: "DescribeVpcs"}); !errors.Is(err, ErrSpilled) {
+		t.Fatalf("describe on an evicted session's backend: err = %v, want ErrSpilled", err)
+	}
+	if _, err := ExportBackend(stale); !errors.Is(err, ErrSpilled) {
+		t.Errorf("export of an evicted session's backend: err = %v, want ErrSpilled", err)
+	}
+	fresh, err := pool.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describeVpcs(t, fresh); len(got) != 0 {
+		t.Fatalf("refused call left %d VPCs behind", len(got))
+	}
+	if res, err := createVpc(fresh); err != nil || res.Get("vpcId").AsString() != "vpc-00000001" {
+		t.Fatalf("retried call = (%v, %v)", res, err)
+	}
+	if _, err := pool.Get("b"); err != nil { // evicts a again
+		t.Fatal(err)
+	}
+	again, err := pool.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := describeVpcs(t, again); len(got) != 1 {
+		t.Fatalf("acknowledged write lost across eviction: %d VPCs, want 1", len(got))
+	}
+
+	// The same race, live: callers resolve-and-call while the pool
+	// churns. Whatever a call answers, an acknowledged create is in the
+	// world the session finally rehydrates to.
+	var wg sync.WaitGroup
+	acked := make([]int, 2)
+	for g := range acked {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			id := fmt.Sprintf("live%d", g)
+			for i := 0; i < 200; i++ {
+				b, err := pool.Get(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := createVpc(b); err == nil {
+					acked[g]++
+				} else if !errors.Is(err, ErrSpilled) {
+					t.Errorf("%s call %d: %v", id, i, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, want := range acked {
+		b, err := pool.Get(fmt.Sprintf("live%d", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := describeVpcs(t, b); len(got) != want {
+			t.Errorf("live%d: %d creates acknowledged, %d in the rehydrated world", g, want, len(got))
+		}
+	}
+}
+
+// TestDiskBoundedOverSpillCycles: every spill appends a checkpoint, so
+// without compaction a session evicted and rehydrated for a day would
+// grow without bound. Over 10 000 evict/rehydrate cycles of one
+// session its directory stays within a fixed multiple of one
+// checkpoint.
+func TestDiskBoundedOverSpillCycles(t *testing.T) {
+	compactions := 0
+	s, _ := openTest(t, t.TempDir(), func(c *Config) {
+		c.Events = func(kind, _ string, attrs map[string]string) {
+			if kind == EventSpilled && attrs["compacted"] == "true" {
+				compactions++
+			}
+		}
+	})
+	b, emu := adoptEmu(t, s, "cyc")
+	for i := 0; i < 8; i++ {
+		toyCall(b, i)
+	}
+	sdir := s.sessionDir("cyc")
+	var peak, ckpt int64
+	const cycles = 10000
+	for i := 0; i < cycles; i++ {
+		// One journaled call per residency that does not grow the world
+		// (the script's failing create), so every spill has something
+		// to write and the checkpoint size stays put.
+		toyCall(b, 2)
+		n, err := s.Spill("cyc", b)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		ckpt = n
+		peak = max(peak, dirBytes(t, sdir))
+		b, emu = adoptEmu(t, s, "cyc")
+	}
+	if !reflect.DeepEqual(emu.ExportState(), controlState(t, 8)) {
+		t.Fatal("state drifted across spill cycles")
+	}
+	snap := int64(len(EncodeSnapshot(&SessionState{World: emu.ExportState()})))
+	t.Logf("snapshot %d B, checkpoint frame %d B, peak disk %d B (%.1fx), %d compactions in %d spills",
+		snap, ckpt, peak, float64(peak)/float64(snap), compactions, cycles)
+	if limit := (compactGrowth + 2) * snap; peak > limit {
+		t.Errorf("session directory peaked at %d bytes, over %d (%dx one %d-byte snapshot)", peak, limit, compactGrowth+2, snap)
+	}
+	if compactions == 0 || compactions > cycles/4 {
+		t.Errorf("%d compactions in %d spills: want some, and far fewer than spills", compactions, cycles)
+	}
+}
+
+var benchSink cloudapi.Backend
+
+// BenchmarkJournalAppend is the journal write path alone (fsync off):
+// one journaled call = frame into the journal's reused buffer + one
+// write. The budget is one allocation per call, and that one is the
+// interpreter's result map, not the journal's.
+func BenchmarkJournalAppend(b *testing.B) {
+	s, _ := openTest(b, b.TempDir(), func(c *Config) { c.CompactEvery = 1 << 30 })
+	sb, _ := s.Adopt(context.Background(), "bench", newVpcEmu(b))
+	req := cloudapi.Request{Action: "CreateVpc", Params: cloudapi.Params{"cidrBlock": cloudapi.Str("10.0.0.0/16")}}
+	bad := cloudapi.Request{Action: "CreateVpc"} // journaled, fails binding, grows nothing
+	sb.Invoke(req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb.Invoke(bad)
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, func() { sb.Invoke(bad) }); allocs > 1 {
+		b.Fatalf("journaled call allocates %.0f times, budget 1", allocs)
+	}
+}
+
+// BenchmarkSpillRehydrateCycle is one eviction round trip under the
+// default policy (fsync=batch): a journaled call, the spill
+// (checkpoint append + one fsync, a compaction every few cycles), and
+// the rehydrate on the next touch.
+func BenchmarkSpillRehydrateCycle(b *testing.B) {
+	s, _ := openTest(b, b.TempDir(), func(c *Config) { c.Fsync = FsyncBatch })
+	base := newToyEmu(b)
+	sb, _ := s.Adopt(context.Background(), "bench", base.Fork())
+	for i := 0; i < 8; i++ {
+		toyCall(sb, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		toyCall(sb, 2)
+		if _, err := s.Spill("bench", sb); err != nil {
+			b.Fatal(err)
+		}
+		sb, _ = s.Adopt(context.Background(), "bench", base.Fork())
+	}
+	benchSink = sb
+}
+
 // --- helpers ---
 
 type opaqueBackend struct{}
@@ -479,6 +1077,15 @@ func (opaqueBackend) Actions() []string { return nil }
 func (opaqueBackend) Reset()            {}
 func (opaqueBackend) Invoke(cloudapi.Request) (cloudapi.Result, error) {
 	return cloudapi.Result{}, nil
+}
+
+func mustExport(t testing.TB, b cloudapi.Backend) []byte {
+	t.Helper()
+	data, err := ExportBackend(b)
+	if err != nil {
+		t.Fatalf("ExportBackend: %v", err)
+	}
+	return data
 }
 
 func onlySegment(t testing.TB, dir string) string {
@@ -491,6 +1098,24 @@ func onlySegment(t testing.TB, dir string) string {
 		t.Fatalf("want exactly one segment in %s, have %v", dir, segs)
 	}
 	return filepath.Join(dir, segs[0])
+}
+
+// dirBytes sums the sizes of the files directly in dir.
+func dirBytes(t testing.TB, dir string) int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, ent := range ents {
+		fi, err := ent.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	return total
 }
 
 // dirListing walks dir and returns relative path + size for every
@@ -533,6 +1158,26 @@ func FuzzReadJournal(f *testing.F) {
 	f.Add(data[:len(data)-3])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
+	// The same segment after a spill (it now ends in a checkpoint frame),
+	// that checkpoint torn, a record after it, and a bare checkpoint as
+	// a compaction writes it.
+	if _, err := s.Spill("seed", b); err != nil {
+		f.Fatal(err)
+	}
+	spilled, err := os.ReadFile(onlySegment(f, s.sessionDir("seed")))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(spilled)
+	f.Add(spilled[:(len(data)+len(spilled))/2])
+	b, _ = adoptEmu(f, s, "seed")
+	toyCall(b, 4)
+	after, err := os.ReadFile(onlySegment(f, s.sessionDir("seed")))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(after)
+	f.Add(checkpointFrame(&SessionState{LastSeq: 9, World: controlState(f, 3)}))
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {

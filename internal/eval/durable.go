@@ -52,7 +52,7 @@ func (r DurableCallRow) PerCall() time.Duration {
 
 // DurableCycleRow times one spill/rehydrate cycle at one world size:
 // how long eviction-to-disk takes, how long the transparent restore on
-// the next touch takes, and how big the snapshot is.
+// the next touch takes, and how big the checkpoint record is.
 type DurableCycleRow struct {
 	// WorldSize is the number of instances in the session's world.
 	WorldSize int
@@ -145,6 +145,13 @@ func DurableBench(dir string, calls int, worldSizes []int, cycles, sessions, res
 		timeCalls(b, w)
 		row := DurableCycleRow{WorldSize: w, Cycles: cycles}
 		for c := 0; c < cycles; c++ {
+			// One journaled call per residency, so the spill has a
+			// checkpoint to write (an unchanged session spills nothing);
+			// it fails its assert, so the world stays at w instances.
+			b.Invoke(cloudapi.Request{
+				Action: "CreatePublicIp",
+				Params: cloudapi.Params{"region": cloudapi.Str("mars")},
+			})
 			start := time.Now()
 			n, err := store.Spill("cycle", b)
 			if err != nil {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"errors"
 	"io"
 	"net/http"
 
@@ -32,6 +33,37 @@ const maxImportBody = 64 << 20
 // portable world state to move. Semantic — retrying cannot help.
 const CodeNotSnapshottable = "NotSnapshottable"
 
+// withSession runs op on session sid's backend, resolved through the
+// pool — and resolved and run once more when op reports that the
+// wrapper was evicted since the lookup (durable.ErrSpilled). Losing
+// that race twice is the transient ServiceUnavailable.
+func (s *server) withSession(r *http.Request, sid string, op func(cloudapi.Backend) error) error {
+	for attempt := 0; ; attempt++ {
+		b, err := s.pool.GetCtx(r.Context(), sid)
+		if err != nil {
+			return err
+		}
+		if err = op(b); !errors.Is(err, durable.ErrSpilled) {
+			return err
+		}
+		if attempt > 0 {
+			return errEvictedTwice(sid)
+		}
+	}
+}
+
+// writeTransferError answers a failed export or import: the pool's own
+// errors keep their code, anything else is the chain having no
+// portable state.
+func (s *server) writeTransferError(w http.ResponseWriter, reqID, verb, sid string, err error) {
+	if _, ok := cloudapi.AsAPIError(err); ok {
+		s.writeAPIError(w, reqID, err)
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, reqID,
+		cloudapi.Errf(CodeNotSnapshottable, "cannot %s session %q: %v", verb, sid, err), nil)
+}
+
 // v2AdminExport cuts a consistent snapshot of one session and removes
 // the session from this node's pool (spilling it if a durable tier is
 // mounted, so the disk copy stays the fallback of record). The
@@ -44,15 +76,13 @@ func (s *server) v2AdminExport(w http.ResponseWriter, r *http.Request) {
 		s.malformed(w, reqID, "missing session query parameter")
 		return
 	}
-	b, err := s.pool.GetCtx(r.Context(), sid)
+	var data []byte
+	err := s.withSession(r, sid, func(b cloudapi.Backend) (err error) {
+		data, err = durable.ExportBackend(b)
+		return err
+	})
 	if err != nil {
-		s.writeAPIError(w, reqID, err)
-		return
-	}
-	data, err := durable.ExportBackend(b)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, reqID,
-			cloudapi.Errf(CodeNotSnapshottable, "cannot export session %q: %v", sid, err), nil)
+		s.writeTransferError(w, reqID, "export", sid, err)
 		return
 	}
 	// The session leaves this pool the moment its bytes are cut: the
@@ -92,14 +122,9 @@ func (s *server) v2AdminImport(w http.ResponseWriter, r *http.Request) {
 		s.malformed(w, reqID, "empty snapshot body")
 		return
 	}
-	b, err := s.pool.GetCtx(r.Context(), sid)
+	err = s.withSession(r, sid, func(b cloudapi.Backend) error { return durable.RestoreBackend(b, data) })
 	if err != nil {
-		s.writeAPIError(w, reqID, err)
-		return
-	}
-	if err := durable.RestoreBackend(b, data); err != nil {
-		s.writeError(w, http.StatusBadRequest, reqID,
-			cloudapi.Errf(CodeNotSnapshottable, "cannot import session %q: %v", sid, err), nil)
+		s.writeTransferError(w, reqID, "import", sid, err)
 		return
 	}
 	w.Header().Set(RequestIDHeader, reqID)

@@ -48,6 +48,7 @@ import (
 
 	"lce/internal/advisor"
 	"lce/internal/cloudapi"
+	"lce/internal/durable"
 	"lce/internal/interp"
 	"lce/internal/obsv"
 	"lce/internal/opsplane"
@@ -434,12 +435,7 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request, b cloudapi.Backe
 			sp.SetAttr("session", sid)
 		}
 	}
-	// The dispatch region covers every backend kind; for the learned
-	// backend the interpreter opens its own same-named region inside it
-	// and self-time accounting merges the two.
-	region := obsv.PhasesFrom(r.Context()).Start(obsv.PhaseDispatch)
-	res, err := b.Invoke(cloudapi.Request{Action: req.Action, Params: cloudapi.Params(req.Params), Ctx: r.Context()})
-	region.End()
+	b, res, err := s.invokeSession(r, b, cloudapi.Request{Action: req.Action, Params: cloudapi.Params(req.Params), Ctx: r.Context()})
 	if err != nil {
 		s.writeInvokeError(w, b, req, reqID, err)
 		return
@@ -450,6 +446,46 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request, b cloudapi.Backe
 		w.Header()[requestIDKey] = []string{reqID}
 	}
 	writeWireResponse(w, http.StatusOK, resp, obsv.PhasesFrom(r.Context()))
+}
+
+// invokeSession runs one call on b, the backend backendFor resolved
+// for r. The pool hands backends out without a lease, so a concurrent
+// lookup may have evicted the session since: a durable session wrapper
+// then refuses the call (durable.ErrSpilled) instead of acknowledging
+// it against a world no later request will see. The session is
+// resolved again — rehydrating it — and the call retried once; the
+// backend that answered is returned for the caller's further calls.
+// Losing the race twice in one request answers the transient
+// ServiceUnavailable envelope, which retrying clients ride through.
+func (s *server) invokeSession(r *http.Request, b cloudapi.Backend, req cloudapi.Request) (cloudapi.Backend, cloudapi.Result, error) {
+	// The dispatch region covers every backend kind; for the learned
+	// backend the interpreter opens its own same-named region inside it
+	// and self-time accounting merges the two.
+	pt := obsv.PhasesFrom(r.Context())
+	region := pt.Start(obsv.PhaseDispatch)
+	res, err := b.Invoke(req)
+	region.End()
+	if !errors.Is(err, durable.ErrSpilled) {
+		return b, res, err
+	}
+	nb, err := s.backendFor(r)
+	if err != nil {
+		return b, nil, err
+	}
+	region = pt.Start(obsv.PhaseDispatch)
+	res, err = nb.Invoke(req)
+	region.End()
+	if errors.Is(err, durable.ErrSpilled) {
+		err = errEvictedTwice(sessionOf(r))
+	}
+	return nb, res, err
+}
+
+// errEvictedTwice is the transient answer to a request that lost the
+// eviction race on its retry too.
+func errEvictedTwice(sid string) error {
+	return cloudapi.Errf(cloudapi.CodeServiceUnavailable,
+		"session %q was evicted twice while this request held it; retry", sid)
 }
 
 // envelopePool recycles success-envelope buffers across requests. The
@@ -518,15 +554,25 @@ func (s *server) v2Reset(w http.ResponseWriter, r *http.Request) {
 
 // reset serves both generations: the target session comes from the
 // header (default when absent), so a legacy headerless POST /reset
-// keeps resetting the shared account and nothing else.
+// keeps resetting the shared account and nothing else. A pooled
+// session is reset inside the pool, under the lock evictions take:
+// Reset has no error to answer with, so it must never land on a
+// wrapper evicted since the lookup.
 func (s *server) reset(w http.ResponseWriter, r *http.Request) {
 	reqID := s.requestID(r)
-	b, err := s.backendFor(r)
+	var err error
+	if s.pool != nil {
+		err = s.pool.ResetCtx(r.Context(), sessionOf(r))
+	} else {
+		var b cloudapi.Backend
+		if b, err = s.backendFor(r); err == nil {
+			b.Reset()
+		}
+	}
 	if err != nil {
 		s.writeAPIError(w, reqID, err)
 		return
 	}
-	b.Reset()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -595,9 +641,8 @@ func (s *server) v2Batch(w http.ResponseWriter, r *http.Request) {
 			resp.Failed++
 		} else {
 			s.requests.Add(1)
-			region := obsv.PhasesFrom(r.Context()).Start(obsv.PhaseDispatch)
-			res, err := b.Invoke(cloudapi.Request{Action: item.Action, Params: cloudapi.Params(item.Params), Ctx: r.Context()})
-			region.End()
+			var res cloudapi.Result
+			b, res, err = s.invokeSession(r, b, cloudapi.Request{Action: item.Action, Params: cloudapi.Params(item.Params), Ctx: r.Context()})
 			if err != nil {
 				resp.Items = append(resp.Items, wireBatchItem{Error: s.invokeError(b, item, err)})
 				resp.Failed++

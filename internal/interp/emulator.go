@@ -82,6 +82,16 @@ func (e *Emulator) Spec() *spec.Service { return e.svc }
 // are invoking this emulator.
 func (e *Emulator) World() *World { return e.world }
 
+// ReadOnly reports whether action is a public describe transition.
+// Executing one cannot change the world — the interpreter rejects
+// write() and call() inside a describe — so a layer that records
+// mutations for replay (the durable journal) has nothing to record for
+// it. Unknown and internal actions report false.
+func (e *Emulator) ReadOnly(action string) bool {
+	ct, ok := e.prog.actions[action]
+	return ok && ct.readonly && !ct.internal
+}
+
 // Invoke implements cloudapi.Backend. API-level failures (unknown
 // action, missing/invalid parameters, missing resources, failed
 // assertions, dependency violations) come back as *cloudapi.APIError;

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -413,5 +414,36 @@ service s {
 	inst, _ := emu.World().Lookup("Box", id)
 	if got := inst.attrOrNil("total").AsInt(); got != 6 {
 		t.Errorf("total = %d, want 6", got)
+	}
+}
+
+// TestReadOnlyActions: ReadOnly is true exactly for public describe
+// transitions, and running one leaves the exported world untouched —
+// the property the durable journal relies on to not record describes.
+func TestReadOnlyActions(t *testing.T) {
+	emu := newHierarchyEmulator(t)
+	for action, want := range map[string]bool{
+		"DescribeVpcs": true,
+		"CreateVpc":    false,
+		"DeleteVpc":    false,
+		"CreateSubnet": false,
+		"NoSuchAction": false,
+	} {
+		if got := emu.ReadOnly(action); got != want {
+			t.Errorf("ReadOnly(%s) = %v, want %v", action, got, want)
+		}
+	}
+	if _, err := emu.Invoke(cloudapi.Request{Action: "CreateVpc", Params: cloudapi.Params{"cidrBlock": cloudapi.Str("10.0.0.0/16")}}); err != nil {
+		t.Fatal(err)
+	}
+	before := emu.ExportState()
+	for _, req := range []cloudapi.Request{
+		{Action: "DescribeVpcs"},
+		{Action: "DescribeVpcs", Params: cloudapi.Params{"bogus": cloudapi.Str("x")}}, // fails binding
+	} {
+		emu.Invoke(req)
+	}
+	if after := emu.ExportState(); !reflect.DeepEqual(before, after) {
+		t.Errorf("describes changed the exported world:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

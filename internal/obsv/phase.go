@@ -26,6 +26,10 @@ const (
 	// PhaseRehydrate is the durable tier restoring on-disk state
 	// (snapshot decode + journal replay) inside a session-lookup miss.
 	PhaseRehydrate = "rehydrate"
+	// PhaseSpill is the durable tier persisting a session the lookup
+	// evicted to make room (checkpoint append + sync): the victim's
+	// cost, paid by whichever request's miss overflowed the pool.
+	PhaseSpill = "spill"
 	// PhaseDispatch is the learned emulator executing the action.
 	PhaseDispatch = "interp.dispatch"
 	// PhaseJournalAppend is write-ahead journaling of the call
@@ -44,7 +48,7 @@ const (
 // the order Server-Timing headers and bench tables use, and the index
 // space of PhaseTimes.
 var PhaseNames = [...]string{
-	PhaseDecode, PhaseSessionLookup, PhaseRehydrate, PhaseDispatch,
+	PhaseDecode, PhaseSessionLookup, PhaseRehydrate, PhaseSpill, PhaseDispatch,
 	PhaseJournalAppend, PhaseFsync, PhaseEncode, PhaseOther,
 }
 
@@ -59,7 +63,7 @@ const SpanAttrPhasePfx = "phase."
 const numPhases = len(PhaseNames)
 
 // maxPhaseDepth bounds region nesting; the request path nests at most
-// four deep (other → session.lookup → rehydrate, or other →
+// four deep (other → session.lookup → rehydrate or spill, or other →
 // journal.append → fsync), so eight leaves headroom. Regions opened
 // beyond the bound are dropped, never mis-accounted.
 const maxPhaseDepth = 8
@@ -72,16 +76,18 @@ func phaseIndex(name string) int {
 		return 1
 	case PhaseRehydrate:
 		return 2
-	case PhaseDispatch:
+	case PhaseSpill:
 		return 3
-	case PhaseJournalAppend:
+	case PhaseDispatch:
 		return 4
-	case PhaseFsync:
+	case PhaseJournalAppend:
 		return 5
-	case PhaseEncode:
+	case PhaseFsync:
 		return 6
-	case PhaseOther:
+	case PhaseEncode:
 		return 7
+	case PhaseOther:
+		return 8
 	default:
 		return -1
 	}

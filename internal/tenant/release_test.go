@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/obsv"
 )
 
 // memSpill is a SpillTier that keeps snapshots in memory, counting
@@ -112,5 +113,69 @@ func TestReleaseSpills(t *testing.T) {
 	}
 	if !tier.spilled["alice"] {
 		t.Fatal("spill tier never saw the released session")
+	}
+}
+
+// TestEvictionSpillIsItsOwnPhase: the spill of the session a lookup
+// evicts is timed as the "spill" phase of the request that caused it —
+// not left inside that request's session.lookup — and a hit, which
+// evicts nothing, records none.
+func TestEvictionSpillIsItsOwnPhase(t *testing.T) {
+	f, _ := countingFactory()
+	p := mustPool(t, f, Config{Shards: 1, Capacity: 1, Spill: &memSpill{}})
+	pt := &obsv.PhaseTimer{}
+	pt.Reset(nil)
+	ctx := &obsv.Scope{Context: context.Background(), Phases: pt}
+	if _, err := p.GetCtx(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.GetCtx(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if m := pt.Times().Map(); m != nil {
+		t.Fatalf("phases recorded with nothing evicted: %v", m)
+	}
+	if _, err := p.GetCtx(ctx, "b"); err != nil { // evicts a
+		t.Fatal(err)
+	}
+	m := pt.Times().Map()
+	if _, ok := m[obsv.PhaseSpill]; !ok || len(m) != 1 {
+		t.Fatalf("phases after an evicting lookup = %v, want exactly %q", m, obsv.PhaseSpill)
+	}
+}
+
+// lockProbe is a backend whose Reset reports whether its session's
+// shard lock is held at that moment.
+type lockProbe struct {
+	countingBackend
+	pool   *Pool
+	locked *bool
+}
+
+func (l *lockProbe) Reset() {
+	mu := &l.pool.shardFor("probe").mu
+	if mu.TryLock() {
+		mu.Unlock()
+		return
+	}
+	*l.locked = true
+}
+
+// TestResetRunsUnderTheEvictionLock: Reset has no error to report an
+// eviction with, so the pool resets under the shard lock — no lookup,
+// and therefore no eviction, can come between resolving the session
+// and resetting it.
+func TestResetRunsUnderTheEvictionLock(t *testing.T) {
+	var p *Pool
+	locked := false
+	p = mustPool(t, func() cloudapi.Backend { return &lockProbe{pool: p, locked: &locked} }, Config{Shards: 1})
+	if err := p.Reset("probe"); err != nil {
+		t.Fatal(err)
+	}
+	if !locked {
+		t.Fatal("the shard was enterable while the session was being reset")
+	}
+	if err := p.ResetCtx(context.Background(), "not a valid id"); err == nil {
+		t.Error("ResetCtx accepted an invalid session id")
 	}
 }

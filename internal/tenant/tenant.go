@@ -287,39 +287,62 @@ func (p *Pool) Get(id string) (cloudapi.Backend, error) {
 	return p.GetCtx(context.Background(), id)
 }
 
-// GetCtx is Get carrying the triggering request's context, so a
-// first-touch rehydration in the spill tier is attributed (via the
-// context's obsv.PhaseTimer, when present) to the request that paid
-// for it.
+// GetCtx is Get carrying the triggering request's context, so the
+// spill-tier work the lookup causes — a first-touch rehydration, and
+// the spill of whichever session it evicts to make room — is
+// attributed (via the context's obsv.PhaseTimer, when present) to the
+// request that paid for it.
+//
+// The backend is handed out without a lease: a later lookup may evict
+// the session while the caller still holds it. A spill tier's wrapper
+// then refuses the call (durable.ErrSpilled) rather than execute it
+// against a world nobody will read again, and the caller resolves the
+// session again.
 func (p *Pool) GetCtx(ctx context.Context, id string) (cloudapi.Backend, error) {
 	if id == "" || id == DefaultSession {
-		p.defMu.Lock()
-		if p.def == nil {
-			p.def = p.adopt(ctx, DefaultSession, p.factory())
-			p.gSessions.Add(1)
-		}
-		b := p.def
-		p.defMu.Unlock()
-		p.hits.Add(1)
-		p.cHits.Inc()
-		return b, nil
+		return p.defaultBackend(ctx), nil
 	}
 	if !ValidSessionID(id) {
-		return nil, cloudapi.Errf(cloudapi.CodeInvalidSession,
-			"session id must be 1-%d characters from [A-Za-z0-9._-]", MaxSessionIDLen)
+		return nil, errInvalidSession()
 	}
 	sh := p.shardFor(id)
-	now := p.clock.Now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p.expireLocked(sh, now)
+	return p.getLocked(ctx, sh, id), nil
+}
+
+func errInvalidSession() error {
+	return cloudapi.Errf(cloudapi.CodeInvalidSession,
+		"session id must be 1-%d characters from [A-Za-z0-9._-]", MaxSessionIDLen)
+}
+
+// defaultBackend returns the pinned default session's backend,
+// creating it on first use.
+func (p *Pool) defaultBackend(ctx context.Context) cloudapi.Backend {
+	p.defMu.Lock()
+	if p.def == nil {
+		p.def = p.adopt(ctx, DefaultSession, p.factory())
+		p.gSessions.Add(1)
+	}
+	b := p.def
+	p.defMu.Unlock()
+	p.hits.Add(1)
+	p.cHits.Inc()
+	return b
+}
+
+// getLocked resolves a non-default session in its shard, creating it
+// (and evicting to make room) on a miss. Caller holds sh.mu.
+func (p *Pool) getLocked(ctx context.Context, sh *shard, id string) cloudapi.Backend {
+	now := p.clock.Now()
+	p.expireLocked(ctx, sh, now)
 	if el, ok := sh.sessions[id]; ok {
 		sess := el.Value.(*session)
 		sess.lastUsed = now
 		sh.lru.MoveToFront(el)
 		p.hits.Add(1)
 		p.cHits.Inc()
-		return sess.backend, nil
+		return sess.backend
 	}
 	// Miss: stamp out a fresh backend. The factory runs under the
 	// shard lock — an expensive factory stalls only sessions hashing
@@ -333,14 +356,14 @@ func (p *Pool) GetCtx(ctx context.Context, id string) (cloudapi.Backend, error) 
 	p.cMisses.Inc()
 	p.gSessions.Add(1)
 	for sh.lru.Len() > p.shardCap {
-		p.evictLocked(sh, sh.lru.Back(), EvictCapacity)
+		p.evictLocked(ctx, sh, sh.lru.Back(), EvictCapacity)
 	}
-	return sess.backend, nil
+	return sess.backend
 }
 
 // expireLocked retires every session in sh idle past the TTL. Caller
 // holds sh.mu.
-func (p *Pool) expireLocked(sh *shard, now time.Time) {
+func (p *Pool) expireLocked(ctx context.Context, sh *shard, now time.Time) {
 	if p.idleTTL <= 0 {
 		return
 	}
@@ -350,7 +373,7 @@ func (p *Pool) expireLocked(sh *shard, now time.Time) {
 			break // LRU order: everything further front is fresher
 		}
 		prev := el.Prev()
-		p.evictLocked(sh, el, EvictIdle)
+		p.evictLocked(ctx, sh, el, EvictIdle)
 		el = prev
 	}
 }
@@ -367,13 +390,22 @@ func (p *Pool) adopt(ctx context.Context, id string, b cloudapi.Backend) cloudap
 	return wb
 }
 
-func (p *Pool) evictLocked(sh *shard, el *list.Element, reason string) {
+// evictLocked retires one session, offering its state to the spill
+// tier. ctx is that of the request whose lookup forced the eviction
+// (the background context outside a request): the spill is timed as
+// the "spill" phase of its obsv.PhaseTimer, so the victim's disk write
+// is named for what it is rather than inflating the requester's
+// session.lookup.
+func (p *Pool) evictLocked(ctx context.Context, sh *shard, el *list.Element, reason string) {
 	sess := el.Value.(*session)
 	sh.lru.Remove(el)
 	delete(sh.sessions, sess.id)
 	outcome, bytes := OutcomeDropped, int64(0)
 	if p.spill != nil {
-		if n, err := p.spill.Spill(sess.id, sess.backend); err == nil {
+		region := obsv.PhasesFrom(ctx).Start(obsv.PhaseSpill)
+		n, err := p.spill.Spill(sess.id, sess.backend)
+		region.End()
+		if err == nil {
 			outcome, bytes = OutcomeSpilled, n
 			p.spillsOK.Add(1)
 		}
@@ -413,7 +445,7 @@ func (p *Pool) Sweep() int {
 	before := p.idleEvict.Load()
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		p.expireLocked(sh, now)
+		p.expireLocked(context.Background(), sh, now)
 		sh.mu.Unlock()
 	}
 	return int(p.idleEvict.Load() - before)
@@ -423,17 +455,39 @@ func (p *Pool) Sweep() int {
 // v2 API exposes. Resetting a session that does not exist yet creates
 // it (a fresh account is already reset).
 func (p *Pool) Reset(id string) error {
-	b, err := p.Get(id)
-	if err != nil {
-		return err
+	return p.ResetCtx(context.Background(), id)
+}
+
+// ResetCtx is Reset carrying the triggering request's context, like
+// GetCtx; the lookup half is timed as the request's "session.lookup"
+// phase. The reset runs under the shard lock evictions take:
+// cloudapi.Backend.Reset cannot report that its wrapper was evicted
+// between lookup and call the way Invoke can, so the pool rules the
+// race out instead.
+func (p *Pool) ResetCtx(ctx context.Context, id string) error {
+	region := obsv.PhasesFrom(ctx).Start(obsv.PhaseSessionLookup)
+	if id == "" || id == DefaultSession {
+		b := p.defaultBackend(ctx)
+		region.End()
+		b.Reset()
+		return nil
 	}
+	if !ValidSessionID(id) {
+		region.End()
+		return errInvalidSession()
+	}
+	sh := p.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b := p.getLocked(ctx, sh, id)
+	region.End()
 	b.Reset()
 	return nil
 }
 
 // Release retires one resident session on demand — the drain step of
 // a cluster migration. The session's state is offered to the spill
-// tier exactly like a capacity eviction (snapshot written, journal
+// tier exactly like a capacity eviction (checkpoint written, journal
 // closed), but on-disk state is kept, so the session's new owner —
 // this pool later, or another node sharing the data directory — can
 // rehydrate it. It reports whether the session was resident and, if
@@ -451,7 +505,7 @@ func (p *Pool) Release(id string) (found, spilled bool) {
 		return false, false
 	}
 	before := p.spillsOK.Load()
-	p.evictLocked(sh, el, EvictRelease)
+	p.evictLocked(context.Background(), sh, el, EvictRelease)
 	return true, p.spillsOK.Load() > before
 }
 

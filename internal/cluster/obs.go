@@ -81,9 +81,9 @@ func (rt *Router) recordForward(node string, isErr bool, dur time.Duration, serv
 			phases = map[string]int64{}
 			rt.phaseNs[node] = phases
 		}
-		for name, d := range obsv.ParseServerTiming(serverTiming) {
+		obsv.EachServerTiming(serverTiming, func(name string, d time.Duration) {
 			phases[name] += d.Nanoseconds()
-		}
+		})
 	}
 	rt.obsMu.Unlock()
 	h.Record(isErr, dur)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -45,10 +46,11 @@ type Config struct {
 	// even a 503 SLO breach — counts as alive: the node is reachable
 	// and owns its sessions.
 	FailThreshold int
-	// Client is the HTTP client used for forwards, probes and
-	// migration (nil means a client with a 30s timeout; the SSE
-	// multiplexer always uses an untimed clone, streams outlive any
-	// sane timeout).
+	// Client is the HTTP client for health probes, migration and the
+	// fleet views' fan-out (nil means a client with a 30s timeout; the
+	// SSE multiplexer always uses an untimed clone, streams outlive any
+	// sane timeout). Data-plane forwards do not use it: they run on the
+	// router's own per-node keep-alive connections (forward.go).
 	Client *http.Client
 	// Obs mounts the router-tier observability: ingress spans
 	// (remote-parented when the client propagates X-LCE-Trace),
@@ -74,6 +76,16 @@ type nodeState struct {
 	alive  atomic.Bool
 	fails  atomic.Int32
 	probes atomic.Uint64 // per-node probe sequence, keys probe span roots
+	upstream
+}
+
+// newNodeState builds a member from its name and base URL.
+func newNodeState(name, rawurl string) (*nodeState, error) {
+	st := &nodeState{name: name, url: strings.TrimRight(rawurl, "/")}
+	if err := st.upstream.parse(st.url); err != nil {
+		return nil, fmt.Errorf("cluster: node %s: %v", name, err)
+	}
+	return st, nil
 }
 
 // Router is the cluster front tier: an http.Handler that owns the
@@ -154,7 +166,10 @@ func NewRouter(cfg Config) (*Router, error) {
 		if n.Name == routerNode {
 			return nil, fmt.Errorf("cluster: node name %q is reserved for the front tier", routerNode)
 		}
-		st := &nodeState{name: n.Name, url: strings.TrimRight(n.URL, "/")}
+		st, err := newNodeState(n.Name, n.URL)
+		if err != nil {
+			return nil, err
+		}
 		st.alive.Store(true)
 		rt.nodes[n.Name] = st
 		rt.ring.Add(n.Name)
@@ -182,8 +197,8 @@ func (rt *Router) Start() {
 	}()
 }
 
-// Close stops the prober. Safe without a prior Start, and safe to
-// call more than once.
+// Close stops the prober and closes the idle forward connections.
+// Safe without a prior Start, and safe to call more than once.
 func (rt *Router) Close() {
 	select {
 	case <-rt.stop:
@@ -192,6 +207,11 @@ func (rt *Router) Close() {
 	}
 	if rt.started.Load() {
 		<-rt.done
+	}
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	for _, st := range rt.nodes {
+		st.retire()
 	}
 }
 
@@ -278,7 +298,7 @@ func (rt *Router) noteAlive(st *nodeState) bool {
 // same splitmix64 scheme the node uses, with a router marker so an
 // operator can tell which tier minted an ID.
 func (rt *Router) requestID(r *http.Request) string {
-	if id := r.Header.Get(httpapi.RequestIDHeader); id != "" {
+	if id := headerValue(r.Header, requestIDKey); id != "" {
 		if len(id) > 128 {
 			id = id[:128]
 		}
@@ -288,7 +308,13 @@ func (rt *Router) requestID(r *http.Request) string {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
-	return fmt.Sprintf("lce-r-%016x", x)
+	const hex = "0123456789abcdef"
+	id := [22]byte{'l', 'c', 'e', '-', 'r', '-'}
+	for i := len(id) - 1; i >= 6; i-- {
+		id[i] = hex[x&15]
+		x >>= 4
+	}
+	return string(id[:])
 }
 
 // wireError mirrors httpapi's unified error envelope field-for-field,
@@ -405,9 +431,8 @@ func (rt *Router) forwardSession(route string) http.HandlerFunc {
 		reqID := rt.requestID(r)
 		ctx, root := rt.startIngress(r, route)
 		defer root.End()
-		r = r.WithContext(ctx)
 
-		sid := r.Header.Get(httpapi.SessionHeader)
+		sid := headerValue(r.Header, sessionKey)
 		_, decide := obsv.StartSpan(ctx, obsv.SpanRouteDecide)
 		st, err := rt.owner(sid)
 		decide.SetAttr("session", placementKey(sid))
@@ -423,12 +448,36 @@ func (rt *Router) forwardSession(route string) http.HandlerFunc {
 			rt.writeError(w, reqID, cloudapi.CodeServiceUnavailable, "%v", err)
 			return
 		}
-		if rt.forward(w, r, st, reqID) {
-			rt.mu.Lock()
-			rt.placements[placementKey(sid)] = st.name
-			rt.mu.Unlock()
+		if rt.forward(ctx, w, r, st, reqID) {
+			rt.notePlacement(placementKey(sid), st)
 		}
 	}
+}
+
+// notePlacement records that st answered for a session. The common
+// case — the placement already says st — costs a read lock. A write
+// happens only for a session that is unplaced, or placed elsewhere
+// while st still owns it on the ring, and never for one mid-migration:
+// a forward that began before a migration moved the session away must
+// not point the placement back at the old node, or the next rebalance
+// would see the session "at home" there and never fetch it back. The
+// straggler's own effect is not covered: a call the old node applies
+// after the export took its snapshot is lost with the old copy (open
+// under "migrations racing traffic" in ROADMAP.md).
+func (rt *Router) notePlacement(key string, st *nodeState) {
+	rt.mu.RLock()
+	cur := rt.placements[key]
+	rt.mu.RUnlock()
+	if cur == st.name {
+		return
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	_, placed := rt.placements[key]
+	if rt.migrating[key] || (placed && rt.ring.Owner(key) != st.name) {
+		return
+	}
+	rt.placements[key] = st.name
 }
 
 // placementKey normalizes a session header into the placement-table
@@ -446,7 +495,6 @@ func (rt *Router) forwardAny(route string) http.HandlerFunc {
 		reqID := rt.requestID(r)
 		ctx, root := rt.startIngress(r, route)
 		defer root.End()
-		r = r.WithContext(ctx)
 
 		rt.mu.RLock()
 		var st *nodeState
@@ -462,16 +510,8 @@ func (rt *Router) forwardAny(route string) http.HandlerFunc {
 			rt.writeError(w, reqID, cloudapi.CodeServiceUnavailable, "no healthy node")
 			return
 		}
-		rt.forward(w, r, st, reqID)
+		rt.forward(ctx, w, r, st, reqID)
 	}
-}
-
-// hopHeaders are not forwarded in either direction.
-var hopHeaders = map[string]bool{
-	"Connection":        true,
-	"Keep-Alive":        true,
-	"Transfer-Encoding": true,
-	"Upgrade":           true,
 }
 
 // forwardService names the proxied service for the forward.<service>
@@ -485,12 +525,14 @@ func forwardService(r *http.Request) string {
 }
 
 // forward proxies one exchange to st verbatim — body streamed, query
-// preserved, headers copied minus hop-by-hop — and stamps the cluster
-// API version over the node's own. A transport failure counts toward
-// the node's death threshold (fail-fast: a kill -9 is usually
-// detected by the request that hits it, not the next probe) and
-// returns a transient BadGateway envelope. Reports whether the node
-// answered.
+// preserved, headers copied minus hop-by-hop — over one of st's pooled
+// connections (forward.go), and stamps the cluster API version over
+// the node's own. A transport failure counts toward the node's death
+// threshold (fail-fast: a kill -9 is usually detected by the request
+// that hits it, not the next probe) and returns a transient BadGateway
+// envelope; a client that fails to deliver its own body gets a
+// MalformedRequest and the node is not blamed. Reports whether the
+// node answered.
 //
 // With observability mounted the exchange runs under a
 // forward.<service> span whose context is injected downstream as
@@ -499,33 +541,21 @@ func forwardService(r *http.Request) string {
 // SLO engines. The request ID — the client's own, or the router-minted
 // fallback — is forwarded too, so node flight records and logs
 // correlate with what the client saw.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, st *nodeState, reqID string) bool {
-	_, fsp := obsv.StartSpan(r.Context(), obsv.SpanForwardPfx+forwardService(r))
+func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Request, st *nodeState, reqID string) bool {
+	_, fsp := obsv.StartSpan(ctx, obsv.SpanForwardPfx+forwardService(r))
 	fsp.SetAttr("node", routerNode)
 	fsp.SetAttr("target", st.name)
 	defer fsp.End()
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, st.url+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		fsp.SetError(err.Error())
-		rt.writeError(w, reqID, cloudapi.CodeBadGateway, "cannot build upstream request: %v", err)
-		return false
-	}
-	req.ContentLength = r.ContentLength
-	for k, vs := range r.Header {
-		if hopHeaders[http.CanonicalHeaderKey(k)] {
-			continue
-		}
-		req.Header[k] = vs
-	}
-	if req.Header.Get(httpapi.RequestIDHeader) == "" {
-		req.Header.Set(httpapi.RequestIDHeader, reqID)
-	}
-	obsv.Inject(req.Header, fsp)
 	clock := rt.obs.TracerOrNil().Clock()
 	start := clock.Now()
-	resp, err := rt.client.Do(req)
+	uc, resp, err := st.exchange(r, reqID, fsp)
 	if err != nil {
 		fsp.SetError(err.Error())
+		var cbe *clientBodyError
+		if errors.As(err, &cbe) {
+			rt.writeError(w, reqID, "MalformedRequest", "%v", cbe)
+			return false
+		}
 		rt.recordForward(st.name, true, clock.Now().Sub(start), "")
 		if rt.noteFailure(st) {
 			go rt.rebalance()
@@ -534,24 +564,26 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, st *nodeState,
 			"node %s did not answer: %v", st.name, err)
 		return false
 	}
-	defer resp.Body.Close()
 	st.fails.Store(0)
 	h := w.Header()
 	for k, vs := range resp.Header {
-		if hopHeaders[k] {
-			continue
+		if !hopHeader(k) {
+			h[k] = vs
 		}
-		h[k] = vs
 	}
-	h.Set(httpapi.APIVersionHeader, httpapi.APIVersionCluster)
+	h[apiVersionKey] = []string{httpapi.APIVersionCluster}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	if copyAnswer(w, resp.Body) && !resp.Close {
+		st.checkin(uc)
+	} else {
+		uc.Close()
+	}
 	fsp.SetAttrInt("status", int64(resp.StatusCode))
 	if resp.StatusCode >= 400 {
 		fsp.SetError("status " + strconv.Itoa(resp.StatusCode))
 	}
 	rt.recordForward(st.name, sloForwardError(resp.StatusCode), clock.Now().Sub(start),
-		resp.Header.Get("Server-Timing"))
+		headerValue(resp.Header, serverTimingKey))
 	return true
 }
 
@@ -646,14 +678,15 @@ func (rt *Router) join(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, reqID, "MalformedRequest", "join needs name and url query parameters")
 		return
 	}
-	if _, err := url.Parse(rawurl); err != nil {
+	fresh, err := newNodeState(name, rawurl)
+	if err != nil {
 		rt.writeError(w, reqID, "MalformedRequest", "bad url: %v", err)
 		return
 	}
 	rt.mu.Lock()
 	st, known := rt.nodes[name]
 	if !known {
-		st = &nodeState{name: name, url: strings.TrimRight(rawurl, "/")}
+		st = fresh
 		rt.nodes[name] = st
 	}
 	st.alive.Store(true)
@@ -683,6 +716,7 @@ func (rt *Router) leave(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	delete(rt.nodes, name)
 	rt.mu.Unlock()
+	st.retire()
 	rt.writeJSON(w, reqID, http.StatusOK, map[string]any{"left": name, "migrated": moved})
 }
 

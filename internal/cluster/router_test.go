@@ -36,26 +36,36 @@ func newEC2Node(t *testing.T, name string, opts ...httpapi.Option) *httptest.Ser
 }
 
 // toyFactory stamps out fresh learned toy emulators — the
-// snapshottable backend migration needs.
+// snapshottable backend migration needs. They are forks of one
+// compiled emulator, as the tenant pool makes them: compiling
+// re-indexes the shared spec, which must not race sessions created
+// concurrently.
 func toyFactory(t *testing.T) func() cloudapi.Backend {
 	t.Helper()
 	svc, err := spec.Parse(spec.ToySource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func() cloudapi.Backend {
-		emu, err := interp.New(svc)
-		if err != nil {
-			panic(err)
-		}
-		return emu
+	base, err := interp.New(svc)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return base.Fork
 }
 
 // newToyNode serves the learned toy emulator behind a pool; a
 // non-empty dir mounts a durable store over it (shared dirs model the
 // cluster's shared -data-dir deployment).
 func newToyNode(t *testing.T, name, dir string) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(toyHandler(t, name, dir))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// toyHandler is newToyNode's handler, for tests that serve it their
+// own way.
+func toyHandler(t *testing.T, name, dir string) http.Handler {
 	t.Helper()
 	factory := toyFactory(t)
 	tcfg := tenant.Config{}
@@ -70,9 +80,7 @@ func newToyNode(t *testing.T, name, dir string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(httpapi.New(factory(), httpapi.WithPool(pool), httpapi.WithNode(name)))
-	t.Cleanup(srv.Close)
-	return srv
+	return httpapi.New(factory(), httpapi.WithPool(pool), httpapi.WithNode(name))
 }
 
 // newRouter fronts the given servers; probing stays manual (CheckNow)

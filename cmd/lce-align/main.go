@@ -8,7 +8,10 @@
 //	lce-align -service ec2 -chaos -fault-rate 0.1 -chaos-seed 7
 //
 // The comparison phase fans out across -workers goroutines (default:
-// GOMAXPROCS); the result is identical at any worker count.
+// GOMAXPROCS); the result is identical at any worker count. Each round
+// line says how many traces were replayed against the oracle and how
+// many were diffed against the oracle outcomes memoized in an earlier
+// round instead.
 //
 // With -chaos the oracle is wrapped in the deterministic fault
 // injector and (unless -no-retry) each worker talks to it through the
@@ -92,6 +95,7 @@ func main() {
 		if len(r.Divergence) > 0 {
 			fmt.Printf(" (%d semantic, %d exhausted-transient)", r.Semantic, r.ExhaustedTransient)
 		}
+		fmt.Printf("; oracle: %d replayed, %d memo", r.OracleReplays, r.OracleMemoHits)
 		if len(r.Repairs) > 0 {
 			fmt.Printf("; repairs:")
 			for _, rep := range r.Repairs {

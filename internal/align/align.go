@@ -18,6 +18,15 @@
 // order, which makes a parallel round's Result byte-identical to a
 // serial one's. The repair phase stays single-goroutine: it mutates
 // the spec.
+//
+// Only the emulator side changes between rounds. An oracle replay is a
+// pure function of its trace — Reset restarts the oracle's state and
+// its ID allocation — so each run memoizes the oracle's outcomes per
+// trace position and, after round 1, replays only the emulator and
+// diffs it against them. The memo lives and dies with one run. A
+// replay with a broken or transient-coded outcome is never memoized:
+// it says something about the oracle's weather, not about the trace,
+// so the next round replays it.
 package align
 
 import (
@@ -85,6 +94,12 @@ type Round struct {
 	// case). Semantic + ExhaustedTransient == len(Divergence).
 	Semantic           int
 	ExhaustedTransient int
+	// OracleReplays counts this round's trace replays against the
+	// oracle, and OracleMemoHits the comparisons that diffed against an
+	// earlier round's memoized replay instead. OracleReplays +
+	// OracleMemoHits == Total.
+	OracleReplays  int
+	OracleMemoHits int
 }
 
 // Result is the outcome of an alignment run.
@@ -175,14 +190,24 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	// persists on a redocumented SM, the docs themselves are wrong and
 	// the cloud's observed behaviour wins.
 	redocumented := map[string]bool{}
+	// memo[i] holds the oracle's outcomes for traces[i] once a replay
+	// was memoizable; later rounds diff against it instead of replaying.
+	memo := make([][]trace.Outcome, len(traces))
 
 	for round := 1; round <= opts.MaxRounds; round++ {
-		reports, emu, err := compareRound(svc, oracle, factory, traces, workers, opts.Retry, counters, epoch, round, opts.Obs)
+		before := counters.Snapshot()
+		reports, emu, err := compareRound(svc, oracle, factory, traces, memo, workers, opts.Retry, counters, epoch, round, opts.Obs)
 		if err != nil {
 			return res, err
 		}
+		after := counters.Snapshot()
 		res.Final = emu
-		r := Round{Round: round, Total: len(traces)}
+		r := Round{
+			Round:          round,
+			Total:          len(traces),
+			OracleReplays:  int(after.OracleReplays - before.OracleReplays),
+			OracleMemoHits: int(after.OracleMemoHits - before.OracleMemoHits),
+		}
 		implicated := map[string]trace.StepDiff{}
 		var wrongCodes []trace.StepDiff
 		// reports is ordered by trace index, so this loop observes the
@@ -326,7 +351,7 @@ func CompareSuiteObserved(svc *spec.Service, factory cloudapi.BackendFactory, tr
 	}
 	workers = poolSize(workers, len(traces), true)
 	epoch := obs.TracerOrNil().NextEpoch()
-	reports, _, err := compareRound(svc, nil, factory, traces, workers, policy, counters, epoch, 0, obs)
+	reports, _, err := compareRound(svc, nil, factory, traces, make([][]trace.Outcome, len(traces)), workers, policy, counters, epoch, 0, obs)
 	return reports, err
 }
 
@@ -344,7 +369,9 @@ func CompareSuiteObserved(svc *spec.Service, factory cloudapi.BackendFactory, tr
 // retried inside the worker instead of surfacing as divergences. A
 // non-nil obs roots one span per comparison, keyed by (epoch, round,
 // index) so trace IDs never depend on which worker drew which trace.
-func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
+// memo is the run's oracle memo (see diff): worker writes land on
+// disjoint indices, and the next round reads them after the pool joins.
+func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, memo [][]trace.Outcome, workers int, policy *retry.Policy, counters *metrics.AlignCounters, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
 	emus := make([]*interp.Emulator, workers)
 	oracles := make([]cloudapi.Backend, workers)
 	base, err := interp.New(svc)
@@ -391,11 +418,29 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 		}
 	}
 
+	// diff compares traces[i]: against the memoized oracle outcomes when
+	// an earlier round left them, replaying only the emulator; otherwise
+	// replaying both sides and memoizing the oracle's replay if it may
+	// stand in for every later one. It reports whether the memo served.
+	diff := func(ctx context.Context, emu *interp.Emulator, ora cloudapi.Backend, i int) (trace.Report, bool) {
+		tr := traces[i]
+		if out := memo[i]; out != nil {
+			counters.OracleMemoHit()
+			return trace.Diff(i, tr, trace.RunTraced(ctx, emu, tr, "emulator"), out), true
+		}
+		rep := trace.CompareIndexedTraced(ctx, emu, ora, i, tr)
+		counters.OracleReplayed()
+		if memoizable(rep.Oracle) {
+			memo[i] = rep.Oracle
+		}
+		return rep, false
+	}
+
 	compare := func(emu *interp.Emulator, ora cloudapi.Backend, i int) trace.Report {
 		tracer := obs.TracerOrNil()
 		if tracer == nil {
 			// Nil-tracer fast path: exactly the untraced comparison.
-			rep := trace.CompareIndexed(emu, ora, i, traces[i])
+			rep, _ := diff(context.Background(), emu, ora, i)
 			counters.TraceCompared(!rep.Aligned())
 			countDivergence(rep.FirstDiff())
 			return rep
@@ -406,7 +451,12 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 		root.SetAttr("trace", traces[i].Name)
 		root.SetAttrInt("index", int64(i))
 		root.SetAttrInt("round", int64(round))
-		rep := trace.CompareIndexedTraced(ctx, emu, ora, i, traces[i])
+		rep, memoized := diff(ctx, emu, ora, i)
+		if memoized {
+			root.SetAttr("oracle", "memo")
+		} else {
+			root.SetAttr("oracle", "replayed")
+		}
 		counters.TraceCompared(!rep.Aligned())
 		if d := rep.FirstDiff(); d != nil {
 			root.SetAttr("aligned", "false")
@@ -448,6 +498,20 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 	close(jobs)
 	wg.Wait()
 	return reports, emus[0], nil
+}
+
+// memoizable reports whether an oracle replay may stand in for every
+// later replay of its trace within the run: not if any step broke (a
+// backend malfunction) or ended on a transient code (a fault that
+// outlasted the retry budget). A replay whose faults were retried to
+// success is memoizable — its outcomes are the fault-free ones.
+func memoizable(out []trace.Outcome) bool {
+	for i := range out {
+		if out[i].Broken || outcomeTransient(&out[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // rootKey packs (epoch, round, trace index) into the deterministic key

@@ -2,6 +2,7 @@ package align
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"lce/internal/cloud/aws/ec2"
@@ -55,27 +56,67 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	if err := obsv.Validate(spans); err != nil {
 		t.Errorf("span snapshot invalid: %v", err)
 	}
+	// A memo-served comparison replays only the emulator: its root says
+	// oracle=memo and has no replay.oracle child and no oracle calls.
+	memoHits := traced.Stats.OracleMemoHits
+	if memoHits == 0 {
+		t.Fatal("no comparison was served from the oracle memo — the loop ran one round?")
+	}
+	memoTraces := map[string]bool{}
 	var roots, replays, calls int
+	oracleCalls := map[string]int64{}
+	for _, sp := range spans {
+		if sp.Name == obsv.SpanAlignTrace && sp.Attrs["oracle"] == "memo" {
+			memoTraces[sp.TraceID] = true
+		}
+	}
 	for _, sp := range spans {
 		switch {
 		case sp.Name == obsv.SpanAlignTrace:
 			roots++
+			if o := sp.Attrs["oracle"]; o != "memo" && o != "replayed" {
+				t.Errorf("root %s: oracle=%q", sp.TraceID, o)
+			}
 		case sp.Name == obsv.SpanReplayPfx+"emulator", sp.Name == obsv.SpanReplayPfx+"oracle":
 			replays++
-		case len(sp.Name) > len(obsv.SpanCallPfx) && sp.Name[:len(obsv.SpanCallPfx)] == obsv.SpanCallPfx:
+		case strings.HasPrefix(sp.Name, obsv.SpanCallPfx):
 			calls++
+			if sp.Attrs["role"] == "oracle" {
+				oracleCalls[strings.TrimPrefix(sp.Name, obsv.SpanCallPfx)]++
+			}
+		}
+		if memoTraces[sp.TraceID] && (sp.Name == obsv.SpanReplayPfx+"oracle" || sp.Attrs["role"] == "oracle") {
+			t.Errorf("memo-served trace %s recorded oracle span %s", sp.TraceID, sp.Name)
 		}
 	}
-	if roots == 0 || replays != 2*roots || calls == 0 {
-		t.Errorf("span taxonomy off: %d roots, %d replays (want %d), %d calls",
-			roots, replays, 2*roots, calls)
+	if int64(len(memoTraces)) != memoHits {
+		t.Errorf("%d roots say oracle=memo, stats count %d memo hits", len(memoTraces), memoHits)
 	}
-	// And the registry saw the run: counters published, op latencies in.
-	if got := obs.Registry.Counter("lce_align_comparisons_total").Value(); got != traced.Stats.TracesCompared {
-		t.Errorf("registry comparisons = %d, stats say %d", got, traced.Stats.TracesCompared)
+	if roots == 0 || int64(replays) != 2*int64(roots)-memoHits || calls == 0 {
+		t.Errorf("span taxonomy off: %d roots, %d replays (want 2×roots − %d memo hits = %d), %d calls",
+			roots, replays, memoHits, 2*int64(roots)-memoHits, calls)
 	}
-	if obs.Registry.Histogram(obsv.MetricBackendOpSeconds, "action", "RunInstances", "role", "oracle").Count() == 0 {
-		t.Error("no oracle op latencies recorded")
+	// And the registry saw the run: counters published, op latencies in
+	// for exactly the oracle calls that ran.
+	for name, want := range map[string]int64{
+		"lce_align_comparisons_total":      traced.Stats.TracesCompared,
+		"lce_align_oracle_replays_total":   traced.Stats.OracleReplays,
+		"lce_align_oracle_memo_hits_total": memoHits,
+	} {
+		if got := obs.Registry.Counter(name).Value(); got != want {
+			t.Errorf("registry %s = %d, stats say %d", name, got, want)
+		}
+	}
+	if traced.Stats.OracleReplays+memoHits != traced.Stats.TracesCompared {
+		t.Errorf("oracle replays %d + memo hits %d != comparisons %d", traced.Stats.OracleReplays, memoHits, traced.Stats.TracesCompared)
+	}
+	if oracleCalls["RunInstances"] == 0 {
+		t.Error("no oracle RunInstances calls traced")
+	}
+	for action, n := range oracleCalls {
+		if got := obs.Registry.Histogram(obsv.MetricBackendOpSeconds, "action", action, "role", "oracle").Count(); got != n {
+			t.Errorf("%s: %d oracle op latencies recorded for %d traced oracle calls", action, got, n)
+		}
 	}
 }
 

@@ -17,6 +17,69 @@ func NormalizeResult(r Result) Result {
 	return out
 }
 
+// EqualNormalized reports whether NormalizeValue(*a) equals
+// NormalizeValue(*b) without building either copy: a ref compares as
+// the string of its ID, at any depth. The differential comparator runs
+// it on every step of every replay, so it reads through pointers and
+// never allocates.
+func EqualNormalized(a, b *Value) bool { return equalNormalized(*a, *b) }
+
+// equalNormalized takes its operands by value: map elements are not
+// addressable, and the address of a range copy passed down this
+// recursion would move every copy to the heap.
+func equalNormalized(a, b Value) bool {
+	if as, ok := normalizedString(a); ok {
+		bs, ok := normalizedString(b)
+		return ok && as == bs
+	}
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindNil:
+		return true
+	case KindInt:
+		return a.i == b.i
+	case KindBool:
+		return a.b == b.b
+	case KindList:
+		if len(a.list) != len(b.list) {
+			return false
+		}
+		for i := range a.list {
+			if !equalNormalized(a.list[i], b.list[i]) {
+				return false
+			}
+		}
+		return true
+	case KindMap:
+		if len(a.m) != len(b.m) {
+			return false
+		}
+		for k, ae := range a.m {
+			be, ok := b.m[k]
+			if !ok || !equalNormalized(ae, be) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
+// normalizedString is the string a string or ref normalizes to.
+func normalizedString(v Value) (string, bool) {
+	switch v.kind {
+	case KindString:
+		return v.s, true
+	case KindRef:
+		return v.ref.ID, true
+	default:
+		return "", false
+	}
+}
+
 // NormalizeValue converts refs to ID strings recursively.
 func NormalizeValue(v Value) Value {
 	switch v.Kind() {

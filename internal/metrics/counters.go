@@ -21,6 +21,8 @@ type AlignCounters struct {
 	rounds          atomic.Int64
 	retries         atomic.Int64
 	transientFaults atomic.Int64
+	oracleReplays   atomic.Int64
+	oracleMemoHits  atomic.Int64
 }
 
 // TraceCompared records one differential trace comparison and whether
@@ -31,6 +33,14 @@ func (c *AlignCounters) TraceCompared(diverged bool) {
 		c.divergent.Add(1)
 	}
 }
+
+// OracleReplayed records one replay of a trace against the oracle.
+// Safe for concurrent use.
+func (c *AlignCounters) OracleReplayed() { c.oracleReplays.Add(1) }
+
+// OracleMemoHit records one comparison served from the run's memo of
+// earlier oracle replays instead of a new one. Safe for concurrent use.
+func (c *AlignCounters) OracleMemoHit() { c.oracleMemoHits.Add(1) }
 
 // RepairsApplied records n repairs applied in the current round.
 func (c *AlignCounters) RepairsApplied(n int) { c.repairs.Add(int64(n)) }
@@ -60,6 +70,8 @@ func (c *AlignCounters) Snapshot() AlignStats {
 		Rounds:          c.rounds.Load(),
 		Retries:         c.retries.Load(),
 		TransientFaults: c.transientFaults.Load(),
+		OracleReplays:   c.oracleReplays.Load(),
+		OracleMemoHits:  c.oracleMemoHits.Load(),
 	}
 }
 
@@ -84,6 +96,12 @@ type AlignStats struct {
 	// from the oracle (each is either retried or, on exhaustion,
 	// surfaced as an exhausted-transient divergence).
 	TransientFaults int64
+	// OracleReplays counts trace replays against the oracle, and
+	// OracleMemoHits the comparisons that diffed against a memoized
+	// earlier replay instead: OracleReplays + OracleMemoHits ==
+	// TracesCompared. Deterministic whenever retries absorb every fault.
+	OracleReplays  int64
+	OracleMemoHits int64
 }
 
 // PublishTo mirrors the snapshot into an obsv.Registry as monotonic
@@ -107,11 +125,14 @@ func (s AlignStats) PublishTo(r *obsv.Registry) {
 	set("lce_align_rounds_total", s.Rounds)
 	set("lce_align_retries_total", s.Retries)
 	set("lce_align_transient_faults_total", s.TransientFaults)
+	set("lce_align_oracle_replays_total", s.OracleReplays)
+	set("lce_align_oracle_memo_hits_total", s.OracleMemoHits)
 }
 
 // String renders a one-line summary, e.g.
-// "120 comparisons (3 divergent), 2 repairs over 4 rounds, 17 retries on 19 transient faults".
+// "120 comparisons (3 divergent), 2 repairs over 4 rounds, 17 retries
+// on 19 transient faults, 60 oracle replays (60 memo hits)".
 func (s AlignStats) String() string {
-	return fmt.Sprintf("%d comparisons (%d divergent), %d repairs over %d rounds, %d retries on %d transient faults",
-		s.TracesCompared, s.Divergent, s.Repairs, s.Rounds, s.Retries, s.TransientFaults)
+	return fmt.Sprintf("%d comparisons (%d divergent), %d repairs over %d rounds, %d retries on %d transient faults, %d oracle replays (%d memo hits)",
+		s.TracesCompared, s.Divergent, s.Repairs, s.Rounds, s.Retries, s.TransientFaults, s.OracleReplays, s.OracleMemoHits)
 }

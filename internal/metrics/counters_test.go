@@ -24,6 +24,11 @@ func TestAlignCountersConcurrent(t *testing.T) {
 				if i%16 == 0 {
 					c.RecordRetry()
 				}
+				if i%2 == 0 {
+					c.OracleReplayed()
+				} else {
+					c.OracleMemoHit()
+				}
 			}
 		}(g)
 	}
@@ -39,6 +44,8 @@ func TestAlignCountersConcurrent(t *testing.T) {
 		Rounds:          1,
 		Retries:         goroutines * ((perG + 15) / 16),
 		TransientFaults: goroutines * ((perG + 7) / 8),
+		OracleReplays:   goroutines * perG / 2,
+		OracleMemoHits:  goroutines * perG / 2,
 	}
 	if got != want {
 		t.Fatalf("stats = %+v, want %+v", got, want)
@@ -53,8 +60,10 @@ func TestAlignStatsString(t *testing.T) {
 	c.RecordRetry()
 	c.RepairsApplied(1)
 	c.RoundFinished()
+	c.OracleReplayed()
+	c.OracleMemoHit()
 	s := c.String()
-	for _, want := range []string{"2 comparisons", "1 divergent", "1 repairs", "1 rounds", "1 retries", "1 transient faults"} {
+	for _, want := range []string{"2 comparisons", "1 divergent", "1 repairs", "1 rounds", "1 retries", "1 transient faults", "1 oracle replays", "1 memo hits"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}

@@ -16,7 +16,11 @@ import (
 //	└─ replay.oracle                 the oracle's replay
 //	   └─ call.<Action> ...          events: fault.injected, retry.backoff
 //
-// HTTP servers root their traces at http.<route> instead.
+// The root's oracle attr says which side ran: "replayed" as above, or
+// "memo" when the comparison diffed against oracle outcomes memoized in
+// an earlier round of the run — then there is no replay.oracle subtree
+// and no role=oracle op latency. HTTP servers root their traces at
+// http.<route> instead.
 const (
 	SpanAlignTrace  = "align.trace"
 	SpanReplayPfx   = "replay."

@@ -66,7 +66,7 @@ func (t Type) String() string {
 			if i > 0 {
 				s += ", "
 			}
-			s += fmt.Sprintf("%q", v)
+			s += quote(v)
 		}
 		return s + ")"
 	case TRef:

@@ -108,6 +108,9 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokInt, Text: l.src[start:l.off], Pos: pos}, nil
 	case r == '"':
+		if text, ok := l.plainString(); ok {
+			return Token{Kind: TokString, Text: text, Pos: pos}, nil
+		}
 		l.advance()
 		var sb strings.Builder
 		for {
@@ -206,11 +209,39 @@ func (l *Lexer) Next() (Token, error) {
 	}
 }
 
+// plainString lexes the common string literal — no escape and no
+// newline before its closing quote, valid UTF-8 throughout — as a slice
+// of the source instead of decoding it rune by rune, advancing line and
+// column exactly as the per-rune path would. It reports false, having
+// consumed nothing, for any other literal (including an unterminated
+// one); the per-rune path then decodes it, turning invalid bytes into
+// U+FFFD and reporting errors.
+func (l *Lexer) plainString() (string, bool) {
+	start := l.off + 1
+	for i := start; i < len(l.src); i++ {
+		switch l.src[i] {
+		case '"':
+			text := l.src[start:i]
+			if !utf8.ValidString(text) {
+				return "", false
+			}
+			l.off = i + 1
+			l.col += utf8.RuneCountInString(text) + 2
+			return text, true
+		case '\\', '\n':
+			return "", false
+		}
+	}
+	return "", false
+}
+
 // Tokenize lexes all of src. It is the entry point the constrained
 // decoder and parser share.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	// Printed specs run 7–9 source bytes per token, so this capacity
+	// holds every token of one without regrowing.
+	toks := make([]Token, 0, len(src)/6+2)
 	for {
 		t, err := l.Next()
 		if err != nil {

@@ -87,6 +87,67 @@ func TestTokenizePositions(t *testing.T) {
 	}
 }
 
+// TestTokenizeStringLiterals pins kind, decoded text and position for
+// string literals on and off the slice-of-source fast path, and the
+// position of the token after each — column advance is per rune, with
+// an invalid byte counting as one rune that decodes to U+FFFD.
+func TestTokenizeStringLiterals(t *testing.T) {
+	cases := []struct {
+		name, src string
+		text      string
+		next      Pos // position of the identifier after the literal
+	}{
+		{"plain", `"plain" x`, "plain", Pos{Line: 1, Col: 9}},
+		{"empty", `"" x`, "", Pos{Line: 1, Col: 4}},
+		{"two-byte runes", `"héllo" x`, "héllo", Pos{Line: 1, Col: 9}},
+		{"three-byte runes", `"日本" x`, "日本", Pos{Line: 1, Col: 6}},
+		{"raw tab and CR", "\"a\tb\rc\" x", "a\tb\rc", Pos{Line: 1, Col: 9}},
+		{"escaped quote", `"a\"b" x`, `a"b`, Pos{Line: 1, Col: 8}},
+		{"escapes and runes", `"é\n\t\\" x`, "é\n\t\\", Pos{Line: 1, Col: 11}},
+		{"invalid byte", "\"a\xffb\" x", "a\uFFFDb", Pos{Line: 1, Col: 7}},
+		{"truncated rune", "\"\xe6\x97\" x", "\uFFFD\uFFFD", Pos{Line: 1, Col: 6}},
+		{"next line", "\"s\"\n  x", "s", Pos{Line: 2, Col: 3}},
+		{"after identifier", `ab "cd" x`, "cd", Pos{Line: 1, Col: 9}},
+	}
+	for _, c := range cases {
+		toks, err := Tokenize(c.src)
+		if err != nil {
+			t.Errorf("%s: Tokenize(%q): %v", c.name, c.src, err)
+			continue
+		}
+		str := toks[0]
+		if str.Kind == TokIdent {
+			str = toks[1]
+		}
+		if str.Kind != TokString || str.Text != c.text {
+			t.Errorf("%s: literal = %v %q, want string %q", c.name, str.Kind, str.Text, c.text)
+		}
+		next := toks[len(toks)-2]
+		if next.Kind != TokIdent || next.Text != "x" || next.Pos != c.next {
+			t.Errorf("%s: next token = %v %q at %v, want ident x at %v", c.name, next.Kind, next.Text, next.Pos, c.next)
+		}
+	}
+}
+
+func TestTokenizeUnterminatedStrings(t *testing.T) {
+	cases := []struct {
+		src, want string
+		pos       Pos
+	}{
+		{`x "abc`, "unterminated string literal", Pos{Line: 1, Col: 3}},
+		{"\"a\xff", "unterminated string literal", Pos{Line: 1, Col: 1}},
+		{`"abc\`, "unterminated escape", Pos{Line: 1, Col: 1}},
+		{"a\n \"ab\ncd\"", "newline in string literal", Pos{Line: 2, Col: 2}},
+	}
+	for _, c := range cases {
+		_, err := Tokenize(c.src)
+		se, ok := err.(*SyntaxError)
+		if !ok || !strings.Contains(se.Msg, c.want) || se.Pos != c.pos {
+			t.Errorf("Tokenize(%q) error = %v, want %q at %v", c.src, err, c.want, c.pos)
+		}
+	}
+}
+
 func TestTokenizeErrors(t *testing.T) {
 	cases := []struct {
 		src, want string

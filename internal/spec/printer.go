@@ -43,11 +43,11 @@ func printSM(b *strings.Builder, sm *SM, depth int) {
 	fmt.Fprintf(b, "sm %s {\n", sm.Name)
 	if sm.Doc != "" {
 		indent(b, depth+1)
-		fmt.Fprintf(b, "doc %s\n", strconv.Quote(sm.Doc))
+		fmt.Fprintf(b, "doc %s\n", quote(sm.Doc))
 	}
 	if sm.IDPrefix != "" {
 		indent(b, depth+1)
-		fmt.Fprintf(b, "idprefix %s\n", strconv.Quote(sm.IDPrefix))
+		fmt.Fprintf(b, "idprefix %s\n", quote(sm.IDPrefix))
 	}
 	if sm.Parent != "" {
 		indent(b, depth+1)
@@ -55,11 +55,11 @@ func printSM(b *strings.Builder, sm *SM, depth int) {
 	}
 	if sm.NotFound != "" {
 		indent(b, depth+1)
-		fmt.Fprintf(b, "notfound %s\n", strconv.Quote(sm.NotFound))
+		fmt.Fprintf(b, "notfound %s\n", quote(sm.NotFound))
 	}
 	if sm.Dependency != "" {
 		indent(b, depth+1)
-		fmt.Fprintf(b, "dependency %s\n", strconv.Quote(sm.Dependency))
+		fmt.Fprintf(b, "dependency %s\n", quote(sm.Dependency))
 	}
 	if len(sm.States) > 0 {
 		indent(b, depth+1)
@@ -68,7 +68,7 @@ func printSM(b *strings.Builder, sm *SM, depth int) {
 			indent(b, depth+2)
 			fmt.Fprintf(b, "%s: %s", sv.Name, sv.Type)
 			if sv.Doc != "" {
-				fmt.Fprintf(b, " doc %s", strconv.Quote(sv.Doc))
+				fmt.Fprintf(b, " doc %s", quote(sv.Doc))
 			}
 			b.WriteString("\n")
 		}
@@ -108,7 +108,7 @@ func printTransition(b *strings.Builder, tr *Transition, depth int) {
 		b.WriteString(" internal")
 	}
 	if tr.Doc != "" {
-		fmt.Fprintf(b, " doc %s", strconv.Quote(tr.Doc))
+		fmt.Fprintf(b, " doc %s", quote(tr.Doc))
 	}
 	b.WriteString(" {\n")
 	printStmts(b, tr.Body, depth+1)
@@ -116,12 +116,38 @@ func printTransition(b *strings.Builder, tr *Transition, depth int) {
 	b.WriteString("}\n")
 }
 
+// quote renders s as a string literal that lexes back to s: it escapes
+// exactly what the lexer has escapes for (\" \\ \n \t) and writes
+// every other rune raw. strconv.Quote's \r, \x and \u forms would not
+// re-parse. Invalid UTF-8 comes out as U+FFFD, as the lexer reads it.
+func quote(s string) string {
+	var b strings.Builder
+	b.Grow(len(s) + 2)
+	b.WriteByte('"')
+	for _, r := range s {
+		switch r {
+		case '"':
+			b.WriteString(`\"`)
+		case '\\':
+			b.WriteString(`\\`)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
 func litText(v cloudapi.Value) string {
 	switch v.Kind() {
 	case cloudapi.KindNil:
 		return "nil"
 	case cloudapi.KindString:
-		return strconv.Quote(v.AsString())
+		return quote(v.AsString())
 	case cloudapi.KindInt:
 		return strconv.FormatInt(v.AsInt(), 10)
 	case cloudapi.KindBool:
@@ -145,9 +171,9 @@ func printStmt(b *strings.Builder, s Stmt, depth int) {
 	case *AssertStmt:
 		fmt.Fprintf(b, "assert(%s)", ExprString(st.Pred))
 		if st.Code != "" {
-			fmt.Fprintf(b, " error %s", strconv.Quote(st.Code))
+			fmt.Fprintf(b, " error %s", quote(st.Code))
 			if st.Message != "" {
-				fmt.Fprintf(b, " %s", strconv.Quote(st.Message))
+				fmt.Fprintf(b, " %s", quote(st.Message))
 			}
 		}
 		b.WriteString("\n")

@@ -260,6 +260,15 @@ func CompareIndexed(subject, oracle cloudapi.Backend, idx int, tr Trace) Report 
 func CompareIndexedTraced(ctx context.Context, subject, oracle cloudapi.Backend, idx int, tr Trace) Report {
 	sub := RunTraced(ctx, subject, tr, "emulator")
 	ora := RunTraced(ctx, oracle, tr, "oracle")
+	return Diff(idx, tr, sub, ora)
+}
+
+// Diff is the differential comparison of two replays of tr that have
+// already run: sub from the backend under test, ora from the oracle,
+// one outcome per step. The report keeps both slices, and its step
+// diffs point into them. Callers holding an earlier oracle replay of
+// the same trace diff against it here instead of replaying again.
+func Diff(idx int, tr Trace, sub, ora []Outcome) Report {
 	rep := Report{TraceIndex: idx, Trace: tr, Subject: sub, Oracle: ora}
 	for i := range tr.Steps {
 		d := diffStep(i, tr.Steps[i].Action, &sub[i], &ora[i])
@@ -296,24 +305,44 @@ func diffStep(i int, action string, sub, ora *Outcome) StepDiff {
 	return d
 }
 
-// resultDiff compares two results, returning the first mismatching
-// attribute. Results compare structurally after normalization.
+// resultDiff compares two results structurally after normalization
+// (cloudapi.EqualNormalized: a ref equals its ID string) and reports
+// one mismatching attribute: the lexicographically first attribute
+// missing from the emulator's response, else the first whose values
+// differ, else the first extra one. The choice never depends on map
+// iteration order, so a divergence reads the same on every run.
+// Values are rendered only on a mismatch.
 func resultDiff(sub, ora cloudapi.Result) (key, why string, ok bool) {
-	sub = cloudapi.NormalizeResult(sub)
-	ora = cloudapi.NormalizeResult(ora)
+	var missing, unequal string
+	var haveMissing, haveUnequal bool
 	for k, ov := range ora {
 		sv, present := sub[k]
-		if !present {
-			return k, "missing from emulator response", false
-		}
-		if !sv.Equal(ov) {
-			return k, fmt.Sprintf("emulator %s, cloud %s", truncate(sv.String()), truncate(ov.String())), false
+		switch {
+		case !present:
+			if !haveMissing || k < missing {
+				missing, haveMissing = k, true
+			}
+		case !haveMissing && (!haveUnequal || k < unequal) && !cloudapi.EqualNormalized(&sv, &ov):
+			unequal, haveUnequal = k, true
 		}
 	}
+	switch {
+	case haveMissing:
+		return missing, "missing from emulator response", false
+	case haveUnequal:
+		sv, ov := sub[unequal], ora[unequal]
+		return unequal, fmt.Sprintf("emulator %s, cloud %s",
+			truncate(cloudapi.NormalizeValue(sv).String()), truncate(cloudapi.NormalizeValue(ov).String())), false
+	}
+	var extra string
+	var haveExtra bool
 	for k := range sub {
-		if _, present := ora[k]; !present {
-			return k, "extra attribute in emulator response", false
+		if _, present := ora[k]; !present && (!haveExtra || k < extra) {
+			extra, haveExtra = k, true
 		}
+	}
+	if haveExtra {
+		return extra, "extra attribute in emulator response", false
 	}
 	return "", "", true
 }

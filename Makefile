@@ -39,11 +39,14 @@ lint:
 # runs BenchmarkRegistryLookupHit, which fails if a registry hit
 # allocates; for the observability cost model's numbers run
 #   go test -run '^$$' -bench HandlerCycle -benchtime 2000x -cpu 1 ./internal/httpapi/
-# The router-layer row: one traced forward over a loopback upstream,
-# ns/op and allocs/op. The learning-loop row: the four-service default
-# alignment loop, with the oracle replays one loop makes.
+# The node's data-plane rows: the request decoder and the success
+# encoder alone, beside the whole 22-call handler cycle, ns/op and
+# allocs/op. The router-layer row: one traced forward over a loopback
+# upstream. The learning-loop row: the four-service default alignment
+# loop, with the oracle replays one loop makes.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -run '^$$' -bench 'ReadRequest|WriteWireResponse|HandlerCycle' -benchtime 2000x -cpu 1 -benchmem ./internal/httpapi/
 	$(GO) test -run '^$$' -bench RouterForward -benchtime 20000x -cpu 1 -benchmem ./internal/cluster/
 	$(GO) test -run '^$$' -bench AlignLoop -benchtime 20x -cpu 1 -benchmem ./internal/align/
 	$(GO) test -run 'ZeroAlloc' ./internal/interp/
@@ -53,8 +56,9 @@ bench:
 # Chaos soak: fault/retry packages under the race detector, then
 # seeded end-to-end alignments against a 10%-flaky oracle. lce-align
 # exits non-zero on any semantic divergence. Short fuzz passes hold
-# the wire decoder's scalar fast path to encoding/json on hostile bytes
-# and the spec printer to the parser (Print∘Parse is a fixpoint).
+# the wire decoder's scalar fast path and the invoke-body decoder to
+# encoding/json on hostile bytes, and the spec printer to the parser
+# (Print∘Parse is a fixpoint).
 chaos:
 	$(GO) test -race -count=2 ./internal/fault/... ./internal/retry/...
 	$(GO) test -race -run 'Chaos' ./internal/align/... ./internal/httpapi/... ./internal/eval/...
@@ -62,6 +66,7 @@ chaos:
 	$(GO) run ./cmd/lce-align -service dynamodb -perfect -chaos -fault-rate 0.1 -chaos-seed 7
 	$(GO) run ./cmd/lce-align -service ec2 -chaos -fault-rate 0.1 -chaos-seed 7
 	$(GO) test -run '^$$' -fuzz FuzzValueUnmarshal -fuzztime 5s ./internal/cloudapi/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWireRequest -fuzztime 5s ./internal/httpapi/
 	$(GO) test -run '^$$' -fuzz FuzzParseSM -fuzztime 5s ./internal/spec/
 
 # Observability smoke: a seeded traced alignment run exports its spans

@@ -94,6 +94,11 @@ func main() {
 	for _, rec := range dump.Records {
 		want := []byte(rec.ResponseBody)
 		got, status := drive(srv, rec)
+		if len(want) == httpapi.MaxBody && len(got) > len(want) {
+			// The recorder keeps the first MaxBody bytes of a response:
+			// a capture that long holds a prefix of the answer.
+			got = got[:len(want)]
+		}
 		switch {
 		case status != rec.Status:
 			diffs++

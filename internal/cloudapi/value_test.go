@@ -96,7 +96,11 @@ func TestStringRendering(t *testing.T) {
 }
 
 // randomValue builds an arbitrary Value of bounded depth.
-func randomValue(r *rand.Rand, depth int) Value {
+func randomValue(r *rand.Rand, depth int) Value { return randomValueOf(r, depth, randString) }
+
+// randomValueOf is randomValue with every string, map key and ref part
+// drawn from str.
+func randomValueOf(r *rand.Rand, depth int, str func(*rand.Rand) string) Value {
 	k := r.Intn(7)
 	if depth <= 0 && (k == 5 || k == 6) {
 		k = r.Intn(5)
@@ -105,25 +109,25 @@ func randomValue(r *rand.Rand, depth int) Value {
 	case 0:
 		return Nil
 	case 1:
-		return Str(randString(r))
+		return Str(str(r))
 	case 2:
 		return Int(r.Int63() - r.Int63())
 	case 3:
 		return Bool(r.Intn(2) == 0)
 	case 4:
-		return RefVal(randString(r), randString(r))
+		return RefVal(str(r), str(r))
 	case 5:
 		n := r.Intn(4)
 		vs := make([]Value, n)
 		for i := range vs {
-			vs[i] = randomValue(r, depth-1)
+			vs[i] = randomValueOf(r, depth-1, str)
 		}
 		return List(vs...)
 	default:
 		n := r.Intn(4)
 		m := make(map[string]Value, n)
 		for i := 0; i < n; i++ {
-			m[randString(r)] = randomValue(r, depth-1)
+			m[str(r)] = randomValueOf(r, depth-1, str)
 		}
 		return Map(m)
 	}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -46,10 +46,29 @@ func (v Value) MarshalJSON() ([]byte, error) {
 // slice. The output is byte-for-byte what encoding/json produces for
 // the same value — sorted map keys, HTML-escaped strings, the {"$ref"}
 // wrapper — which the wire tests assert; the HTTP front-end's pooled
-// success path depends on that equivalence to skip the reflective
+// success path (through AppendNormalizedResult, which shares this
+// encoder) depends on that equivalence to skip the reflective
 // marshaller (and its per-call allocations) without changing a single
 // response byte.
-func AppendJSON(dst []byte, v *Value) []byte {
+func AppendJSON(dst []byte, v *Value) []byte { return appendJSON(dst, v, false) }
+
+// AppendNormalizedJSON appends the wire encoding of NormalizeValue(*v)
+// to dst without building that copy: a ref at any depth renders as the
+// JSON string of its ID. The HTTP front-end encodes every success
+// result with it, so a response costs one walk of the backend's result
+// and no second tree.
+func AppendNormalizedJSON(dst []byte, v *Value) []byte { return appendJSON(dst, v, true) }
+
+// AppendNormalizedResult is AppendNormalizedJSON for a result map; a
+// nil result encodes as {}.
+func AppendNormalizedResult(dst []byte, r Result) []byte {
+	v := Value{kind: KindMap, m: r}
+	return appendJSON(dst, &v, true)
+}
+
+// appendJSON is the one encoder behind both forms; normalize renders
+// refs as their ID strings.
+func appendJSON(dst []byte, v *Value, normalize bool) []byte {
 	switch v.kind {
 	case KindNil:
 		return append(dst, "null"...)
@@ -63,6 +82,9 @@ func AppendJSON(dst []byte, v *Value) []byte {
 		}
 		return append(dst, "false"...)
 	case KindRef:
+		if normalize {
+			return appendJSONString(dst, v.ref.ID)
+		}
 		dst = append(dst, `{"$ref":`...)
 		dst = appendJSONString(dst, v.ref.Type+"/"+v.ref.ID)
 		return append(dst, '}')
@@ -72,24 +94,31 @@ func AppendJSON(dst []byte, v *Value) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = AppendJSON(dst, &v.list[i])
+			dst = appendJSON(dst, &v.list[i], normalize)
 		}
 		return append(dst, ']')
 	case KindMap:
 		dst = append(dst, '{')
-		keys := make([]string, 0, len(v.m))
+		// Sorting in a stack array keeps maps of up to len(scratch) keys
+		// — every describe payload — free of allocation.
+		var scratch [16]string
+		keys := scratch[:0]
 		for k := range v.m {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
+		// e is declared outside the loop: the address of a per-iteration
+		// copy passed down this recursion would move every copy to the
+		// heap.
+		var e Value
 		for i, k := range keys {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
 			dst = appendJSONString(dst, k)
 			dst = append(dst, ':')
-			e := v.m[k]
-			dst = AppendJSON(dst, &e)
+			e = v.m[k]
+			dst = appendJSON(dst, &e, normalize)
 		}
 		return append(dst, '}')
 	default:
@@ -161,23 +190,24 @@ func appendJSONString(dst []byte, s string) []byte {
 
 // UnmarshalJSON implements json.Unmarshaler. Scalars — what almost
 // every request parameter is — decode directly from the bytes; lists,
-// maps, refs and any spelling decodeScalar does not recognise go
+// maps, refs and any spelling DecodeScalar does not recognise go
 // through the generic decoder, which also owns every error text.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	if val, ok := decodeScalar(data); ok {
+	if val, ok := DecodeScalar(data); ok {
 		*v = val
 		return nil
 	}
 	return v.unmarshalGeneric(data)
 }
 
-// decodeScalar decodes data when it is, byte for byte, null, true,
+// DecodeScalar decodes data when it is, byte for byte, null, true,
 // false, an integer of at most 18 digits in JSON's canonical spelling,
 // or a string free of escapes and control characters that is valid
 // UTF-8 — the forms whose generic decoding is a plain copy. Anything
 // else (whitespace around the value included) reports false and is the
-// generic path's to decode or reject.
-func decodeScalar(data []byte) (Value, bool) {
+// generic path's to decode or reject. The HTTP front-end's request
+// decoder runs every flat parameter through it too.
+func DecodeScalar(data []byte) (Value, bool) {
 	if len(data) == 0 {
 		return Nil, false
 	}

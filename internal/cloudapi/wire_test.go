@@ -4,31 +4,30 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// TestQuickAppendJSONMatchesEncodingJSON: the append-based encoder the
-// pooled wire path uses must produce byte-for-byte what encoding/json
-// produces, across randomly generated value trees.
+// TestQuickAppendJSONMatchesEncodingJSON: the append-based encoder
+// must produce byte-for-byte what encoding/json produces, across
+// randomly generated value trees with hostile strings (see
+// hostileValueGen), refs kept as {"$ref"} wrappers.
 func TestQuickAppendJSONMatchesEncodingJSON(t *testing.T) {
-	f := func(g valueGen) bool {
+	f := func(g hostileValueGen) bool {
 		want, err := json.Marshal(g.V)
-		if err != nil {
-			return false
-		}
-		v := g.V
-		return bytes.Equal(AppendJSON(nil, &v), want)
+		return err == nil && bytes.Equal(AppendJSON(nil, &g.V), want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestAppendJSONEscaping pins the string-escaping corners the random
-// generator never reaches (its alphabet is plain ASCII): quotes,
-// backslashes, the HTML-unsafe set, control characters, the U+2028
-// pair, and invalid UTF-8.
+// TestAppendJSONEscaping pins the string-escaping corners one by one:
+// quotes, backslashes, the HTML-unsafe set, control characters, the
+// U+2028 pair, and invalid UTF-8.
 func TestAppendJSONEscaping(t *testing.T) {
 	cases := []Value{
 		Nil,
@@ -64,6 +63,58 @@ func TestAppendJSONEscaping(t *testing.T) {
 		if got := AppendJSON(nil, &v); !bytes.Equal(got, want) {
 			t.Errorf("AppendJSON(%v)\n got %s\nwant %s", v, got, want)
 		}
+	}
+}
+
+// hostilePieces are what hostileString strings together: every escape
+// class appendJSONString handles, multi-byte runes, and invalid UTF-8
+// (a stray continuation byte, a lone surrogate, a truncated sequence).
+var hostilePieces = []string{
+	"a", "Z", "9", "/", "-", `"`, `\`, "<", ">", "&", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+	"\u2028", "\u2029", "é", "😀", "\xff", "\xed\xa0\x80", "\xe2\x80",
+}
+
+func hostileString(r *rand.Rand) string {
+	var sb strings.Builder
+	for n := r.Intn(6); n > 0; n-- {
+		sb.WriteString(hostilePieces[r.Intn(len(hostilePieces))])
+	}
+	return sb.String()
+}
+
+// hostileValueGen draws value trees whose strings, keys and refs come
+// from hostileString, with refs at every depth.
+type hostileValueGen struct{ V Value }
+
+func (hostileValueGen) Generate(r *rand.Rand, _ int) reflect.Value {
+	return reflect.ValueOf(hostileValueGen{V: randomValueOf(r, 4, hostileString)})
+}
+
+// TestQuickAppendNormalizedJSONMatchesEncodingJSON: encoding a value
+// normalized on the fly is byte-for-byte encoding/json over the
+// NormalizeValue copy, and leaves the value itself untouched.
+func TestQuickAppendNormalizedJSONMatchesEncodingJSON(t *testing.T) {
+	f := func(g hostileValueGen) bool {
+		want, err := json.Marshal(NormalizeValue(g.V))
+		if err != nil {
+			return false
+		}
+		before := g.V.String()
+		got := AppendNormalizedJSON([]byte("prefix"), &g.V)
+		if !bytes.Equal(got[len("prefix"):], want) || g.V.String() != before {
+			t.Logf("AppendNormalizedJSON(%v)\n got %s\nwant %s", g.V, got[len("prefix"):], want)
+			return false
+		}
+		if g.V.Kind() == KindMap {
+			return bytes.Equal(AppendNormalizedResult(nil, Result(g.V.AsMap())), want)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if got := string(AppendNormalizedResult(nil, nil)); got != "{}" {
+		t.Errorf("nil result encodes as %s, want {}", got)
 	}
 }
 
@@ -103,7 +154,7 @@ func BenchmarkMarshalJSON(b *testing.B) {
 
 // sameDecode reports whether the scalar fast path and the generic
 // decoder agree on data: same value on success, same error text on
-// failure. It is the whole contract of decodeScalar.
+// failure. It is the whole contract of DecodeScalar.
 func sameDecode(data []byte) (string, bool) {
 	var fast, generic Value
 	ferr, gerr := fast.UnmarshalJSON(data), generic.unmarshalGeneric(data)
@@ -172,8 +223,8 @@ func TestUnmarshalFastPathPinnedCases(t *testing.T) {
 	}
 	// And the fast path is actually taken for what requests carry.
 	for _, in := range []string{`null`, `true`, `false`, `443`, `-1`, `"10.0.0.0/16"`, `"héllo"`} {
-		if _, ok := decodeScalar([]byte(in)); !ok {
-			t.Errorf("decodeScalar(%s) fell through to the generic path", in)
+		if _, ok := DecodeScalar([]byte(in)); !ok {
+			t.Errorf("DecodeScalar(%s) fell through to the generic path", in)
 		}
 	}
 }

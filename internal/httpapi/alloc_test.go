@@ -8,7 +8,8 @@ import "testing"
 // cost a request in allocations, through the handler lce.NewServer
 // assembles (tracer, registry, ops plane, flight capture all on): one
 // describe and one call answering an expected API error. The budgets
-// are what the pooled-exchange wrapper reached plus 10%; the same calls
+// are what the single-pass request decoder and response encoder reached
+// plus 10% (before them: 86 and 62); the same calls
 // through the bare handler are measured alongside so a failure shows
 // whether the instrumentation or the data plane grew. The race detector
 // instruments allocations and thins sync.Pool, so this is compiled out
@@ -24,8 +25,8 @@ func TestInstrumentedHandlerAllocBudget(t *testing.T) {
 		step   int
 		budget float64
 	}{
-		{"describe", stepDescribe, 95},    // reached 86, of which the bare handler is 77
-		{"expected error", stepError, 68}, // reached 62, of which the bare handler is 51
+		{"describe", stepDescribe, 35},    // reached 32, of which the bare handler is 23
+		{"expected error", stepError, 59}, // reached 54, of which the bare handler is 43
 	} {
 		// Replay the cycle up to the step so the world is the one the
 		// step expects, then measure the step alone.
@@ -34,8 +35,8 @@ func TestInstrumentedHandlerAllocBudget(t *testing.T) {
 				d.call(i)
 			}
 			return testing.AllocsPerRun(200, func() {
-				if got := d.call(c.step); got != cycleSteps[c.step].status {
-					t.Fatalf("%s answered %d, want %d", c.name, got, cycleSteps[c.step].status)
+				if got := d.call(c.step); got != cycleSteps[c.step].Status {
+					t.Fatalf("%s answered %d, want %d", c.name, got, cycleSteps[c.step].Status)
 				}
 			})
 		}

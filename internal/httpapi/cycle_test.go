@@ -13,40 +13,8 @@ import (
 	"lce/internal/tenant"
 )
 
-// cycleStep is one call of the 22-call CI test case benchmark/script.go
-// drives (reset, apply a small VPC stack, plan against it, trip the two
-// documented error classes, destroy it): 10 reads, 10 writes, 2
-// expected errors.
-type cycleStep struct {
-	action string // "" is the session-scoped reset route
-	params string
-	status int
-}
-
-var cycleSteps = []cycleStep{
-	{"", ``, 204},
-	{"CreateVpc", `{"cidrBlock":"10.0.0.0/16"}`, 200},
-	{"CreateSubnet", `{"vpcId":"vpc-00000001","cidrBlock":"10.0.1.0/24"}`, 200},
-	{"CreateSubnet", `{"vpcId":"vpc-00000001","cidrBlock":"10.0.2.0/24"}`, 200},
-	{"CreateSecurityGroup", `{"vpcId":"vpc-00000001","groupName":"web","description":"bench"}`, 200},
-	{"AuthorizeSecurityGroupIngress", `{"groupId":"sg-00000001","ipProtocol":"tcp","fromPort":443,"toPort":443,"cidrIpv4":"0.0.0.0/0"}`, 200},
-	{"DescribeVpcs", `{}`, 200},
-	{"DescribeSubnets", `{}`, 200},
-	{"DescribeSecurityGroups", `{}`, 200},
-	{"DescribeSecurityGroupRules", `{}`, 200},
-	{"DeleteVpc", `{"vpcId":"vpc-00000001"}`, 400},                              // DependencyViolation
-	{"CreateSubnet", `{"vpcId":"vpc-00000001","cidrBlock":"10.0.3.0/29"}`, 400}, // InvalidSubnet.Range
-	{"DescribeVpcs", `{}`, 200},
-	{"DescribeSubnets", `{}`, 200},
-	{"RevokeSecurityGroupRule", `{"securityGroupRuleId":"sgr-00000001"}`, 200},
-	{"DeleteSecurityGroup", `{"groupId":"sg-00000001"}`, 200},
-	{"DeleteSubnet", `{"subnetId":"subnet-00000001"}`, 200},
-	{"DeleteSubnet", `{"subnetId":"subnet-00000002"}`, 200},
-	{"DescribeSubnets", `{}`, 200},
-	{"DeleteVpc", `{"vpcId":"vpc-00000001"}`, 200},
-	{"DescribeVpcs", `{}`, 200},
-	{"DescribeSecurityGroups", `{}`, 200},
-}
+// cycleSteps is the benchmark's 22-call cycle (httpapi.CycleSteps).
+var cycleSteps = httpapi.CycleSteps
 
 // Indexes into cycleSteps the alloc-budget test singles out.
 const (
@@ -85,12 +53,9 @@ type cycleDriver struct {
 func newCycleDriver(h http.Handler) *cycleDriver {
 	d := &cycleDriver{h: h, w: discardWriter{h: http.Header{}}}
 	for _, s := range cycleSteps {
-		path, body := "/v2/ec2/reset", ""
-		if s.action != "" {
-			path, body = "/v2/ec2?Action="+s.action, `{"params":`+s.params+`}`
-		}
+		body := s.Body()
 		rd := strings.NewReader(body)
-		req := httptest.NewRequest("POST", path, nil)
+		req := httptest.NewRequest("POST", s.Path(), nil)
 		req.Header.Set(httpapi.SessionHeader, "s00")
 		d.reqs, d.readers, d.raw = append(d.reqs, req), append(d.readers, rd), append(d.raw, body)
 		d.bodies = append(d.bodies, io.NopCloser(rd))
@@ -111,8 +76,8 @@ func (d *cycleDriver) call(i int) int {
 // run serves one whole cycle, failing tb on an unexpected status.
 func (d *cycleDriver) run(tb testing.TB) {
 	for i, s := range cycleSteps {
-		if got := d.call(i); got != s.status {
-			tb.Fatalf("step %d (%s) answered %d, want %d", i, s.action, got, s.status)
+		if got := d.call(i); got != s.Status {
+			tb.Fatalf("step %d (%s) answered %d, want %d", i, s.Action, got, s.Status)
 		}
 	}
 }

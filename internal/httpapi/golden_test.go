@@ -108,7 +108,7 @@ func signalRun(t *testing.T) map[string]string {
 		fmt.Fprintf(&responses, "  %s\n", strings.TrimSuffix(rec.Body.String(), "\n"))
 		return rec
 	}
-	cycle := func(session string, steps []cycleStep, traced bool) {
+	cycle := func(session string, steps []httpapi.CycleStep, traced bool) {
 		for i, s := range steps {
 			hdr := []string{httpapi.SessionHeader, session}
 			if traced {
@@ -116,11 +116,7 @@ func signalRun(t *testing.T) map[string]string {
 				// router's forward spans would be.
 				hdr = append(hdr, obsv.TraceHeader, fmt.Sprintf("00000000000000aa-%016x-01", 0xb0+i))
 			}
-			if s.action == "" {
-				do("POST", "/v2/ec2/reset", "", hdr...)
-			} else {
-				do("POST", "/v2/ec2?Action="+s.action, `{"params":`+s.params+`}`, hdr...)
-			}
+			do("POST", s.Path(), s.Body(), hdr...)
 		}
 	}
 

@@ -136,7 +136,8 @@ type wireRequest struct {
 
 // wireResponse is the success envelope. RequestId is set on v2
 // responses only — legacy success bodies stay byte-identical to
-// their pre-session wire format.
+// their pre-session wire format. Result is the backend's result as it
+// answered; writeWireResponse normalizes it on the way out.
 type wireResponse struct {
 	RequestID string                    `json:"RequestId,omitempty"`
 	Result    map[string]cloudapi.Value `json:"result,omitempty"`
@@ -440,7 +441,7 @@ func (s *server) invoke(w http.ResponseWriter, r *http.Request, b cloudapi.Backe
 		s.writeInvokeError(w, b, req, reqID, err)
 		return
 	}
-	resp := wireResponse{Result: cloudapi.NormalizeResult(res)}
+	resp := wireResponse{Result: res}
 	if v2 {
 		resp.RequestID = reqID
 		w.Header()[requestIDKey] = []string{reqID}
@@ -505,9 +506,11 @@ var envelopePool = sync.Pool{
 const envelopePoolMaxCap = 64 << 10
 
 // writeWireResponse writes the success envelope through the pooled
-// append encoder. The bytes are exactly what writeJSON (the stdlib
-// encoder) would produce — field order, omitempty on both fields,
-// sorted result keys, HTML-escaped strings, trailing newline — as
+// append encoder, normalizing the backend's result as it encodes it.
+// The bytes are exactly what writeJSON (the stdlib encoder) would
+// produce for the envelope with cloudapi.NormalizeResult applied —
+// field order, omitempty on both fields, sorted result keys, refs as
+// their ID strings, HTML-escaped strings, trailing newline — as
 // TestWireResponseBytes asserts; external tooling greps response
 // bodies, so the wire format is a compatibility surface.
 func writeWireResponse(w http.ResponseWriter, status int, resp wireResponse, pt *obsv.PhaseTimer) {
@@ -527,8 +530,7 @@ func writeWireResponse(w http.ResponseWriter, status int, resp wireResponse, pt 
 			buf = append(buf, ',')
 		}
 		buf = append(buf, `"result":`...)
-		mv := cloudapi.Map(resp.Result)
-		buf = cloudapi.AppendJSON(buf, &mv)
+		buf = cloudapi.AppendNormalizedResult(buf, resp.Result)
 	}
 	buf = append(buf, '}', '\n')
 	region.End()
@@ -720,12 +722,10 @@ func (s *server) readRequest(w http.ResponseWriter, r *http.Request, reqID strin
 			return wireRequest{}, false
 		}
 	}
-	var req wireRequest
-	if len(bytes.TrimSpace(body)) != 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			s.malformed(w, reqID, "malformed request: %v", err)
-			return wireRequest{}, false
-		}
+	req, err := decodeWireRequest(body)
+	if err != nil {
+		s.malformed(w, reqID, "malformed request: %v", err)
+		return wireRequest{}, false
 	}
 	if x != nil {
 		// The action label and the flight record want the body's action
@@ -821,12 +821,12 @@ func (s *server) malformed(w http.ResponseWriter, reqID, format string, args ...
 
 // statusWriter captures the response status for the instrumentation
 // layer; an unset status means an implicit 200 from the first Write.
-// With mirror set it additionally copies the response bytes into tee
-// (for the flight recorder). A non-nil phases timer renders the
-// request's phase breakdown as a Server-Timing header at the moment
-// the status commits — the last point headers can still change, by
-// which time every pre-write phase has closed. It lives inside the
-// request's pooled exchange.
+// With mirror set it additionally copies the first MaxBody response
+// bytes into tee (for the flight recorder). A non-nil phases timer
+// renders the request's phase breakdown as a Server-Timing header at
+// the moment the status commits — the last point headers can still
+// change, by which time every pre-write phase has closed. It lives
+// inside the request's pooled exchange.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -860,8 +860,10 @@ func (w *statusWriter) WriteHeader(status int) {
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.mirror && w.tee.Len() < MaxBody {
-		w.tee.Write(p)
+	if w.mirror {
+		if room := MaxBody - w.tee.Len(); room > 0 {
+			w.tee.Write(p[:min(len(p), room)])
+		}
 	}
 	return w.ResponseWriter.Write(p)
 }

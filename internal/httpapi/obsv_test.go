@@ -11,6 +11,7 @@ import (
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/cloudapi"
 	"lce/internal/obsv"
+	"lce/internal/opsplane"
 )
 
 func newObservedServer(t *testing.T) (*httptest.Server, *Client, *obsv.Obs) {
@@ -176,4 +177,39 @@ func readAll(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// bigBackend answers every call with one string attribute of size n.
+type bigBackend struct{ n int }
+
+func (bigBackend) Service() string   { return "big" }
+func (bigBackend) Actions() []string { return []string{"Get"} }
+func (bigBackend) Reset()            {}
+func (b bigBackend) Invoke(cloudapi.Request) (cloudapi.Result, error) {
+	return cloudapi.Result{"blob": cloudapi.Str(strings.Repeat("x", b.n))}, nil
+}
+
+// TestFlightMirrorBoundedByMaxBody: a success envelope larger than
+// MaxBody reaches the client whole, while the flight record keeps only
+// its first MaxBody bytes — the bound MaxBody documents for what an
+// instrumented route buffers.
+func TestFlightMirrorBoundedByMaxBody(t *testing.T) {
+	ops := opsplane.New(opsplane.Config{Service: "big", Obs: obsv.New(1, 0)})
+	h := New(bigBackend{n: MaxBody + 4096}, WithOps(ops))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(`{"action":"Get"}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	full := rec.Body.String()
+	if want := len(`{"result":{"blob":""}}`+"\n") + MaxBody + 4096; len(full) != want {
+		t.Fatalf("client received %d bytes, want %d", len(full), want)
+	}
+	recs := ops.Flight.Snapshot()
+	if len(recs) != 1 {
+		t.Fatalf("%d flight records, want 1", len(recs))
+	}
+	if got := recs[0].ResponseBody; len(got) != MaxBody || !strings.HasPrefix(full, got) {
+		t.Errorf("flight record holds %d response bytes, want the first %d", len(got), MaxBody)
+	}
 }

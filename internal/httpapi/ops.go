@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
@@ -81,11 +80,8 @@ func responseCode(status int, envelopeCode string) string {
 // rejected before decoding); anything but a JSON object with an action
 // field reads as "".
 func bodyAction(body []byte) string {
-	if len(bytes.TrimSpace(body)) == 0 {
-		return ""
-	}
-	var req wireRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeWireRequest(body)
+	if err != nil {
 		return ""
 	}
 	return req.Action

@@ -29,3 +29,25 @@ func TestInterpCompiledZeroAllocFastPath(t *testing.T) {
 		t.Fatalf("compiled no-return describe allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestInterpDescribeAllAllocBudget pins return(vpcs, describeAll("Vpc"))
+// over a two-instance world at its measured count, 9: the response map
+// (2), the world's instance slice (2), the payload list (1) and each
+// instance's map (2 apiece). A normalizing copy of the payload after it
+// is built would add the list and both maps again, 14 in all.
+func TestInterpDescribeAllAllocBudget(t *testing.T) {
+	emu := benchEmulatorN(t, true, 2)
+	req := cloudapi.Request{Action: "DescribeVpcs"}
+	if _, err := emu.Invoke(req); err != nil {
+		t.Fatalf("DescribeVpcs: %v", err)
+	}
+	const budget = 9
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := emu.Invoke(req); err != nil {
+			t.Fatalf("DescribeVpcs: %v", err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("describeAll over two instances allocates %.1f objects/op, budget %d", allocs, budget)
+	}
+}

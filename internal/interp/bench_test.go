@@ -33,7 +33,13 @@ service bench {
 }
 `
 
+// benchEmulator is benchSpec over eight VPCs, compiled or walked.
 func benchEmulator(tb testing.TB, compiled bool) cloudapi.Backend {
+	return benchEmulatorN(tb, compiled, 8)
+}
+
+// benchEmulatorN is benchSpec over n VPCs.
+func benchEmulatorN(tb testing.TB, compiled bool, n int) cloudapi.Backend {
 	tb.Helper()
 	svc, err := spec.Parse(benchSpec)
 	if err != nil {
@@ -48,7 +54,7 @@ func benchEmulator(tb testing.TB, compiled bool) cloudapi.Backend {
 	if err != nil {
 		tb.Fatalf("build emulator: %v", err)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		if _, err := emu.Invoke(cloudapi.Request{Action: "CreateVpc", Params: cloudapi.Params{"cidrBlock": cloudapi.Str("10.0.0.0/16")}}); err != nil {
 			tb.Fatalf("CreateVpc: %v", err)
 		}

@@ -349,11 +349,22 @@ func applyBuiltin(world *World, self *Instance, name string, args []cloudapi.Val
 // describeInstance renders an instance as the canonical describe
 // payload: every state attribute plus an "id" key. Nil attributes are
 // omitted, matching how cloud APIs omit unset fields.
-func describeInstance(inst *Instance) cloudapi.Value {
+func describeInstance(inst *Instance) cloudapi.Value { return describePayload(inst, false) }
+
+// describeInstanceNormalized is NormalizeValue(describeInstance(inst))
+// built in one pass, each attribute normalized as it goes in. A
+// compiled return of a describe builtin stores its payload this way
+// and skips the return's own normalizing copy (compiler.returnStmt).
+func describeInstanceNormalized(inst *Instance) cloudapi.Value { return describePayload(inst, true) }
+
+func describePayload(inst *Instance, normalize bool) cloudapi.Value {
 	m := make(map[string]cloudapi.Value, inst.numAttrs()+1)
 	inst.eachAttr(func(k string, v cloudapi.Value) {
 		if v.IsNil() {
 			return
+		}
+		if normalize {
+			v = cloudapi.NormalizeValue(v)
 		}
 		m[k] = v
 	})

@@ -367,22 +367,7 @@ func (c *compiler) stmt(s spec.Stmt) stmtFn {
 			return runBody(f, els)
 		}
 	case *spec.ReturnStmt:
-		val := c.ref(st.Value, 0)
-		name := st.Name
-		return func(f *frame) error {
-			rv, err := val(f)
-			if err != nil {
-				return err
-			}
-			if f.ro.m == nil {
-				f.ro.m = make(cloudapi.Result, 4)
-			}
-			// The walker normalizes the whole response map at the end
-			// of Invoke; normalizing at insert builds the final map in
-			// one pass instead of two.
-			f.ro.m[name] = cloudapi.NormalizeValue(*rv)
-			return nil
-		}
+		return c.returnStmt(st)
 	case *spec.ForEachStmt:
 		over := c.ref(st.Over, 0)
 		slot := len(c.locals)
@@ -420,6 +405,38 @@ func (c *compiler) stmt(s spec.Stmt) stmtFn {
 	default:
 		err := internalErrf("unknown statement %T", s)
 		return func(*frame) error { return err }
+	}
+}
+
+// returnStmt lowers return(). The walker normalizes the whole response
+// map at the end of Invoke; normalizing at insert builds the final map
+// in one pass instead of two. A describe builtin's payload is fresh and
+// its attributes are all it holds, so a return of one builds it
+// normalized from the start (describeInstanceNormalized) and stores it
+// without a further copy. The register layout is the one c.ref gives
+// the same expression: payload in register 0, argument from 1.
+func (c *compiler) returnStmt(st *spec.ReturnStmt) stmtFn {
+	name := st.Name
+	if ex, ok := st.Value.(*spec.BuiltinExpr); ok && len(ex.Args) == 1 && describeBuiltins[ex.Name] {
+		c.note(0)
+		payload := describeBuiltin(ex.Name, c.ref(ex.Args[0], 1), describeInstanceNormalized)
+		return func(f *frame) error {
+			r := &f.regs[0]
+			if err := payload(f, r); err != nil {
+				return err
+			}
+			f.result()[name] = *r
+			return nil
+		}
+	}
+	val := c.ref(st.Value, 0)
+	return func(f *frame) error {
+		rv, err := val(f)
+		if err != nil {
+			return err
+		}
+		f.result()[name] = cloudapi.NormalizeValue(*rv)
+		return nil
 	}
 }
 
@@ -1367,55 +1384,8 @@ func (c *compiler) builtin(ex *spec.BuiltinExpr, base int) exprFn {
 			*dst = cloudapi.List(out...)
 			return nil
 		}
-	case "describe":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			if cloudapi.KindOf(v) != cloudapi.KindRef {
-				return internalErrf("builtin describe: argument is %s, want ref", cloudapi.KindOf(v))
-			}
-			inst, ok := f.world.Get(cloudapi.RefOfPtr(v))
-			if !ok {
-				*dst = cloudapi.Nil
-				return nil
-			}
-			*dst = describeInstance(inst)
-			return nil
-		}
-	case "describeAll":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			insts := f.world.Instances(cloudapi.StringOf(v))
-			out := make([]cloudapi.Value, len(insts))
-			for i, inst := range insts {
-				out[i] = describeInstance(inst)
-			}
-			*dst = cloudapi.List(out...)
-			return nil
-		}
-	case "describeEach":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			out := []cloudapi.Value{}
-			for _, el := range cloudapi.ListOf(v) {
-				if el.Kind() != cloudapi.KindRef {
-					continue
-				}
-				if inst, ok := f.world.Get(el.AsRef()); ok {
-					out = append(out, describeInstance(inst))
-				}
-			}
-			*dst = cloudapi.List(out...)
-			return nil
-		}
+	case "describe", "describeAll", "describeEach":
+		return describeBuiltin(name, a0, describeInstance)
 	default:
 		// Cold builtins (cidr math, map surgery, pluck, remove, attrs)
 		// route through the shared implementation, which takes a
@@ -1444,6 +1414,66 @@ func (c *compiler) builtin(ex *spec.BuiltinExpr, base int) exprFn {
 				return err
 			}
 			*dst = v
+			return nil
+		}
+	}
+}
+
+// describeBuiltins are the builtins whose value is built from describe
+// payloads alone.
+var describeBuiltins = map[string]bool{"describe": true, "describeAll": true, "describeEach": true}
+
+// describeBuiltin lowers one of describeBuiltins over its ref-form
+// argument, rendering each instance with desc.
+func describeBuiltin(name string, a0 refFn, desc func(*Instance) cloudapi.Value) exprFn {
+	switch name {
+	case "describe":
+		return func(f *frame, dst *cloudapi.Value) error {
+			v, err := a0(f)
+			if err != nil {
+				return err
+			}
+			if cloudapi.KindOf(v) != cloudapi.KindRef {
+				return internalErrf("builtin describe: argument is %s, want ref", cloudapi.KindOf(v))
+			}
+			inst, ok := f.world.Get(cloudapi.RefOfPtr(v))
+			if !ok {
+				*dst = cloudapi.Nil
+				return nil
+			}
+			*dst = desc(inst)
+			return nil
+		}
+	case "describeAll":
+		return func(f *frame, dst *cloudapi.Value) error {
+			v, err := a0(f)
+			if err != nil {
+				return err
+			}
+			insts := f.world.Instances(cloudapi.StringOf(v))
+			out := make([]cloudapi.Value, len(insts))
+			for i, inst := range insts {
+				out[i] = desc(inst)
+			}
+			*dst = cloudapi.List(out...)
+			return nil
+		}
+	default: // describeEach
+		return func(f *frame, dst *cloudapi.Value) error {
+			v, err := a0(f)
+			if err != nil {
+				return err
+			}
+			out := []cloudapi.Value{}
+			for _, el := range cloudapi.ListOf(v) {
+				if el.Kind() != cloudapi.KindRef {
+					continue
+				}
+				if inst, ok := f.world.Get(el.AsRef()); ok {
+					out = append(out, desc(inst))
+				}
+			}
+			*dst = cloudapi.List(out...)
 			return nil
 		}
 	}

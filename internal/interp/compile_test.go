@@ -121,6 +121,89 @@ func TestInterpDifferentialHierarchy(t *testing.T) {
 	}
 }
 
+// describeRefsSpec describes instances whose attributes hold refs at
+// every depth: a ref, a list of refs and strings, and a map with a ref
+// value. The compiled engine builds returned describe payloads already
+// normalized; the walker normalizes once at the end of Invoke.
+const describeRefsSpec = `
+service d {
+  sm Vpc {
+    idprefix "vpc"
+    states { cidrBlock: str }
+    transition CreateVpc(cidrBlock: str) create {
+      write(cidrBlock, cidrBlock)
+      return(vpcId, id(self))
+    }
+  }
+  sm Subnet {
+    idprefix "subnet"
+    parent Vpc
+    states {
+      vpc: ref(Vpc)
+      peers: list(ref(Vpc))
+      tags: list(str)
+      meta: map
+      note: str
+    }
+    transition CreateSubnet(parent vpcId: ref(Vpc)) create {
+      write(vpc, vpcId)
+      write(peers, append(append(emptyList(), vpcId), vpcId))
+      write(tags, append(emptyList(), "web"))
+      write(meta, mapSet(emptyMap(), "owner", vpcId))
+      return(subnetId, id(self))
+    }
+    transition DescribeSubnet(self: ref(Subnet)) describe {
+      return(subnet, describe(self))
+    }
+    transition DescribeSubnets() describe {
+      return(subnets, describeAll("Subnet"))
+    }
+    transition DescribeEach() describe {
+      return(subnets, describeEach(instances("Subnet")))
+    }
+    transition DescribeNested() describe {
+      return(wrapped, append(emptyList(), describeAll("Subnet")))
+      return(raw, instances("Subnet"))
+    }
+  }
+}
+`
+
+// TestInterpDifferentialDescribeRefs: returned describe payloads whose
+// attributes hold refs and lists match the walker's normalized result,
+// through each describe builtin and through a return that wraps one.
+func TestInterpDifferentialDescribeRefs(t *testing.T) {
+	walk, comp := diffPair(t, describeRefsSpec)
+	steps := []struct {
+		action string
+		params cloudapi.Params
+	}{
+		{"DescribeSubnets", nil},
+		{"DescribeEach", nil},
+		{"CreateVpc", cloudapi.Params{"cidrBlock": cloudapi.Str("10.0.0.0/16")}},
+		{"CreateSubnet", cloudapi.Params{"vpcId": cloudapi.Str("vpc-00000001")}},
+		{"CreateSubnet", cloudapi.Params{"vpcId": cloudapi.Str("vpc-00000001")}},
+		{"DescribeSubnet", cloudapi.Params{"self": cloudapi.Str("subnet-00000002")}},
+		{"DescribeSubnets", nil},
+		{"DescribeEach", nil},
+		{"DescribeNested", nil},
+	}
+	for _, s := range steps {
+		invokeBoth(t, walk, comp, s.action, s.params)
+	}
+	res := invoke(t, comp, "DescribeSubnet", cloudapi.Params{"self": cloudapi.Str("subnet-00000001")})
+	want := cloudapi.Map(map[string]cloudapi.Value{
+		"id":    cloudapi.Str("subnet-00000001"),
+		"vpc":   cloudapi.Str("vpc-00000001"),
+		"peers": cloudapi.List(cloudapi.Str("vpc-00000001"), cloudapi.Str("vpc-00000001")),
+		"tags":  cloudapi.List(cloudapi.Str("web")),
+		"meta":  cloudapi.Map(map[string]cloudapi.Value{"owner": cloudapi.Str("vpc-00000001")}),
+	})
+	if got := res.Get("subnet"); !reflect.DeepEqual(got, want) {
+		t.Errorf("DescribeSubnet = %v, want %v", got, want)
+	}
+}
+
 // TestInterpCompiledNoReturnResult pins the response-shape contract
 // for transitions that return nothing: both engines yield a non-nil
 // empty result that normalizes identically on the wire.

@@ -92,6 +92,14 @@ func (f *frame) ensureLocals(n int) {
 	f.locals = f.locals[:n]
 }
 
+// result returns the response map, allocating it at the first return().
+func (f *frame) result() cloudapi.Result {
+	if f.ro.m == nil {
+		f.ro.m = make(cloudapi.Result, 4)
+	}
+	return f.ro.m
+}
+
 func runBody(f *frame, body []stmtFn) error {
 	for _, s := range body {
 		if err := s(f); err != nil {

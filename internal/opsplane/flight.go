@@ -30,6 +30,7 @@ type FlightRecord struct {
 	// read better but cannot round-trip exactly — encoding/json compacts
 	// and re-indents RawMessage — and exact bytes are the whole point:
 	// lce-replay's byte-diff must see what actually crossed the wire.
+	// Each holds at most the first httpapi.MaxBody bytes.
 	RequestBody  string `json:"requestBody,omitempty"`
 	ResponseBody string `json:"responseBody,omitempty"`
 	// Phases is the request's latency attribution: phase name →

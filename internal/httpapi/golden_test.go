@@ -22,14 +22,12 @@ import (
 )
 
 // The files under testdata/signals were written by this same script
-// run against the commit before the instrument wrapper was rebuilt
-// around a pooled exchange (PR 22). They pin every signal the request
-// path emits — /metrics in both content negotiations, the JSONL trace
-// export, the flight dump, the bus events a mid-run subscriber sees,
-// and each response with its Server-Timing header — so a change that
-// makes a signal cheaper has to leave its bytes alone. The one
-// sanctioned difference is that lce_phase_seconds gained five buckets
-// below 10µs (see maskNewPhaseBuckets).
+// run against the commit before the change they gate. They pin every
+// signal the request path emits — /metrics in both content
+// negotiations, the JSONL trace export, the flight dump, the bus events
+// a mid-run subscriber sees, and each response with its Server-Timing
+// header — so a change that makes a signal cheaper has to leave its
+// bytes alone.
 
 // scriptedBackend advances the fake clock inside every Invoke by the
 // next scripted amount, so the run has non-trivial, repeatable
@@ -120,11 +118,8 @@ func signalRun(t *testing.T) map[string]string {
 		}
 	}
 
-	// With nobody subscribed: the whole cycle, then the legacy and the
-	// failing shapes.
+	// With nobody subscribed: the whole cycle, then the failing shapes.
 	cycle("s00", cycleSteps, false)
-	do("POST", "/invoke", `{"action":"DescribeVpcs"}`)
-	do("POST", "/invoke", `{"action":"CreateVpc","params":{"cidrBlock":"10.9.0.0/16"}}`, httpapi.RequestIDHeader, "client-tagged-1")
 	do("POST", "/v2/ec2?Action=CreateVpc", `{"params":`)
 	do("POST", "/v2/dynamodb?Action=ListTables", `{}`, httpapi.SessionHeader, "s00")
 	do("POST", "/v2/ec2", `{"action":"DescribeSubnets"}`, httpapi.SessionHeader, "s00")
@@ -136,7 +131,6 @@ func signalRun(t *testing.T) map[string]string {
 	cycle("s01", cycleSteps[:12], true)
 	do("POST", "/v2/ec2/batch", `{"mode":"best-effort","requests":[{"action":"DescribeVpcs"},{"action":"DeleteVpc","params":{"vpcId":"vpc-404"}}]}`,
 		httpapi.SessionHeader, "s01")
-	do("POST", "/reset", "")
 	do("GET", "/actions", "")
 	do("GET", "/v2/sessions", "")
 	do("GET", "/healthz", "")
@@ -180,16 +174,7 @@ func TestSignalsMatchParentGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := string(golden)
-		if strings.HasPrefix(name, "metrics.") {
-			var dropped int
-			have, dropped = maskNewPhaseBuckets(have)
-			want, _ = maskNewPhaseBuckets(want)
-			if series := strings.Count(want, "lce_phase_seconds_count{"); dropped != 5*series {
-				t.Errorf("%s: %d sub-10µs phase bucket lines over %d series, want 5 each", name, dropped, series)
-			}
-		}
-		if have != want {
+		if want := string(golden); have != want {
 			t.Errorf("%s differs from the parent's bytes: %s", name, firstDiff(want, have))
 		}
 	}
@@ -198,35 +183,6 @@ func TestSignalsMatchParentGolden(t *testing.T) {
 			t.Errorf("%s does not lint: %v", name, err)
 		}
 	}
-}
-
-// maskNewPhaseBuckets removes from a /metrics body the one difference
-// this family's exposition has from the parent's on purpose, so a byte
-// comparison covers everything else: lce_phase_seconds gained five
-// bounds below 10µs. Their bucket lines are dropped (and counted), and
-// the 10µs bucket's exemplar is dropped too, because the latest sample
-// under 10µs — the parent's exemplar there — now has a finer bucket to
-// sit in. Every other line, exemplars included, passes through.
-func maskNewPhaseBuckets(body string) (masked string, dropped int) {
-	newBound := map[string]bool{"2.5e-07": true, "5e-07": true, "1e-06": true, "2.5e-06": true, "5e-06": true}
-	var out strings.Builder
-	for _, line := range strings.SplitAfter(body, "\n") {
-		if strings.HasPrefix(line, "lce_phase_seconds_bucket{") {
-			_, after, _ := strings.Cut(line, `le="`)
-			le, _, _ := strings.Cut(after, `"`)
-			if newBound[le] {
-				dropped++
-				continue
-			}
-			if le == "1e-05" {
-				if sample, _, hasExemplar := strings.Cut(line, " # "); hasExemplar {
-					line = sample + "\n"
-				}
-			}
-		}
-		out.WriteString(line)
-	}
-	return out.String(), dropped
 }
 
 // firstDiff names the first line two texts disagree on.

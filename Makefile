@@ -82,8 +82,9 @@ obsv-smoke:
 	$(GO) run ./cmd/lce-tracecheck trace-chaos.jsonl
 
 # Tenant smoke: boot a real lce-server and drive the /v2 surface end
-# to end with curl — session isolation, batch, pool stats, and the
-# legacy wire format staying RequestId-free — then run the
+# to end with curl — session isolation, batch, pool stats, and a
+# headerless call landing in the default session with a RequestId —
+# then run the
 # multi-tenant bench (session sweep + /batch amortization) in smoke
 # mode, leaving bench-tenant.json behind as the perf artifact.
 tenant-smoke:
@@ -101,13 +102,14 @@ tenant-smoke:
 	echo "$$out" | grep -q '"succeeded":1' && echo "$$out" | grep -q '"failed":1' || { echo "batch semantics broken: $$out"; exit 1; }; \
 	out=$$(curl -sf '127.0.0.1:4597/v2/sessions'); \
 	echo "$$out" | grep -q '"sessions":2' || { echo "pool stats wrong: $$out"; exit 1; }; \
-	out=$$(curl -sf -XPOST '127.0.0.1:4597/invoke' -d '{"action":"DescribeVpcs"}'); \
-	echo "$$out" | grep -q '"result"' || { echo "legacy invoke failed: $$out"; exit 1; }; \
-	echo "$$out" | grep -q 'RequestId' && { echo "legacy wire format changed: $$out"; exit 1; }; \
+	out=$$(curl -sf -XPOST '127.0.0.1:4597/v2/ec2?Action=CreateVpc' -d '{"params":{"cidrBlock":"10.5.0.0/16"}}'); \
+	echo "$$out" | grep -q '"RequestId"' || { echo "headerless v2 response missing RequestId: $$out"; exit 1; }; \
+	out=$$(curl -sf -XPOST -H 'X-LCE-Session: default' '127.0.0.1:4597/v2/ec2?Action=DescribeVpcs'); \
+	echo "$$out" | grep -q '10.5.0.0/16' || { echo "headerless call missed the default session: $$out"; exit 1; }; \
 	curl -sf -XPOST -H 'X-LCE-Session: alice' '127.0.0.1:4597/v2/ec2/reset' -o /dev/null || { echo "session reset failed"; exit 1; }; \
 	out=$$(curl -sf -XPOST -H 'X-LCE-Session: alice' '127.0.0.1:4597/v2/ec2?Action=DescribeVpcs'); \
 	echo "$$out" | grep -q '"vpcs":\[\]' || { echo "session reset did not clear alice: $$out"; exit 1; }; \
-	echo "tenant smoke: v2 invoke, isolation, batch, stats, legacy format, session reset all OK"
+	echo "tenant smoke: v2 invoke, isolation, batch, stats, default session, session reset all OK"
 	$(GO) run ./cmd/lce-bench -tenant -short -json bench-tenant.json
 
 # Operations-plane smoke: boot a chaos lce-server with the ops plane
@@ -128,7 +130,7 @@ ops-smoke:
 	for i in $$(seq 1 50); do curl -s 127.0.0.1:4599/healthz >/dev/null && break; sleep 0.1; done; \
 	curl -s -N -m 30 '127.0.0.1:4599/debug/events' > ops-events.txt & sse=$$!; \
 	sleep 0.3; \
-	curl -s -XPOST '127.0.0.1:4599/invoke' -d '{"action":"CreateVpc","params":{"cidrBlock":"10.0.0.0/16"}}' >/dev/null; \
+	curl -s -XPOST '127.0.0.1:4599/v2/ec2?Action=CreateVpc' -d '{"params":{"cidrBlock":"10.0.0.0/16"}}' >/dev/null; \
 	for i in $$(seq 1 15); do \
 		curl -s -XPOST -H 'X-LCE-Session: alice' '127.0.0.1:4599/v2/ec2?Action=DescribeVpcs' >/dev/null; \
 	done; \

@@ -4,9 +4,10 @@
 //
 //	lce-router -addr :4560 -nodes n1=http://h1:4566,n2=http://h2:4566,n3=http://h3:4566
 //
-// Every data-plane request (POST /invoke, /reset, and the whole
-// /v2/{service} surface including batch) is forwarded to the node
-// owning the request's X-LCE-Session on a consistent-hash ring with
+// Every data-plane request (the whole /v2/{service} surface: invoke,
+// reset and batch) is forwarded to the node owning the request's
+// X-LCE-Session (the default session when absent) on a consistent-hash
+// ring with
 // virtual nodes, so a session's world always lives on exactly one
 // node and responses — success envelopes and every error class — are
 // the bytes that node produced. The router stamps X-LCE-Api-Version:

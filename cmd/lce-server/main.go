@@ -159,7 +159,7 @@ func main() {
 		log.Printf("operations plane: %s/debug/events (SSE), %s/debug/flightrecorder (dump for lce-replay), %s/healthz + %s/readyz (SLO verdicts)",
 			hint, hint, hint, hint)
 	}
-	log.Printf("try: curl -s -XPOST %s/invoke -d '{\"action\":\"CreateVpc\",\"params\":{\"cidrBlock\":\"10.0.0.0/16\"}}'", hint)
+	log.Printf("try: curl -s -XPOST '%s/v2/%s?Action=CreateVpc' -d '{\"params\":{\"cidrBlock\":\"10.0.0.0/16\"}}'", hint, *service)
 	if err := lce.ListenAndServe(*addr, srv.Handler); err != nil {
 		log.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"lce/internal/httpapi"
 	"lce/internal/obsv"
 	"lce/internal/opsplane"
+	"lce/internal/tenant"
 )
 
 // Node names one fleet member: a stable name (the ring identity) and
@@ -370,12 +371,9 @@ func (rt *Router) writeJSON(w http.ResponseWriter, reqID string, status int, v a
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	// Data plane: ring-routed by the session header ("" → "default",
-	// exactly the node's own defaulting rule). Route names match the
-	// node's own span naming, so a fleet trace reads http.v2.invoke at
-	// the router and http.v2.invoke again on the serving node.
-	mux.HandleFunc("POST /invoke", rt.forwardSession("invoke"))
-	mux.HandleFunc("POST /reset", rt.forwardSession("reset"))
+	// Data plane: ring-routed by the session header. Route names match
+	// the node's own span naming, so a fleet trace reads http.v2.invoke
+	// at the router and http.v2.invoke again on the serving node.
 	mux.HandleFunc("POST /v2/{service}", rt.forwardSession("v2.invoke"))
 	mux.HandleFunc("POST /v2/{service}/reset", rt.forwardSession("v2.reset"))
 	mux.HandleFunc("POST /v2/{service}/batch", rt.forwardSession("v2.batch"))
@@ -403,14 +401,8 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// owner resolves the node owning a session right now. The empty
-// session maps to the pinned "default" session — the router must
-// agree with the node's defaulting rule, or headerless legacy clients
-// would smear the default account across the fleet.
+// owner resolves the node owning a session right now.
 func (rt *Router) owner(session string) (*nodeState, error) {
-	if session == "" {
-		session = "default"
-	}
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	if rt.migrating[session] {
@@ -432,10 +424,17 @@ func (rt *Router) forwardSession(route string) http.HandlerFunc {
 		ctx, root := rt.startIngress(r, route)
 		defer root.End()
 
-		sid := headerValue(r.Header, sessionKey)
+		// A headerless request addresses the default session: the node's
+		// own rule, which the router must share or it would smear the
+		// default account across the fleet. The key names the session
+		// on the ring, in the placement table and on spans alike.
+		key := headerValue(r.Header, sessionKey)
+		if key == "" {
+			key = tenant.DefaultSession
+		}
 		_, decide := obsv.StartSpan(ctx, obsv.SpanRouteDecide)
-		st, err := rt.owner(sid)
-		decide.SetAttr("session", placementKey(sid))
+		st, err := rt.owner(key)
+		decide.SetAttr("session", key)
 		if st != nil {
 			decide.SetAttr("target", st.name)
 		}
@@ -448,8 +447,8 @@ func (rt *Router) forwardSession(route string) http.HandlerFunc {
 			rt.writeError(w, reqID, cloudapi.CodeServiceUnavailable, "%v", err)
 			return
 		}
-		if rt.forward(ctx, w, r, st, reqID) {
-			rt.notePlacement(placementKey(sid), st)
+		if rt.forward(ctx, w, r, st, reqID, route) {
+			rt.notePlacement(key, st)
 		}
 	}
 }
@@ -480,15 +479,6 @@ func (rt *Router) notePlacement(key string, st *nodeState) {
 	rt.placements[key] = st.name
 }
 
-// placementKey normalizes a session header into the placement-table
-// key (the node's own "" → "default" rule).
-func placementKey(sid string) string {
-	if sid == "" {
-		return "default"
-	}
-	return sid
-}
-
 // forwardAny routes a node-agnostic request to any live member.
 func (rt *Router) forwardAny(route string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -510,18 +500,8 @@ func (rt *Router) forwardAny(route string) http.HandlerFunc {
 			rt.writeError(w, reqID, cloudapi.CodeServiceUnavailable, "no healthy node")
 			return
 		}
-		rt.forward(ctx, w, r, st, reqID)
+		rt.forward(ctx, w, r, st, reqID, route)
 	}
-}
-
-// forwardService names the proxied service for the forward.<service>
-// span: the /v2/{service} path value, or "legacy" for the pre-v2
-// routes and metadata forwards.
-func forwardService(r *http.Request) string {
-	if svc := r.PathValue("service"); svc != "" {
-		return svc
-	}
-	return "legacy"
 }
 
 // forward proxies one exchange to st verbatim — body streamed, query
@@ -535,14 +515,19 @@ func forwardService(r *http.Request) string {
 // node answered.
 //
 // With observability mounted the exchange runs under a
-// forward.<service> span whose context is injected downstream as
-// X-LCE-Trace (overwriting any client-sent value — the node must
+// forward.<service> span (forward.<route> when the path names no
+// service, as GET /actions does) whose context is injected downstream
+// as X-LCE-Trace (overwriting any client-sent value — the node must
 // parent under this hop, not skip it), and the outcome feeds the fleet
 // SLO engines. The request ID — the client's own, or the router-minted
 // fallback — is forwarded too, so node flight records and logs
 // correlate with what the client saw.
-func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Request, st *nodeState, reqID string) bool {
-	_, fsp := obsv.StartSpan(ctx, obsv.SpanForwardPfx+forwardService(r))
+func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Request, st *nodeState, reqID, route string) bool {
+	hop := r.PathValue("service")
+	if hop == "" {
+		hop = route
+	}
+	_, fsp := obsv.StartSpan(ctx, obsv.SpanForwardPfx+hop)
 	fsp.SetAttr("node", routerNode)
 	fsp.SetAttr("target", st.name)
 	defer fsp.End()

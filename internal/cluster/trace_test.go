@@ -475,7 +475,7 @@ func TestRouterTracingByteParity(t *testing.T) {
 		{name: "invalid-action", method: "POST", path: "/v2/ec2?Action=NoSuchAction", session: "p1", reqID: "t03"},
 		{name: "batch", method: "POST", path: "/v2/ec2/batch", session: "p2", reqID: "t04",
 			body: `{"requests":[{"action":"CreateVpc","params":{"cidrBlock":"10.1.0.0/16"}},{"action":"DescribeVpcs"}]}`},
-		{name: "legacy", method: "POST", path: "/invoke", session: "p3", reqID: "t05",
+		{name: "default-session", method: "POST", path: "/v2/ec2", reqID: "t05",
 			body: `{"action":"CreateVpc","params":{"cidrBlock":"10.2.0.0/16"}}`},
 		{name: "reset", method: "POST", path: "/v2/ec2/reset", session: "p1", reqID: "t06"},
 		{name: "actions", method: "GET", path: "/actions", reqID: "t07"},

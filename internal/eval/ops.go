@@ -87,7 +87,7 @@ func opsRun(mode string, requests int) (OpsRow, error) {
 		defer func() { sub.Close(); <-done }()
 	}
 
-	body := `{"action":"DescribeVpcs","params":{}}`
+	body := `{"params":{}}`
 	client := srv.Client()
 	// Warm the connection and route outside the measured window.
 	if err := opsPost(client, srv.URL, body); err != nil {
@@ -117,7 +117,7 @@ func opsRun(mode string, requests int) (OpsRow, error) {
 }
 
 func opsPost(c *http.Client, url, body string) error {
-	resp, err := c.Post(url+"/invoke", "application/json", strings.NewReader(body))
+	resp, err := c.Post(url+"/v2/ec2?Action=DescribeVpcs", "application/json", strings.NewReader(body))
 	if err != nil {
 		return err
 	}

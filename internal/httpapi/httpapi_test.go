@@ -99,7 +99,7 @@ func TestRemoteBackendIsTraceEquivalent(t *testing.T) {
 
 func TestMalformedRequests(t *testing.T) {
 	srv, _ := newServer(t)
-	resp, err := srv.Client().Post(srv.URL+"/invoke", "application/json", nil)
+	resp, err := srv.Client().Post(srv.URL+"/v2/ec2", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestErrorStatusMapping(t *testing.T) {
 			defer srv.Close()
 
 			// Raw wire: status and unified envelope.
-			req, _ := http.NewRequest("POST", srv.URL+"/invoke", strings.NewReader(`{"action":"Ping"}`))
+			req, _ := http.NewRequest("POST", srv.URL+"/v2/errsvc?Action=Ping", nil)
 			req.Header.Set(RequestIDHeader, "req-roundtrip-1")
 			resp, err := srv.Client().Do(req)
 			if err != nil {
@@ -273,8 +273,8 @@ func TestAdviceInErrorEnvelope(t *testing.T) {
 	srv := httptest.NewServer(New(emu))
 	defer srv.Close()
 
-	body := `{"action":"CreateVpc","params":{"cidrBlock":"10.0.0.0/8"}}`
-	resp, err := srv.Client().Post(srv.URL+"/invoke", "application/json", strings.NewReader(body))
+	body := `{"params":{"cidrBlock":"10.0.0.0/8"}}`
+	resp, err := srv.Client().Post(srv.URL+"/v2/ec2?Action=CreateVpc", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

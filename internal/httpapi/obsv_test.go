@@ -47,7 +47,9 @@ func TestEveryRequestIncrementsRegistry(t *testing.T) {
 	resp.Body.Close()
 
 	reg := obs.Registry
-	wantRequests := map[string]int64{"invoke": 2, "reset": 1, "actions": 1, "healthz": 1}
+	// The client fetches the service name from /actions once, before its
+	// first call, and Actions asks again.
+	wantRequests := map[string]int64{"v2.invoke": 2, "v2.reset": 1, "actions": 2, "healthz": 1}
 	for route, want := range wantRequests {
 		if got := reg.Counter(obsv.MetricHTTPRequests, "route", route).Value(); got != want {
 			t.Errorf("requests_total{route=%q} = %d, want %d", route, got, want)
@@ -56,8 +58,8 @@ func TestEveryRequestIncrementsRegistry(t *testing.T) {
 			t.Errorf("request_seconds{route=%q} count = %d, want %d", route, got, want)
 		}
 	}
-	if got := reg.Counter(obsv.MetricHTTPErrors, "route", "invoke").Value(); got != 1 {
-		t.Errorf("errors_total{route=invoke} = %d, want 1", got)
+	if got := reg.Counter(obsv.MetricHTTPErrors, "route", "v2.invoke").Value(); got != 1 {
+		t.Errorf("errors_total{route=v2.invoke} = %d, want 1", got)
 	}
 	if got := reg.Counter(obsv.MetricHTTPErrors, "route", "healthz").Value(); got != 0 {
 		t.Errorf("errors_total{route=healthz} = %d, want 0", got)
@@ -87,7 +89,7 @@ func TestErroredRequestsCarrySpanErrorStatus(t *testing.T) {
 	var okRoot, errRoot *obsv.SpanData
 	for i := range spans {
 		sp := &spans[i]
-		if sp.Name != obsv.SpanHTTPPfx+"invoke" {
+		if sp.Name != obsv.SpanHTTPPfx+"v2.invoke" {
 			continue
 		}
 		if sp.Error == "" {
@@ -126,7 +128,7 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := readAll(t, resp)
-	if !strings.Contains(body, obsv.MetricHTTPRequests) || !strings.Contains(body, `route="invoke"`) {
+	if !strings.Contains(body, obsv.MetricHTTPRequests) || !strings.Contains(body, `route="v2.invoke"`) {
 		t.Errorf("/metrics missing request counter:\n%s", body)
 	}
 	if !strings.Contains(body, obsv.MetricHTTPSeconds+"_bucket") {
@@ -197,12 +199,12 @@ func TestFlightMirrorBoundedByMaxBody(t *testing.T) {
 	ops := opsplane.New(opsplane.Config{Service: "big", Obs: obsv.New(1, 0)})
 	h := New(bigBackend{n: MaxBody + 4096}, WithOps(ops))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/invoke", strings.NewReader(`{"action":"Get"}`)))
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v2/big?Action=Get", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
 	full := rec.Body.String()
-	if want := len(`{"result":{"blob":""}}`+"\n") + MaxBody + 4096; len(full) != want {
+	if want := len(`{"RequestId":"lce-0000000000000000","result":{"blob":""}}`+"\n") + MaxBody + 4096; len(full) != want {
 		t.Fatalf("client received %d bytes, want %d", len(full), want)
 	}
 	recs := ops.Flight.Snapshot()

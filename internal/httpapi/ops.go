@@ -35,8 +35,6 @@ func WithOps(p *opsplane.Plane) Option { return func(c *config) { c.ops = p } }
 // sessions, metrics) are excluded — their bodies embed counters and
 // clocks that legitimately differ across runs.
 var flightRoutes = map[string]bool{
-	"invoke":    true,
-	"reset":     true,
 	"v2.invoke": true,
 	"v2.reset":  true,
 	"v2.batch":  true,

@@ -76,11 +76,10 @@ func wireStack(t *testing.T, base cloudapi.Backend, chaos bool) *httptest.Server
 
 // driveInterpScript runs one fixed request sequence against a server
 // and returns every response as "status|body". The script covers the
-// legacy surface (/invoke success, API error, unknown action), the v2
-// tenant surface (per-session backends, which the pool stamps out by
-// forking — for the engine that means sharing one compiled program), a
-// mixed-outcome batch,
-// and a session-scoped reset. Everything in the stack is
+// default session (success, API error, unknown action), per-session
+// backends (which the pool stamps out by forking — for the engine that
+// means sharing one compiled program), a mixed-outcome batch, and a
+// session-scoped reset. Everything in the stack is
 // deterministic per server instance (IDs, RequestId sequence, chaos
 // stream), so two servers given this script must answer each step
 // byte-identically.
@@ -108,11 +107,11 @@ func driveInterpScript(t *testing.T, baseURL string) []string {
 		out = append(out, resp.Status+"|"+string(b))
 	}
 
-	// Legacy surface on the default session.
-	post("/invoke", "", `{"action":"CreateVpc","params":{"cidrBlock":"10.0.0.0/16"}}`)
-	post("/invoke", "", `{"action":"DescribeVpcs","params":{}}`)
-	post("/invoke", "", `{"action":"CreateVpc","params":{"cidr":"oops"}}`)
-	post("/invoke", "", `{"action":"NoSuchAction","params":{}}`)
+	// Headerless calls on the default session, the action in the body.
+	post("/v2/ec2", "", `{"action":"CreateVpc","params":{"cidrBlock":"10.0.0.0/16"}}`)
+	post("/v2/ec2", "", `{"action":"DescribeVpcs","params":{}}`)
+	post("/v2/ec2", "", `{"action":"CreateVpc","params":{"cidr":"oops"}}`)
+	post("/v2/ec2", "", `{"action":"NoSuchAction","params":{}}`)
 
 	// Tenant surface: alice gets her own forked backend; the vpcId her
 	// server returned drives a dependent call (empty if chaos ate the
@@ -142,7 +141,7 @@ func driveInterpScript(t *testing.T, baseURL string) []string {
 // TestInterpWireParity proves the engine is indistinguishable from
 // the reference walker at the HTTP boundary: two server stacks —
 // identical except for what interprets the spec — answer a scripted
-// sequence across the legacy, tenant, batch and reset surfaces with
+// sequence across the default-session, tenant, batch and reset calls with
 // byte-identical bodies, clean and under same-seed chaos.
 func TestInterpWireParity(t *testing.T) {
 	for _, chaos := range []bool{false, true} {

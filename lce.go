@@ -318,17 +318,12 @@ func Compare(subject, oracle Backend, tr trace.Trace) trace.Report {
 }
 
 // Serve exposes any backend over HTTP in the LocalStack style
-// (POST /invoke, POST /reset, GET /actions, GET /healthz).
+// (POST /v2/{service}?Action=X, POST /v2/{service}/reset,
+// POST /v2/{service}/batch, GET /actions, GET /healthz) as a
+// single-tenant server: every call lands in the one default session.
+// NewServer builds the multi-tenant, observed and durable shapes.
 func Serve(b Backend) http.Handler {
 	return httpapi.New(b)
-}
-
-// ServeObserved is Serve under an observability stack: per-route
-// request/error counters and latency histograms, one root span per
-// request threaded into the backend call, plus GET /metrics
-// (Prometheus text) and GET /debug/traces (spans grouped by trace).
-func ServeObserved(b Backend, ob *Obs) http.Handler {
-	return httpapi.New(b, httpapi.WithObs(ob))
 }
 
 // Connect returns a Backend speaking to a served emulator over HTTP.
@@ -347,47 +342,20 @@ func ConnectResilient(baseURL string) Backend {
 // tenant session, one per alignment worker.
 type BackendFactory = cloudapi.BackendFactory
 
-// Pool is the sharded multi-tenant session registry: it maps session
-// IDs to isolated per-session backends stamped from a factory, with
-// LRU capacity and idle-TTL eviction. The "default" session is pinned
-// and backs legacy headerless clients.
+// Pool is the sharded multi-tenant session registry (Server.Pool): it
+// maps session IDs to isolated per-session backends stamped from a
+// factory, with LRU capacity and idle-TTL eviction. The "default"
+// session is pinned and backs every request without an X-LCE-Session
+// header.
 type Pool = tenant.Pool
 
-// PoolConfig tunes a Pool: shard count, capacity, idle TTL, clock and
-// metrics registry. The zero value gives sane defaults.
-type PoolConfig = tenant.Config
-
-// NewPool builds a session registry over a backend factory.
-func NewPool(factory BackendFactory, cfg PoolConfig) (*Pool, error) {
-	return tenant.New(factory, cfg)
-}
-
-// ServePool exposes a multi-tenant server: legacy routes plus the /v2
-// surface (POST /v2/{service}?Action=..., session selection via the
-// X-LCE-Session header, session-scoped reset, POST /v2/{service}/batch,
-// GET /v2/sessions). ob may be nil for an unobserved server.
-func ServePool(b Backend, p *Pool, ob *Obs) http.Handler {
-	return httpapi.New(b, httpapi.WithPool(p), httpapi.WithObs(ob))
-}
-
-// DurableStore is the persistence tier: a deterministic binary
-// snapshot codec plus a CRC-framed write-ahead journal per session.
-// Mounted into a Pool (PoolConfig.Spill) it spills cold sessions to
-// disk on eviction and rehydrates them transparently on next touch;
-// pointed at a previous process's data directory it recovers every
-// session, lazily, through the same path. ServerConfig.DataDir wires
-// it through the whole stack.
+// DurableStore is the persistence tier (Server.Store): a
+// deterministic binary snapshot codec plus a CRC-framed write-ahead
+// journal per session. It spills cold sessions to disk on eviction and
+// rehydrates them transparently on next touch; pointed at a previous
+// process's data directory it recovers every session, lazily, through
+// the same path. ServerConfig.DataDir wires it through the whole stack.
 type DurableStore = durable.Store
-
-// DurableConfig tunes a DurableStore: data directory, fsync policy
-// ("always" | "batch" | "off"), segment size, compaction interval.
-type DurableConfig = durable.Config
-
-// OpenDurable opens (or creates) a durable store over a data
-// directory, scanning it for sessions persisted by earlier processes.
-func OpenDurable(cfg DurableConfig) (*DurableStore, error) {
-	return durable.Open(cfg)
-}
 
 // Client is the wire client; WithSession scopes it to a tenant
 // session and Batch sends many requests in one round trip.

@@ -235,7 +235,7 @@ func TestFlightReplayByteIdentical(t *testing.T) {
 		if i%3 == 0 {
 			body = `{"action":"DescribeVpcs","params":{}}`
 		}
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/invoke", strings.NewReader(body))
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v2/ec2", strings.NewReader(body))
 		if s := sessions[i%len(sessions)]; s != "" {
 			req.Header.Set(httpapi.SessionHeader, s)
 		}

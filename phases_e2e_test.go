@@ -58,7 +58,7 @@ func drivePhaseSequence(t *testing.T, url string) ([]phaseParityResponse, []stri
 		case 1:
 			do("/v2/ec2?Action=DescribeVpcs", s, `{"params":{}}`)
 		default:
-			do("/invoke", s, `{"action":"DescribeVpcs","params":{}}`)
+			do("/v2/ec2", s, `{"action":"DescribeVpcs","params":{}}`)
 		}
 	}
 	return responses, timings
@@ -69,7 +69,7 @@ func drivePhaseSequence(t *testing.T, url string) ([]phaseParityResponse, []stri
 // timers throughout) and against the fully instrumented stack (obs +
 // ops plane, phase spine live) must produce byte-identical response
 // bodies and statuses. The only observable difference is additive:
-// the Server-Timing header on /v2 responses.
+// the Server-Timing header.
 func TestPhasesOnOffByteIdentical(t *testing.T) {
 	leakcheck.Check(t)
 
@@ -118,16 +118,9 @@ func TestPhasesOnOffByteIdentical(t *testing.T) {
 			t.Errorf("request %d: bare stack sent Server-Timing %q", i, h)
 		}
 	}
-	// The instrumented stack emits it on /v2 routes only, with known
+	// The instrumented stack emits it on every response, with known
 	// phase names in the standard metric format.
 	for i, h := range onTimings {
-		legacy := i%3 == 2 // the /invoke requests in the sequence
-		if legacy {
-			if h != "" {
-				t.Errorf("request %d: legacy route sent Server-Timing %q", i, h)
-			}
-			continue
-		}
 		if h == "" {
 			t.Errorf("request %d: /v2 response missing Server-Timing", i)
 			continue

@@ -14,9 +14,9 @@
 // capacity slice (pool capacity / shards, rounded up) bounds residency
 // and an idle TTL (measured by an injectable obsv.Clock) retires cold
 // sessions. The reserved "default" session is pinned — never counted
-// against capacity, never expired — because it backs the legacy
-// single-tenant HTTP routes, and an eviction there would silently
-// reset clients that predate sessions.
+// against capacity, never expired — because it backs every request
+// without a session header, and an eviction there would silently reset
+// all of those clients at once.
 package tenant
 
 import (
@@ -31,8 +31,8 @@ import (
 	"lce/internal/obsv"
 )
 
-// DefaultSession is the reserved session ID legacy (headerless)
-// clients share. It is pinned: exempt from capacity and TTL eviction.
+// DefaultSession is the reserved session ID headerless clients share.
+// It is pinned: exempt from capacity and TTL eviction.
 const DefaultSession = "default"
 
 // MaxSessionIDLen bounds session IDs on the wire.

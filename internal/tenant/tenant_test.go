@@ -183,7 +183,7 @@ func TestDefaultSessionIsPinned(t *testing.T) {
 	p.Sweep()
 	d3, _ := p.Get(DefaultSession)
 	if d3 != d1 {
-		t.Error("default session was evicted — legacy clients lost their account")
+		t.Error("default session was evicted — headerless clients lost their account")
 	}
 	if p.Drop(DefaultSession) {
 		t.Error("Drop removed the pinned default session")

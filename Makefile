@@ -41,12 +41,13 @@ lint:
 #   go test -run '^$$' -bench HandlerCycle -benchtime 2000x -cpu 1 ./internal/httpapi/
 # The node's data-plane rows: the request decoder and the success
 # encoder alone, beside the whole 22-call handler cycle, ns/op and
-# allocs/op. The router-layer row: one traced forward over a loopback
+# allocs/op, and the same cycle served through the HTTP/1.1 front over
+# loopback (served/instrumented is what the server side adds). The router-layer row: one traced forward over a loopback
 # upstream. The learning-loop row: the four-service default alignment
 # loop, with the oracle replays one loop makes.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -run '^$$' -bench 'ReadRequest|WriteWireResponse|HandlerCycle' -benchtime 2000x -cpu 1 -benchmem ./internal/httpapi/
+	$(GO) test -run '^$$' -bench 'ReadRequest|WriteWireResponse|HandlerCycle|ServedCycle' -benchtime 2000x -cpu 1 -benchmem ./internal/httpapi/
 	$(GO) test -run '^$$' -bench RouterForward -benchtime 20000x -cpu 1 -benchmem ./internal/cluster/
 	$(GO) test -run '^$$' -bench AlignLoop -benchtime 20x -cpu 1 -benchmem ./internal/align/
 	$(GO) test -run 'ZeroAlloc' ./internal/interp/
@@ -57,8 +58,9 @@ bench:
 # seeded end-to-end alignments against a 10%-flaky oracle. lce-align
 # exits non-zero on any semantic divergence. Short fuzz passes hold
 # the wire decoder's scalar fast path and the invoke-body decoder to
-# encoding/json on hostile bytes, and the spec printer to the parser
-# (Print∘Parse is a fixpoint).
+# encoding/json on hostile bytes, the spec printer to the parser
+# (Print∘Parse is a fixpoint), and the HTTP/1.1 front's request heads
+# to http.ReadRequest.
 chaos:
 	$(GO) test -race -count=2 ./internal/fault/... ./internal/retry/...
 	$(GO) test -race -run 'Chaos' ./internal/align/... ./internal/httpapi/... ./internal/eval/...
@@ -68,6 +70,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzValueUnmarshal -fuzztime 5s ./internal/cloudapi/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWireRequest -fuzztime 5s ./internal/httpapi/
 	$(GO) test -run '^$$' -fuzz FuzzParseSM -fuzztime 5s ./internal/spec/
+	$(GO) test -run '^$$' -fuzz FuzzH1Request -fuzztime 5s ./internal/h1/
 
 # Observability smoke: a seeded traced alignment run exports its spans
 # as JSONL, and lce-tracecheck re-validates the trace from the outside

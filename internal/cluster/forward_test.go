@@ -12,8 +12,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lce/internal/cloudapi"
+	"lce/internal/h1"
 	"lce/internal/httpapi"
 	"lce/internal/obsv"
 )
@@ -463,18 +465,24 @@ func TestForwardRaceHammer(t *testing.T) {
 
 // BenchmarkRouterForward prices one data-plane forward through the
 // router's handler, traced as lce-router ships, over a loopback
-// upstream that answers a fixed 200. ns/op and allocs/op include the
-// in-process upstream server and the benchmark's own request and
-// recorder, which are the same whatever the router does.
+// upstream that answers a fixed 200 through the front a node listens
+// through. ns/op and allocs/op include the in-process upstream server
+// and the benchmark's own request and recorder, which are the same
+// whatever the router does.
 func BenchmarkRouterForward(b *testing.B) {
 	answer := []byte(`{"result":{"vpcs":[]},"RequestId":"bench"}`)
-	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	up := h1.New(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(answer)
-	}))
+	}), time.Minute, time.Minute)
+	go up.Serve(ln)
 	defer up.Close()
-	rt, err := NewRouter(Config{Nodes: []Node{{Name: "n1", URL: up.URL}}, ProbeInterval: -1, Obs: obsv.New(1, 0)})
+	rt, err := NewRouter(Config{Nodes: []Node{{Name: "n1", URL: "http://" + ln.Addr().String()}}, ProbeInterval: -1, Obs: obsv.New(1, 0)})
 	if err != nil {
 		b.Fatal(err)
 	}

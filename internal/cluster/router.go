@@ -300,10 +300,7 @@ func (rt *Router) noteAlive(st *nodeState) bool {
 // operator can tell which tier minted an ID.
 func (rt *Router) requestID(r *http.Request) string {
 	if id := headerValue(r.Header, requestIDKey); id != "" {
-		if len(id) > 128 {
-			id = id[:128]
-		}
-		return id
+		return httpapi.ClampRequestID(id)
 	}
 	x := rt.reqSeq.Add(1) * 0x9E3779B97F4A7C15
 	x ^= x >> 30

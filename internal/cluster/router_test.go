@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/cloudapi"
 	"lce/internal/durable"
+	"lce/internal/h1"
 	"lce/internal/httpapi"
 	"lce/internal/interp"
 	"lce/internal/obsv"
@@ -83,6 +86,42 @@ func toyHandler(t *testing.T, name, dir string) http.Handler {
 	return httpapi.New(factory(), httpapi.WithPool(pool), httpapi.WithNode(name))
 }
 
+// serveFront serves h through the HTTP/1.1 front lce-server and
+// lce-router listen through (lce.ListenAndServe) and returns its base
+// URL; the front closes with the test.
+func serveFront(t *testing.T, h http.Handler) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := h1.New(h, time.Minute, time.Minute)
+	go front.Serve(ln)
+	t.Cleanup(func() { front.Close() })
+	return "http://" + ln.Addr().String()
+}
+
+// frontFleet serves an EC2 node per name and a router over them, all
+// through the front, and returns the router's base URL.
+func frontFleet(t *testing.T, names ...string) string {
+	t.Helper()
+	var nodes []Node
+	for _, name := range names {
+		pool, err := tenant.New(ec2.Factory(), tenant.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := serveFront(t, httpapi.New(ec2.New(), httpapi.WithPool(pool), httpapi.WithNode(name)))
+		nodes = append(nodes, Node{Name: name, URL: url})
+	}
+	rt, err := NewRouter(Config{Nodes: nodes, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return serveFront(t, rt.Handler())
+}
+
 // newRouter fronts the given servers; probing stays manual (CheckNow)
 // so membership transitions are deterministic.
 func newRouter(t *testing.T, threshold int, servers map[string]*httptest.Server) (*Router, *httptest.Server) {
@@ -142,14 +181,15 @@ func (s wireStep) run(t *testing.T, base string) (int, string, string, string) {
 // paths and every error class the wire surface produces — against a
 // single node and against a 3-node fleet behind the router, and
 // requires byte-identical responses at every step. This is the
-// redesign's core contract: the router is invisible on the wire.
+// redesign's core contract: the router is invisible on the wire. Node
+// and router both listen through the front the binaries run.
 func TestRouterByteParity(t *testing.T) {
-	direct := newEC2Node(t, "")
-	_, rsrv := newRouter(t, 2, map[string]*httptest.Server{
-		"n1": newEC2Node(t, "n1"),
-		"n2": newEC2Node(t, "n2"),
-		"n3": newEC2Node(t, "n3"),
-	})
+	pool, err := tenant.New(ec2.Factory(), tenant.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := serveFront(t, httpapi.New(ec2.New(), httpapi.WithPool(pool)))
+	router := frontFleet(t, "n1", "n2", "n3")
 
 	script := []wireStep{
 		{name: "create", method: "POST", path: "/v2/ec2?Action=CreateVpc", session: "s1", reqID: "r01",
@@ -180,8 +220,8 @@ func TestRouterByteParity(t *testing.T) {
 	}
 
 	for _, s := range script {
-		dStatus, dBody, dCT, dID := s.run(t, direct.URL)
-		rStatus, rBody, rCT, rID := s.run(t, rsrv.URL)
+		dStatus, dBody, dCT, dID := s.run(t, direct)
+		rStatus, rBody, rCT, rID := s.run(t, router)
 		if dStatus != rStatus {
 			t.Errorf("%s: status direct=%d router=%d", s.name, dStatus, rStatus)
 		}
@@ -199,6 +239,36 @@ func TestRouterByteParity(t *testing.T) {
 		}
 		if strings.HasPrefix(s.name, "retired-") && (dStatus != http.StatusNotFound || !strings.Contains(dBody, `"Code":"NotFound"`)) {
 			t.Errorf("%s: a retired route answered %d %s, want the 404 NotFound envelope", s.name, dStatus, dBody)
+		}
+	}
+}
+
+// TestRequestIDClampAgrees: a client-tagged request ID longer than
+// node and router keep is cut at a character boundary, so the echoed
+// header and the envelope's RequestId carry the same ID — on a node
+// directly and through the router.
+func TestRequestIDClampAgrees(t *testing.T) {
+	pool, err := tenant.New(ec2.Factory(), tenant.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := serveFront(t, httpapi.New(ec2.New(), httpapi.WithPool(pool)))
+	router := frontFleet(t, "n1", "n2")
+	id := strings.Repeat("a", 127) + "é" // the é straddles byte 128
+	for _, c := range []struct{ name, base, path string }{
+		{"direct", direct, "/v2/ec2?Action=DescribeVpcs"},
+		{"routed", router, "/v2/ec2?Action=DescribeVpcs"},
+		{"direct error", direct, "/v2/ec2?Action=NoSuchAction"},
+		{"routed error", router, "/v2/ec2?Action=NoSuchAction"},
+	} {
+		step := wireStep{name: c.name, method: "POST", path: c.path, session: "clamp", reqID: id}
+		_, body, _, header := step.run(t, c.base)
+		var env struct{ RequestId string }
+		if err := json.Unmarshal([]byte(body), &env); err != nil {
+			t.Fatalf("%s: %v in %q", c.name, err, body)
+		}
+		if header != env.RequestId || header != strings.Repeat("a", 127) {
+			t.Errorf("%s: header echoes %q, envelope says %q; want both the 127 bytes before the cut character", c.name, header, env.RequestId)
 		}
 	}
 }

@@ -1,14 +1,19 @@
 package httpapi_test
 
 import (
+	"bufio"
+	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"lce"
+	"lce/internal/h1"
 	"lce/internal/httpapi"
 	"lce/internal/tenant"
 )
@@ -149,5 +154,114 @@ func BenchmarkHandlerCycle(b *testing.B) {
 			instTime += time.Since(t1)
 		}
 		b.ReportMetric(float64(instTime)/float64(bareTime), "instrumented/bare")
+	})
+}
+
+// servedDriver replays the cycle through the HTTP/1.1 front lce-server
+// listens through, over one loopback keep-alive connection, with every
+// request pre-rendered the way the benchmark's load generator renders
+// it. Its client reads each answer with a few slice scans and no
+// allocation, so allocs/req is the server's.
+type servedDriver struct {
+	front *h1.Server
+	c     net.Conn
+	br    *bufio.Reader
+	reqs  [][]byte
+}
+
+func newServedDriver(tb testing.TB, h http.Handler) *servedDriver {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := &servedDriver{front: h1.New(h, time.Minute, time.Minute)}
+	go d.front.Serve(ln)
+	tb.Cleanup(func() { d.front.Close() })
+	if d.c, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		tb.Fatal(err)
+	}
+	d.br = bufio.NewReaderSize(d.c, 16<<10)
+	for _, s := range cycleSteps {
+		body := s.Body()
+		d.reqs = append(d.reqs, []byte("POST "+s.Path()+" HTTP/1.1\r\nHost: "+ln.Addr().String()+
+			"\r\nX-LCE-Session: s00\r\nContent-Type: application/json\r\nContent-Length: "+
+			strconv.Itoa(len(body))+"\r\n\r\n"+body))
+	}
+	return d
+}
+
+// call serves step i and returns the answer's status.
+func (d *servedDriver) call(tb testing.TB, i int) int {
+	if _, err := d.c.Write(d.reqs[i]); err != nil {
+		tb.Fatal(err)
+	}
+	line, err := d.br.ReadSlice('\n')
+	if err != nil || len(line) < len("HTTP/1.1 200") {
+		tb.Fatalf("status line %q: %v", line, err)
+	}
+	status, _ := strconv.Atoi(string(line[9:12]))
+	n := 0
+	for {
+		line, err = d.br.ReadSlice('\n')
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(line) == 2 {
+			break
+		}
+		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+			n, _ = strconv.Atoi(string(bytes.TrimSpace(v)))
+		}
+	}
+	if _, err := d.br.Discard(n); err != nil {
+		tb.Fatal(err)
+	}
+	return status
+}
+
+func (d *servedDriver) run(tb testing.TB) {
+	for i, s := range cycleSteps {
+		if got := d.call(tb, i); got != s.Status {
+			tb.Fatalf("step %d (%s) answered %d, want %d", i, s.Action, got, s.Status)
+		}
+	}
+}
+
+// BenchmarkServedCycle prices the server around the handler: the
+// 22-call cycle through the fully instrumented node handler served by
+// the front on a loopback listener, beside BenchmarkHandlerCycle's
+// in-process instrumented run. "served" reports ns/req and allocs/req
+// (client included, though it allocates nothing); "ratio" alternates a
+// served cycle with an in-process one, cycle by cycle, and reports
+// served/instrumented — what the listener, the socket and the wire
+// add to the handler.
+func BenchmarkServedCycle(b *testing.B) {
+	b.Run("served", func(b *testing.B) {
+		d := newServedDriver(b, instrumentedHandler(b))
+		d.run(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.run(b)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cycleSteps)), "ns/req")
+		b.ReportMetric(float64(testing.AllocsPerRun(20, func() { d.run(b) }))/float64(len(cycleSteps)), "allocs/req")
+	})
+	b.Run("ratio", func(b *testing.B) {
+		served, inst := newServedDriver(b, instrumentedHandler(b)), newCycleDriver(instrumentedHandler(b))
+		served.run(b)
+		inst.run(b)
+		var servedTime, instTime time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			inst.run(b)
+			t1 := time.Now()
+			served.run(b)
+			instTime += t1.Sub(t0)
+			servedTime += time.Since(t1)
+		}
+		b.ReportMetric(float64(servedTime)/float64(instTime), "served/instrumented")
 	})
 }

@@ -36,6 +36,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"lce/internal/advisor"
 	"lce/internal/cloudapi"
@@ -317,15 +318,32 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
+// maxRequestID bounds, in bytes, a client-tagged request ID as node
+// and router echo it.
+const maxRequestID = 128
+
+// ClampRequestID cuts a client-tagged request ID to at most
+// maxRequestID bytes, at a UTF-8 character boundary, so the header
+// that echoes it and the JSON envelope that carries it (where a cut
+// character would turn into U+FFFD) agree. Node and router both clamp
+// with it, so a routed call echoes what a direct one does.
+func ClampRequestID(id string) string {
+	if len(id) <= maxRequestID {
+		return id
+	}
+	n := maxRequestID
+	for i := 0; i < utf8.UTFMax-1 && n > 0 && !utf8.RuneStart(id[n]); i++ {
+		n--
+	}
+	return id[:n]
+}
+
 // requestID echoes the client-tagged request ID, or derives a fresh
 // one from the server's sequence counter (splitmix64, so IDs look
 // opaque but are deterministic per server instance).
 func (s *server) requestID(r *http.Request) string {
 	if id := headerValue(r.Header, requestIDKey); id != "" {
-		if len(id) > 128 {
-			id = id[:128]
-		}
-		return id
+		return ClampRequestID(id)
 	}
 	x := s.reqSeq.Add(1) * 0x9E3779B97F4A7C15
 	x ^= x >> 30

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lce/internal/cloudapi"
@@ -80,5 +81,26 @@ func BenchmarkWriteWireResponse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		writeWireResponse(w, http.StatusOK, resp, nil)
+	}
+}
+
+// TestClampRequestID: a client-tagged ID is cut to 128 bytes at a
+// character boundary, never inside a character, so the header echo and
+// the JSON envelope (which would spell a cut character U+FFFD) agree.
+func TestClampRequestID(t *testing.T) {
+	a := strings.Repeat
+	for _, c := range []struct{ in, want string }{
+		{"short", "short"},
+		{a("a", 128), a("a", 128)},
+		{a("a", 129), a("a", 128)},
+		{a("a", 127) + "é", a("a", 127)},
+		{a("a", 127) + "€x", a("a", 127)},
+		{a("a", 126) + "😀", a("a", 126)},
+		{a("a", 124) + "😀x", a("a", 124) + "😀"},
+		{a("é", 70), a("é", 64)},
+	} {
+		if got := ClampRequestID(c.in); got != c.want {
+			t.Errorf("ClampRequestID(%q) = %q, want %q", c.in, got, c.want)
+		}
 	}
 }

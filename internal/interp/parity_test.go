@@ -3,8 +3,8 @@ package interp_test
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +12,7 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
+	"lce/internal/h1"
 	"lce/internal/httpapi"
 	"lce/internal/interp"
 	"lce/internal/obsv"
@@ -57,8 +58,10 @@ func TestInterpDifferentialD2C(t *testing.T) {
 
 // wireStack serves base the way lce.NewServer would: a tenant pool
 // forking per-session backends from it, observability on, and
-// optionally the same-seed chaos layer over base and forks alike.
-func wireStack(t *testing.T, base cloudapi.Backend, chaos bool) *httptest.Server {
+// optionally the same-seed chaos layer over base and forks alike. It
+// listens through the HTTP/1.1 front lce-server runs, and returns the
+// base URL and a stop function.
+func wireStack(t *testing.T, base cloudapi.Backend, chaos bool) (string, func()) {
 	t.Helper()
 	factory := cloudapi.FactoryOf(base)
 	if chaos {
@@ -71,7 +74,13 @@ func wireStack(t *testing.T, base cloudapi.Backend, chaos bool) *httptest.Server
 	if err != nil {
 		t.Fatalf("tenant.New: %v", err)
 	}
-	return httptest.NewServer(httpapi.New(base, httpapi.WithPool(pool), httpapi.WithObs(ob)))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := h1.New(httpapi.New(base, httpapi.WithPool(pool), httpapi.WithObs(ob)), time.Minute, time.Minute)
+	go front.Serve(ln)
+	return "http://" + ln.Addr().String(), func() { front.Close() }
 }
 
 // driveInterpScript runs one fixed request sequence against a server
@@ -160,9 +169,9 @@ func TestInterpWireParity(t *testing.T) {
 			}
 			var got [2][]string
 			for i, base := range []cloudapi.Backend{ref, emu} {
-				ts := wireStack(t, base, chaos)
-				got[i] = driveInterpScript(t, ts.URL)
-				ts.Close()
+				url, stop := wireStack(t, base, chaos)
+				got[i] = driveInterpScript(t, url)
+				stop()
 			}
 			if len(got[0]) != len(got[1]) {
 				t.Fatalf("step counts differ: reference=%d engine=%d", len(got[0]), len(got[1]))

@@ -7,7 +7,7 @@
 //	corpus := lce.Documentation("ec2")       // provider documentation (rendered text)
 //	emu, report, err := lce.Learn(corpus, lce.DefaultOptions()) // docs → SM spec → emulator
 //	res, err := lce.AlignWithCloud(emu, ...) // close the loop against the cloud
-//	lce.ListenAndServe(addr, lce.Serve(emu))  // http.ListenAndServe plus header/idle timeouts
+//	lce.ListenAndServe(addr, lce.Serve(emu))  // the HTTP/1.1 front of internal/h1, header/idle timeouts
 //
 // Everything underneath lives in internal/ packages: the SM spec
 // language and interpreter, the hand-written cloud oracles, the

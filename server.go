@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"lce/internal/cluster"
 	"lce/internal/durable"
 	"lce/internal/fault"
+	"lce/internal/h1"
 	"lce/internal/httpapi"
 	"lce/internal/interp"
 	"lce/internal/manual"
@@ -279,17 +281,22 @@ const (
 	idleConnTimeout   = 2 * time.Minute
 )
 
-// ListenAndServe serves h on addr like http.ListenAndServe, with the
-// header-read and idle timeouts above. There is deliberately no
-// whole-request read or write timeout: /debug/events (SSE) and the
-// pprof profile routes hold their responses open for as long as the
-// client listens.
+// ListenAndServe serves h on addr through the HTTP/1.1 front of
+// internal/h1, with the header-read and idle timeouts above. The front
+// serves the /v2 data-plane requests itself and hands every other
+// connection to net/http on the same socket (DESIGN §8 has the rule).
+// There is deliberately no whole-request read or write timeout:
+// /debug/events (SSE) and the pprof profile routes hold their
+// responses open for as long as the client listens.
 func ListenAndServe(addr string, h http.Handler) error {
-	return newHTTPServer(addr, h).ListenAndServe()
-}
-
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerReadTimeout, IdleTimeout: idleConnTimeout}
+	if addr == "" {
+		addr = ":http"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return h1.New(h, headerReadTimeout, idleConnTimeout).Serve(ln)
 }
 
 // ClusterNode names one fleet member for NewClusterRouter: a stable

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench chaos obsv-smoke tenant-smoke ops-smoke durable-smoke phase-smoke cluster-smoke ci
+.PHONY: build test race lint bench chaos obsv-smoke tenant-smoke ops-smoke durable-smoke cluster-smoke ci
 
 # benchmark/ is a nested module outside `./...` that imports
 # lce/internal/...; building and vetting it here is what catches an API
@@ -34,7 +34,8 @@ lint:
 	fi
 
 # The allocation assertions (the interpreter's zero-alloc fast path,
-# the instrumented handler's budget) are build-tagged out of race runs,
+# the instrumented handler's budget, the phase mixes' per-request
+# budgets in the root package) are build-tagged out of race runs,
 # and `ci` has no plain `test` step, so they run here. -bench=. also
 # runs BenchmarkRegistryLookupHit, which fails if a registry hit
 # allocates; for the observability cost model's numbers run
@@ -51,8 +52,7 @@ bench:
 	$(GO) test -run '^$$' -bench RouterForward -benchtime 20000x -cpu 1 -benchmem ./internal/cluster/
 	$(GO) test -run '^$$' -bench AlignLoop -benchtime 20x -cpu 1 -benchmem ./internal/align/
 	$(GO) test -run 'ZeroAlloc' ./internal/interp/
-	$(GO) test -run 'AllocBudget' ./internal/httpapi/
-	$(GO) run ./cmd/lce-bench -alignspeed -short -workers 8 -json bench.json
+	$(GO) test -run 'AllocBudget' ./internal/httpapi/ .
 
 # Chaos soak: fault/retry packages under the race detector, then
 # seeded end-to-end alignments against a 10%-flaky oracle. lce-align
@@ -63,7 +63,7 @@ bench:
 # to http.ReadRequest.
 chaos:
 	$(GO) test -race -count=2 ./internal/fault/... ./internal/retry/...
-	$(GO) test -race -run 'Chaos' ./internal/align/... ./internal/httpapi/... ./internal/eval/...
+	$(GO) test -race -run 'Chaos' ./internal/align/... ./internal/httpapi/...
 	$(GO) run ./cmd/lce-align -service ec2 -perfect -chaos -fault-rate 0.1 -chaos-seed 7
 	$(GO) run ./cmd/lce-align -service dynamodb -perfect -chaos -fault-rate 0.1 -chaos-seed 7
 	$(GO) run ./cmd/lce-align -service ec2 -chaos -fault-rate 0.1 -chaos-seed 7
@@ -86,10 +86,8 @@ obsv-smoke:
 
 # Tenant smoke: boot a real lce-server and drive the /v2 surface end
 # to end with curl — session isolation, batch, pool stats, and a
-# headerless call landing in the default session with a RequestId —
-# then run the
-# multi-tenant bench (session sweep + /batch amortization) in smoke
-# mode, leaving bench-tenant.json behind as the perf artifact.
+# headerless call landing in the default session with a RequestId,
+# and a session-scoped reset.
 tenant-smoke:
 	$(GO) build -o lce-server-smoke ./cmd/lce-server
 	@set -e; \
@@ -113,11 +111,12 @@ tenant-smoke:
 	out=$$(curl -sf -XPOST -H 'X-LCE-Session: alice' '127.0.0.1:4597/v2/ec2?Action=DescribeVpcs'); \
 	echo "$$out" | grep -q '"vpcs":\[\]' || { echo "session reset did not clear alice: $$out"; exit 1; }; \
 	echo "tenant smoke: v2 invoke, isolation, batch, stats, default session, session reset all OK"
-	$(GO) run ./cmd/lce-bench -tenant -short -json bench-tenant.json
 
 # Operations-plane smoke: boot a chaos lce-server with the ops plane
-# on, stream /debug/events over SSE while driving seeded traffic, lint
-# the live /metrics scrape in both content negotiations with
+# on, stream /debug/events over SSE while driving seeded traffic, check
+# that a live /v2 answer carries its phase breakdown in a Server-Timing
+# header and that the scrape carries the lce_phase_seconds histograms,
+# lint the live /metrics scrape in both content negotiations with
 # lce-tracecheck, then dump the flight recorder and replay it through
 # lce-replay against a fresh server with the same seeds — any byte
 # difference in any response fails the target. The dump and the SSE
@@ -133,10 +132,13 @@ ops-smoke:
 	for i in $$(seq 1 50); do curl -s 127.0.0.1:4599/healthz >/dev/null && break; sleep 0.1; done; \
 	curl -s -N -m 30 '127.0.0.1:4599/debug/events' > ops-events.txt & sse=$$!; \
 	sleep 0.3; \
-	curl -s -XPOST '127.0.0.1:4599/v2/ec2?Action=CreateVpc' -d '{"params":{"cidrBlock":"10.0.0.0/16"}}' >/dev/null; \
+	hdr=$$(curl -s -D - -o /dev/null -XPOST '127.0.0.1:4599/v2/ec2?Action=CreateVpc' -d '{"params":{"cidrBlock":"10.0.0.0/16"}}' | grep -i '^server-timing:'); \
+	echo "$$hdr" | grep -q 'decode;dur=' || { echo "Server-Timing missing decode phase: $$hdr"; exit 1; }; \
+	echo "$$hdr" | grep -q 'interp.dispatch;dur=' || { echo "Server-Timing missing dispatch phase: $$hdr"; exit 1; }; \
 	for i in $$(seq 1 15); do \
 		curl -s -XPOST -H 'X-LCE-Session: alice' '127.0.0.1:4599/v2/ec2?Action=DescribeVpcs' >/dev/null; \
 	done; \
+	curl -s 127.0.0.1:4599/metrics | grep -q 'lce_phase_seconds_count' || { echo "lce_phase_seconds missing from live scrape"; exit 1; }; \
 	curl -s 127.0.0.1:4599/metrics | ./lce-tracecheck-ops -metrics -; \
 	curl -s -H 'Accept: application/openmetrics-text' 127.0.0.1:4599/metrics | ./lce-tracecheck-ops -metrics -; \
 	curl -s 127.0.0.1:4599/debug/flightrecorder > flight-dump.json; \
@@ -145,7 +147,7 @@ ops-smoke:
 	echo "ops smoke: $$(grep -c '^data: ' ops-events.txt) SSE events streamed"; \
 	kill $$pid 2>/dev/null; \
 	./lce-replay-ops -dump flight-dump.json -backend oracle -chaos -fault-rate 0.2 -chaos-seed 7; \
-	echo "ops smoke: metrics lint (prom + openmetrics), SSE stream, flight dump + byte-identical replay all OK"
+	echo "ops smoke: Server-Timing, phase histograms, metrics lint (prom + openmetrics), SSE stream, flight dump + byte-identical replay all OK"
 
 # Durable gate: the journal-torture, spill-transparency, and
 # kill-and-recover suites under the race detector; short fuzz passes
@@ -156,11 +158,9 @@ ops-smoke:
 # answers with its pre-crash state and continues its ID space, and
 # that the recovered session directories hold nothing but
 # journal-*.wal segments (the journal is all a session has on disk).
-# The -durable bench leaves bench-durable.json behind and itself exits
-# non-zero if the sessions-beyond-RAM continuity oracle breaks.
 durable-smoke:
 	$(GO) test -race ./internal/durable/...
-	$(GO) test -race -run 'Durable|Export|Restore|ReplayPartialWindow' ./internal/interp/ ./internal/eval/ .
+	$(GO) test -race -run 'Durable|Export|Restore|ReplayPartialWindow' ./internal/interp/ .
 	$(GO) test -run '^$$' -fuzz FuzzReadJournal -fuzztime 5s ./internal/durable/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime 5s ./internal/durable/
 	$(GO) build -o lce-server-durable ./cmd/lce-server
@@ -188,34 +188,6 @@ durable-smoke:
 	extra=$$(find $$datadir/sessions -type f ! -name 'journal-*.wal'); \
 	[ -z "$$extra" ] || { echo "session directories hold more than journal segments: $$extra"; exit 1; }; \
 	echo "durable smoke: kill -9 recovery, ID continuity, isolation, spill stats, journal-only layout all OK"
-	$(GO) run ./cmd/lce-bench -durable -short -json bench-durable.json
-
-# Phase gate: the request-path timing spine end to end. The spine's
-# suites (phase timer self-time accounting, on-vs-off byte parity,
-# stall watchdog, SSE heartbeats, durable metric cycles) run under the
-# race detector; the -phases bench itself fails unless per-phase
-# latency tiles end-to-end latency (coverage within [0.9, 1.1]) and
-# the durable scenario records an fsync phase; lce-perfdiff gates the
-# machine-independent trajectory against the committed baseline and
-# self-tests that an injected 2x fsync regression is caught; finally a
-# live lce-server must answer /v2 with a Server-Timing header carrying
-# the phase breakdown. bench-phases.json is left behind as the
-# artifact.
-phase-smoke:
-	$(GO) test -race -run 'Phase|Stall|Heartbeat|RuntimeSampler|DurableMetrics|ServerTiming' ./internal/obsv/ ./internal/durable/ ./internal/opsplane/ ./internal/eval/ ./internal/httpapi/ .
-	$(GO) run ./cmd/lce-bench -phases -short -json bench-phases.json
-	$(GO) run ./cmd/lce-perfdiff -tolerance 0.5 bench/bench-phases-baseline.json bench-phases.json
-	$(GO) run ./cmd/lce-perfdiff -self-test bench-phases.json
-	$(GO) build -o lce-server-phase ./cmd/lce-server
-	@set -e; \
-	./lce-server-phase -service ec2 -backend oracle -addr 127.0.0.1:4603 -log-format off >/dev/null 2>&1 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true; rm -f lce-server-phase' EXIT; \
-	for i in $$(seq 1 50); do curl -sf 127.0.0.1:4603/healthz >/dev/null && break; sleep 0.1; done; \
-	hdr=$$(curl -sf -D - -o /dev/null -XPOST -H 'X-LCE-Session: alice' '127.0.0.1:4603/v2/ec2?Action=CreateVpc' -d '{"params":{"cidrBlock":"10.0.0.0/16"}}' | grep -i '^server-timing:'); \
-	echo "$$hdr" | grep -q 'decode;dur=' || { echo "Server-Timing missing decode phase: $$hdr"; exit 1; }; \
-	echo "$$hdr" | grep -q 'interp.dispatch;dur=' || { echo "Server-Timing missing dispatch phase: $$hdr"; exit 1; }; \
-	curl -sf 127.0.0.1:4603/metrics | grep -q 'lce_phase_seconds_count' || { echo "lce_phase_seconds missing from live scrape"; exit 1; }; \
-	echo "phase smoke: Server-Timing + live phase histograms OK"
 
 # Cluster smoke: the scale-out tier end to end with real processes.
 # Three learned lce-server nodes share one data directory with -fsync
@@ -235,11 +207,7 @@ phase-smoke:
 # validates — no orphan remote parents, child windows nested in
 # parents' (500ms skew: separate processes end spans concurrently),
 # migration spans bracketing each placement flip. The router /healthz
-# body must carry the fleet SLO section. The -cluster bench leaves
-# bench-cluster.json behind (router hop + tracing-tax rows), itself
-# exits non-zero if live migration breaks byte continuity, and
-# lce-perfdiff gates the machine-independent ratios against the
-# committed baseline.
+# body must carry the fleet SLO section.
 cluster-smoke:
 	$(GO) test -race ./internal/cluster/...
 	$(GO) build -o lce-server-cluster ./cmd/lce-server
@@ -285,7 +253,5 @@ cluster-smoke:
 	./lce-tracecheck-cluster -stitch -skew 500ms trace-router.jsonl trace-n1.jsonl trace-n3.jsonl; \
 	rm -f /tmp/lce-cluster-smoke-body; \
 	echo "cluster smoke: 3-node fleet, kill -9 failover, byte parity vs control, fleet views, stitched traces all OK"
-	$(GO) run ./cmd/lce-bench -cluster -short -json bench-cluster.json
-	$(GO) run ./cmd/lce-perfdiff -tolerance 0.5 bench/bench-cluster-baseline.json bench-cluster.json
 
-ci: build lint race chaos bench obsv-smoke tenant-smoke ops-smoke durable-smoke phase-smoke cluster-smoke
+ci: build lint race chaos bench obsv-smoke tenant-smoke ops-smoke durable-smoke cluster-smoke

@@ -3,7 +3,7 @@
 // exporter as well as in the instrumentation behind it.
 //
 // Trace mode (default) checks a JSONL trace export (lce-align
-// -trace-out, lce-bench -trace-out):
+// -trace-out, or a server's /debug/traces?format=jsonl):
 //
 //	lce-tracecheck trace.jsonl
 //

@@ -22,7 +22,7 @@ const routerNode = "router"
 const maxTracePull = 64 << 20
 
 // startIngress begins the router's request span: a remote child when
-// the client propagated X-LCE-Trace (a traced lce-bench, or another
+// the client propagated X-LCE-Trace (a traced httpapi.Client, or another
 // tier), a fresh root otherwise — mirroring the node's own rule, so
 // client → router → node becomes one trace.
 func (rt *Router) startIngress(r *http.Request, route string) (context.Context, *obsv.Span) {

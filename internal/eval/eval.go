@@ -23,7 +23,6 @@ import (
 	"lce/internal/manual"
 	"lce/internal/metrics"
 	"lce/internal/scenarios"
-	"lce/internal/spec"
 	"lce/internal/synth"
 	"lce/internal/synth/d2c"
 	"lce/internal/trace"
@@ -488,18 +487,4 @@ func GraphReport() ([]metrics.GraphStats, []metrics.AntiPattern, error) {
 		anti = append(anti, metrics.AntiPatterns(svc)...)
 	}
 	return stats, anti, nil
-}
-
-// SynthesizeAll synthesizes every service's spec noise-free; helpers
-// for benches and binaries.
-func SynthesizeAll() (map[string]*spec.Service, error) {
-	out := map[string]*spec.Service{}
-	for _, d := range []*docs.ServiceDoc{corpus.EC2(), corpus.NetworkFirewall(), corpus.DynamoDB(), corpus.Azure()} {
-		svc, _, err := synth.Synthesize(docs.Render(d), synth.Options{Noise: synth.Perfect, Decoding: synth.Constrained})
-		if err != nil {
-			return nil, err
-		}
-		out[d.Service] = svc
-	}
-	return out, nil
 }

@@ -196,6 +196,55 @@ func TestBatchBestEffort(t *testing.T) {
 	}
 }
 
+// TestBatchIsOneRoundTrip: a 16-request batch crosses the wire as one
+// HTTP request and comes back with all 16 results, which is what makes
+// it cheaper than 16 single calls at any round-trip time.
+func TestBatchIsOneRoundTrip(t *testing.T) {
+	pool, err := tenant.New(ec2.Factory(), tenant.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := New(ec2.New(), WithPool(pool))
+	var mu sync.Mutex
+	var seen []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL).WithSession("batcher")
+	c.Service() // resolve the route prefix outside the count
+
+	mu.Lock()
+	seen = nil
+	mu.Unlock()
+	reqs := make([]cloudapi.Request, 16)
+	for i := range reqs {
+		reqs[i] = cloudapi.Request{
+			Action: "CreateVpc",
+			Params: cloudapi.Params{"cidrBlock": cloudapi.Str(fmt.Sprintf("10.%d.0.0/16", i))},
+		}
+	}
+	res, err := c.Batch(reqs, BatchModeStop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	got := seen
+	mu.Unlock()
+	if len(got) != 1 || got[0] != "POST /v2/ec2/batch" {
+		t.Errorf("batch of 16 took requests %q, want one POST /v2/ec2/batch", got)
+	}
+	if len(res.Items) != 16 || res.Succeeded != 16 || res.Failed != 0 {
+		t.Errorf("batch = %d items, %d ok, %d failed; want 16/16/0", len(res.Items), res.Succeeded, res.Failed)
+	}
+	if n := vpcCount(t, c); n != 16 {
+		t.Errorf("session has %d VPCs after the batch, want 16", n)
+	}
+}
+
 // TestBatchShapeErrors: empty, oversized and unknown-mode batches are
 // rejected with the unified envelope before touching the backend.
 func TestBatchShapeErrors(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 // overlap: fsync time is not double-counted inside journal.append, and
 // whatever no layer claimed lands in PhaseOther. That is the invariant
 // lce-tracecheck enforces on exported spans (sum of phase.* attrs ≤
-// span duration) and lce-bench -phases proves against the end-to-end
-// histogram.
+// span duration) and the root package's TestPhaseCoverage proves
+// against the end-to-end histogram.
 const (
 	// PhaseDecode is request-body reading and JSON decoding.
 	PhaseDecode = "decode"

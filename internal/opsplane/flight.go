@@ -128,11 +128,15 @@ func (f *FlightRecorder) Add(rec FlightRecord) {
 	rec.Seq = f.seq.Add(1)
 	// Consecutive sequence numbers stripe across shards; within a
 	// shard they stride by flightShards, so slot reuse implements the
-	// ring eviction of the oldest record.
+	// ring eviction of the oldest record. The sequence is taken before
+	// the lock, so two writers a ring apart can reach the slot in
+	// either order: the newer record keeps it.
 	sh := &f.shards[rec.Seq%flightShards]
 	slot := int(rec.Seq/flightShards) % len(sh.ring)
 	sh.mu.Lock()
-	sh.ring[slot] = rec
+	if sh.ring[slot].Seq < rec.Seq {
+		sh.ring[slot] = rec
+	}
 	sh.mu.Unlock()
 	f.total.Inc()
 }

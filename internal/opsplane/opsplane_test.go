@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +241,39 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	nilF.Add(FlightRecord{})
 	if nilF.Snapshot() != nil || nilF.Recorded() != 0 || nilF.Capacity() != 0 {
 		t.Fatal("nil recorder must be inert")
+	}
+}
+
+// TestFlightRecorderKeepsNewestUnderContention: writers whose sequence
+// numbers are a ring apart share a slot and may take its lock in
+// either order. Whichever order they take it in, the window must end
+// full and end at the newest record. Many short rounds of 16 writers
+// wrapping a 16-slot recorder make that collision common; the writers
+// need a second processor to interleave.
+func TestFlightRecorderKeepsNewestUnderContention(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const capacity, writers, adds, rounds = 16, 16, 4, 20000
+	for r := 0; r < rounds; r++ {
+		f := NewFlightRecorder(capacity, nil)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				for i := 0; i < adds; i++ {
+					f.Add(FlightRecord{Status: 200})
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		snap := f.Snapshot()
+		if len(snap) != capacity || snap[len(snap)-1].Seq != f.Recorded() {
+			t.Fatalf("round %d: window holds %d records ending at seq %d, want %d ending at %d",
+				r, len(snap), snap[len(snap)-1].Seq, capacity, f.Recorded())
+		}
 	}
 }
 

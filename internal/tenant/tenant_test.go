@@ -291,3 +291,62 @@ func TestConcurrentGetIsRaceFree(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// rendezvousBackend serializes its own calls, as a single-threaded
+// emulator would, and holds each call open until every session's call
+// has entered.
+type rendezvousBackend struct {
+	mu       sync.Mutex
+	arrive   func()
+	together <-chan struct{}
+}
+
+func (r *rendezvousBackend) Service() string   { return "rendezvous" }
+func (r *rendezvousBackend) Actions() []string { return []string{"Meet"} }
+func (r *rendezvousBackend) Reset()            {}
+func (r *rendezvousBackend) Invoke(cloudapi.Request) (cloudapi.Result, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.arrive()
+	select {
+	case <-r.together:
+		return cloudapi.Result{}, nil
+	case <-time.After(10 * time.Second):
+		return nil, fmt.Errorf("the other session's call never entered")
+	}
+}
+
+// TestSessionsInvokeConcurrently: two sessions' calls overlap even
+// though each session's backend serializes its own. Each call waits
+// inside its backend for the other session's call, so if the pool
+// handed both sessions one backend, or serialized them anywhere on the
+// way, neither call could finish.
+func TestSessionsInvokeConcurrently(t *testing.T) {
+	const sessions = 2
+	var arrived sync.WaitGroup
+	arrived.Add(sessions)
+	together := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(together)
+	}()
+	p := mustPool(t, func() cloudapi.Backend {
+		return &rendezvousBackend{arrive: arrived.Done, together: together}
+	}, Config{})
+
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		go func(id string) {
+			b, err := p.Get(id)
+			if err == nil {
+				_, err = b.Invoke(cloudapi.Request{Action: "Meet"})
+			}
+			errs <- err
+		}(fmt.Sprintf("tenant-%d", i))
+	}
+	for i := 0; i < sessions; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -9,10 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"lce/internal/cloudapi"
+	"lce/internal/durable"
 	"lce/internal/httpapi"
+	"lce/internal/interp"
 	"lce/internal/leakcheck"
 	"lce/internal/obsv"
 	"lce/internal/opsplane"
+	"lce/internal/spec"
 	"lce/internal/tenant"
 )
 
@@ -212,5 +216,146 @@ func TestPhaseSpanAttrsAndFlightRecorder(t *testing.T) {
 		if rec.Phases[phase] <= 0 {
 			t.Errorf("flight record phase %q = %d, want > 0 (have %v)", phase, rec.Phases[phase], rec.Phases)
 		}
+	}
+}
+
+// phaseScenario is a request mix through the fully instrumented
+// stack: post sends one request, and obs holds what the timing spine
+// recorded for service.
+type phaseScenario struct {
+	service string
+	obs     *obsv.Obs
+	post    func() error
+}
+
+// phaseScenarios are the two latency-attribution mixes, with the
+// phases each must record.
+var phaseScenarios = []struct {
+	name   string
+	build  func(t *testing.T) phaseScenario
+	phases []string
+}{
+	{"hot", hotPhaseScenario, []string{"decode", "session.lookup", "interp.dispatch", "encode", "other"}},
+	{"durable", durablePhaseScenario, []string{"decode", "session.lookup", "interp.dispatch", "encode", "other",
+		"journal.append", "fsync", "rehydrate"}},
+}
+
+// hotPhaseScenario is the paper's fast path: the learned EC2 emulator
+// behind the tenant pool, describing the one VPC created up front.
+func hotPhaseScenario(t *testing.T) phaseScenario {
+	t.Helper()
+	b, err := NewBackend("ec2", "learned", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := tenant.New(cloudapi.FactoryOf(b), tenant.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := obsv.New(1, 0)
+	srv := httptest.NewServer(httpapi.New(b, httpapi.WithObs(ob), httpapi.WithPool(pool)))
+	t.Cleanup(srv.Close)
+	if err := phasePost(srv.Client(), srv.URL+"/v2/ec2?Action=CreateVpc", `{"params":{"cidrBlock":"10.0.0.0/16"}}`, ""); err != nil {
+		t.Fatal(err)
+	}
+	return phaseScenario{service: "ec2", obs: ob, post: func() error {
+		return phasePost(srv.Client(), srv.URL+"/v2/ec2?Action=DescribeVpcs", "", "")
+	}}
+}
+
+// durablePhaseScenario rotates four sessions over a capacity-2 pool
+// with an FsyncAlways journal, so every request evicts someone on the
+// way out (spill) and pays session.lookup → rehydrate on the way back
+// in, then journal.append → fsync.
+func durablePhaseScenario(t *testing.T) phaseScenario {
+	t.Helper()
+	store, err := durable.Open(durable.Config{Dir: t.TempDir(), Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := spec.Parse(spec.ToySource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := spec.Check(svc, spec.Strict); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	emu, err := interp.New(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := tenant.New(cloudapi.FactoryOf(emu), tenant.Config{Shards: 1, Capacity: 2, Spill: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := obsv.New(1, 0)
+	srv := httptest.NewServer(httpapi.New(emu, httpapi.WithObs(ob), httpapi.WithPool(pool)))
+	t.Cleanup(srv.Close)
+	url := srv.URL + "/v2/" + emu.Service() + "?Action=CreatePublicIp"
+	i := 0
+	return phaseScenario{service: emu.Service(), obs: ob, post: func() error {
+		i++
+		return phasePost(srv.Client(), url, `{"params":{"region":"us-east"}}`, fmt.Sprintf("phase-%d", i%4))
+	}}
+}
+
+func phasePost(c *http.Client, url, body, session string) error {
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if session != "" {
+		req.Header.Set(httpapi.SessionHeader, session)
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
+	}
+	return nil
+}
+
+// TestPhaseCoverage: per-phase self-times tile end-to-end latency in
+// both mixes. The spine records a request's latency as the sum of its
+// phases' self-times, so coverage (Σ phase time ÷ end-to-end time, from
+// the lce_phase_seconds and lce_http_request_seconds histograms) off
+// 1.0 means a layer leaked an open region or counted one twice.
+func TestPhaseCoverage(t *testing.T) {
+	const requests = 40
+	for _, c := range phaseScenarios {
+		t.Run(c.name, func(t *testing.T) {
+			sc := c.build(t)
+			for i := 0; i < requests; i++ {
+				if err := sc.post(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg := sc.obs.Registry
+			e2e := reg.Histogram(obsv.MetricHTTPSeconds, "route", "v2.invoke")
+			if e2e.Count() < requests {
+				t.Fatalf("end-to-end count %d < %d requests", e2e.Count(), requests)
+			}
+			var phaseSum float64
+			seen := map[string]bool{}
+			for _, phase := range obsv.PhaseNames {
+				h := reg.Histogram(obsv.MetricPhaseSeconds, "phase", phase, "service", sc.service)
+				if h.Count() > 0 {
+					seen[phase] = true
+					phaseSum += h.Sum()
+				}
+			}
+			if cov := phaseSum / e2e.Sum(); cov < 0.9 || cov > 1.1 {
+				t.Errorf("coverage %.4f outside [0.9, 1.1]", cov)
+			}
+			for _, want := range c.phases {
+				if !seen[want] {
+					t.Errorf("phase %q missing (have %v)", want, seen)
+				}
+			}
+		})
 	}
 }

@@ -35,7 +35,8 @@ lint:
 
 # The allocation assertions (the interpreter's zero-alloc fast path,
 # the instrumented handler's budget, the phase mixes' per-request
-# budgets in the root package) are build-tagged out of race runs,
+# budgets in the root package, the learn loop's per-op budget in
+# internal/align) are build-tagged out of race runs,
 # and `ci` has no plain `test` step, so they run here. -bench=. also
 # runs BenchmarkRegistryLookupHit, which fails if a registry hit
 # allocates; for the observability cost model's numbers run
@@ -52,7 +53,7 @@ bench:
 	$(GO) test -run '^$$' -bench RouterForward -benchtime 20000x -cpu 1 -benchmem ./internal/cluster/
 	$(GO) test -run '^$$' -bench AlignLoop -benchtime 20x -cpu 1 -benchmem ./internal/align/
 	$(GO) test -run 'ZeroAlloc' ./internal/interp/
-	$(GO) test -run 'AllocBudget' ./internal/httpapi/ .
+	$(GO) test -run 'AllocBudget' ./internal/httpapi/ ./internal/align/ .
 
 # Chaos soak: fault/retry packages under the race detector, then
 # seeded end-to-end alignments against a 10%-flaky oracle. lce-align

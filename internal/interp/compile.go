@@ -92,16 +92,16 @@ type callArg struct {
 }
 
 // paramBinder binds one declared parameter: presence check, default,
-// type coercion, receiver resolution. The missing-parameter error is
-// pre-formatted; coercion closures carry their own static errors.
+// type coercion, receiver resolution. Its errors are formatted only
+// when they fire: most requests bind cleanly, and alignment recompiles
+// every round.
 type paramBinder struct {
-	name       string
-	slot       int
-	isRecv     bool
-	optional   bool
-	def        cloudapi.Value
-	missingErr *cloudapi.APIError
-	coerce     coerceFn // nil = pass-through
+	name     string
+	slot     int
+	isRecv   bool
+	optional bool
+	def      cloudapi.Value
+	coerce   coerceFn // nil = pass-through
 }
 
 type coerceFn func(w *World, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error)
@@ -181,13 +181,12 @@ func compileTrans(p *Program, csm *compiledSM, ct *compiledTrans) {
 	for i, prm := range tr.Params {
 		isRecv := prm.Receiver || prm.Name == "self"
 		ct.binders = append(ct.binders, paramBinder{
-			name:       prm.Name,
-			slot:       i,
-			isRecv:     isRecv,
-			optional:   prm.Optional,
-			def:        prm.Default,
-			missingErr: cloudapi.Errf(cloudapi.CodeMissingParameter, "the request must contain the parameter %s", prm.Name),
-			coerce:     compileCoerce(p, prm),
+			name:     prm.Name,
+			slot:     i,
+			isRecv:   isRecv,
+			optional: prm.Optional,
+			def:      prm.Default,
+			coerce:   compileCoerce(p, prm),
 		})
 		if _, dup := ct.known[prm.Name]; !dup {
 			ct.known[prm.Name] = i
@@ -205,9 +204,9 @@ func compileTrans(p *Program, csm *compiledSM, ct *compiledTrans) {
 	ct.maxRegs = c.maxRegs
 }
 
-// compileCoerce mirrors Emulator.coerce with the static parts
-// (expected-type errors, target-SM resolution) resolved at compile
-// time.
+// compileCoerce mirrors Emulator.coerce with target-SM resolution done
+// at compile time; the expected-type errors are formatted when a
+// request's value has the wrong kind.
 func compileCoerce(p *Program, prm *spec.Param) coerceFn {
 	name := prm.Name
 	switch prm.Type.Kind {
@@ -220,7 +219,6 @@ func compileCoerce(p *Program, prm *spec.Param) coerceFn {
 				return cloudapi.Nil, nil, err
 			}
 		}
-		badKind := cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a resource reference", name)
 		return func(w *World, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
 			switch raw.Kind() {
 			case cloudapi.KindRef:
@@ -239,35 +237,49 @@ func compileCoerce(p *Program, prm *spec.Param) coerceFn {
 				}
 				return cloudapi.RefOf(inst.Ref), nil, nil
 			default:
-				return cloudapi.Nil, badKind, nil
+				return cloudapi.Nil, badKindErr(name, "a resource reference"), nil
 			}
 		}
 	case spec.TString, spec.TEnum:
-		return kindCoerce(cloudapi.KindString, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a string", name))
+		return kindCoerce(cloudapi.KindString, name, "a string")
 	case spec.TInt:
-		return kindCoerce(cloudapi.KindInt, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects an integer", name))
+		return kindCoerce(cloudapi.KindInt, name, "an integer")
 	case spec.TBool:
-		return kindCoerce(cloudapi.KindBool, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a boolean", name))
+		return kindCoerce(cloudapi.KindBool, name, "a boolean")
 	case spec.TList:
-		return kindCoerce(cloudapi.KindList, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a list", name))
+		return kindCoerce(cloudapi.KindList, name, "a list")
 	case spec.TMap:
-		return kindCoerce(cloudapi.KindMap, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a map", name))
+		return kindCoerce(cloudapi.KindMap, name, "a map")
 	default:
 		return nil
 	}
 }
 
-func kindCoerce(want cloudapi.Kind, bad *cloudapi.APIError) coerceFn {
+func kindCoerce(want cloudapi.Kind, name, expects string) coerceFn {
 	return func(_ *World, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
 		if raw.Kind() != want {
-			return cloudapi.Nil, bad, nil
+			return cloudapi.Nil, badKindErr(name, expects), nil
 		}
 		return raw, nil, nil
 	}
 }
 
+func badKindErr(name, expects string) *cloudapi.APIError {
+	return cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects %s", name, expects)
+}
+
 func compiledNotFound(csm *compiledSM, id string) *cloudapi.APIError {
 	return cloudapi.Errf(csm.notFound, "the %s %q does not exist", csm.sm.Name, id)
+}
+
+// unboundErr and readNoRecvErr are the name-resolution failures of a
+// well-typed spec run without a receiver (or of an unchecked one).
+func unboundErr(trName, name string) error {
+	return internalErrf("transition %s: unbound identifier %q", trName, name)
+}
+
+func readNoRecvErr(trName, state string) error {
+	return internalErrf("transition %s: read(%s) with no receiver", trName, state)
 }
 
 // compiler is the per-transition lowering context. locals is the
@@ -306,17 +318,16 @@ func (c *compiler) stmts(list []spec.Stmt) []stmtFn {
 func (c *compiler) stmt(s spec.Stmt) stmtFn {
 	switch st := s.(type) {
 	case *spec.WriteStmt:
-		errRO := internalErrf("describe transition %s attempted write(%s, …); the framework forbids mutation in describes", c.tr.Name, st.State)
-		errNoRecv := internalErrf("transition %s: write(%s, …) with no receiver", c.tr.Name, st.State)
 		val := c.ref(st.Value, 0)
 		name := st.State
+		trName := c.tr.Name
 		slot, inLayout := c.sm.StateSlot(name)
 		return func(f *frame) error {
 			if f.readonly {
-				return errRO
+				return internalErrf("describe transition %s attempted write(%s, …); the framework forbids mutation in describes", trName, name)
 			}
 			if f.self == nil {
-				return errNoRecv
+				return internalErrf("transition %s: write(%s, …) with no receiver", trName, name)
 			}
 			rv, err := val(f)
 			if err != nil {
@@ -445,8 +456,6 @@ func (c *compiler) returnStmt(st *spec.ReturnStmt) stmtFn {
 // argument pointers live until bound into the callee frame.
 func (c *compiler) callStmt(st *spec.CallStmt) stmtFn {
 	trName := c.tr.Name
-	errRO := internalErrf("describe transition %s attempted call(…); the framework forbids mutation in describes", trName)
-	errDepth := internalErrf("call depth limit exceeded in transition %s (cyclic spec?)", trName)
 	target := c.ref(st.Target, 0)
 	argFns := make([]refFn, len(st.Args))
 	for i, a := range st.Args {
@@ -455,10 +464,10 @@ func (c *compiler) callStmt(st *spec.CallStmt) stmtFn {
 	calleeName := st.Trans
 	return func(f *frame) error {
 		if f.readonly {
-			return errRO
+			return internalErrf("describe transition %s attempted call(…); the framework forbids mutation in describes", trName)
 		}
 		if f.depth >= maxCallDepth {
-			return errDepth
+			return internalErrf("call depth limit exceeded in transition %s (cyclic spec?)", trName)
 		}
 		tv, err := target(f)
 		if err != nil {
@@ -818,12 +827,12 @@ func (c *compiler) ref(x spec.Expr, reg int) refFn {
 		if slot, ok := c.ct.known[name]; ok {
 			return func(f *frame) (*cloudapi.Value, error) { return &f.params[slot], nil }
 		}
-		errUnbound := internalErrf("transition %s: unbound identifier %q", c.tr.Name, name)
+		trName := c.tr.Name
 		if slot, ok := c.sm.StateSlot(name); ok {
 			return func(f *frame) (*cloudapi.Value, error) {
 				s := f.self
 				if s == nil {
-					return nil, errUnbound
+					return nil, unboundErr(trName, name)
 				}
 				if slot < len(s.slots) {
 					return &s.slots[slot], nil
@@ -831,14 +840,14 @@ func (c *compiler) ref(x spec.Expr, reg int) refFn {
 				return &nilValue, nil
 			}
 		}
-		return func(*frame) (*cloudapi.Value, error) { return nil, errUnbound }
+		return func(*frame) (*cloudapi.Value, error) { return nil, unboundErr(trName, name) }
 	case *spec.ReadExpr:
 		if slot, ok := c.sm.StateSlot(ex.State); ok {
-			errNoRecv := internalErrf("transition %s: read(%s) with no receiver", c.tr.Name, ex.State)
+			trName, name := c.tr.Name, ex.State
 			return func(f *frame) (*cloudapi.Value, error) {
 				s := f.self
 				if s == nil {
-					return nil, errNoRecv
+					return nil, readNoRecvErr(trName, name)
 				}
 				if slot < len(s.slots) {
 					return &s.slots[slot], nil
@@ -887,12 +896,12 @@ func (c *compiler) expr(x spec.Expr, base int) exprFn {
 				return nil
 			}
 		}
-		errUnbound := internalErrf("transition %s: unbound identifier %q", c.tr.Name, name)
+		trName := c.tr.Name
 		if slot, ok := c.sm.StateSlot(name); ok {
 			return func(f *frame, dst *cloudapi.Value) error {
 				s := f.self
 				if s == nil {
-					return errUnbound
+					return unboundErr(trName, name)
 				}
 				if slot < len(s.slots) {
 					*dst = s.slots[slot]
@@ -902,15 +911,15 @@ func (c *compiler) expr(x spec.Expr, base int) exprFn {
 				return nil
 			}
 		}
-		return func(_ *frame, dst *cloudapi.Value) error { return errUnbound }
+		return func(_ *frame, dst *cloudapi.Value) error { return unboundErr(trName, name) }
 	case *spec.ReadExpr:
-		errNoRecv := internalErrf("transition %s: read(%s) with no receiver", c.tr.Name, ex.State)
 		name := ex.State
+		trName := c.tr.Name
 		if slot, ok := c.sm.StateSlot(name); ok {
 			return func(f *frame, dst *cloudapi.Value) error {
 				s := f.self
 				if s == nil {
-					return errNoRecv
+					return readNoRecvErr(trName, name)
 				}
 				if slot < len(s.slots) {
 					*dst = s.slots[slot]
@@ -922,16 +931,16 @@ func (c *compiler) expr(x spec.Expr, base int) exprFn {
 		}
 		return func(f *frame, dst *cloudapi.Value) error {
 			if f.self == nil {
-				return errNoRecv
+				return readNoRecvErr(trName, name)
 			}
 			*dst = f.self.attrOrNil(name)
 			return nil
 		}
 	case *spec.SelfExpr:
-		errNoRecv := internalErrf("transition %s: self with no receiver", c.tr.Name)
+		trName := c.tr.Name
 		return func(f *frame, dst *cloudapi.Value) error {
 			if f.self == nil {
-				return errNoRecv
+				return internalErrf("transition %s: self with no receiver", trName)
 			}
 			*dst = cloudapi.RefOf(f.self.Ref)
 			return nil

@@ -13,16 +13,12 @@ import (
 type extractor struct {
 	doc     *docs.ServiceDoc
 	noise   Noise
-	rng     rngT
+	rng     source
 	service string
 	// dropped records the state variables the model failed to capture,
 	// per resource — writes into dropped states must be dropped too or
 	// the spec would not even be well-formed.
 	dropped map[string]map[string]bool
-}
-
-type rngT interface {
-	Float64() float64
 }
 
 // extractSM compiles one resource. The returned SM is Partial-valid:

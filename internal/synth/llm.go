@@ -68,20 +68,44 @@ var Preliminary = Noise{
 	SyntaxErr:  0.25,
 }
 
+// source is what the hallucination model draws from.
+type source interface {
+	Float64() float64
+	Intn(n int) int
+}
+
 // rng derives a deterministic stream for one resource so that
 // re-prompting a single SM (or repairing it) does not perturb the
 // draws of every other SM.
-func (n Noise) rng(resource string, attempt int) *rand.Rand {
+func (n Noise) rng(resource string, attempt int) *stream {
 	h := int64(1469598103934665603)
 	for _, c := range resource {
 		h ^= int64(c)
 		h *= 1099511628211
 	}
-	return rand.New(rand.NewSource(n.Seed ^ h ^ int64(attempt)*2654435761))
+	return &stream{seed: n.Seed ^ h ^ int64(attempt)*2654435761}
 }
 
+// stream is a math/rand stream seeded on its first draw. Seeding a
+// source costs more than extracting a small SM, and a zero rate never
+// draws (decide), so a noise-free extraction seeds nothing.
+type stream struct {
+	seed int64
+	r    *rand.Rand
+}
+
+func (s *stream) rand() *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(s.seed))
+	}
+	return s.r
+}
+
+func (s *stream) Float64() float64 { return s.rand().Float64() }
+func (s *stream) Intn(n int) int   { return s.rand().Intn(n) }
+
 // decide is one Bernoulli draw.
-func decide(r interface{ Float64() float64 }, p float64) bool {
+func decide(r source, p float64) bool {
 	if p <= 0 {
 		return false
 	}

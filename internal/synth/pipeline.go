@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"lce/internal/docs"
@@ -22,7 +21,10 @@ const (
 	// mangled; the pipeline detects parse failures and re-prompts,
 	// which is the paper's prototype configuration ("we enforce
 	// syntactic checks in the interpreter and re-prompt in case of
-	// issues").
+	// issues"). Only a draw the noise model mangled is printed and
+	// parsed: clean text would parse back to the AST it was printed
+	// from (FuzzParseSM holds the round trip), so a clean draw keeps
+	// the extracted AST.
 	Free
 )
 
@@ -30,7 +32,8 @@ const (
 type Options struct {
 	Noise    Noise
 	Decoding Decoding
-	// MaxRePrompts bounds the free-decoding retry loop per resource.
+	// MaxRePrompts bounds the free-decoding retry loop per resource:
+	// one prompt and at most MaxRePrompts re-prompts.
 	MaxRePrompts int
 }
 
@@ -93,10 +96,10 @@ func SynthesizeFromBrief(brief *docs.ServiceDoc, opts Options) (*spec.Service, *
 	for _, name := range rep.Order {
 		rd := brief.Resource(name)
 		sm, rePrompts, err := generateSM(x, rd, opts)
+		rep.RePrompts += rePrompts
 		if err != nil {
 			return nil, rep, err
 		}
-		rep.RePrompts += rePrompts
 		svc.SMs = append(svc.SMs, sm)
 	}
 	rep.SMCount = len(svc.SMs)
@@ -119,36 +122,37 @@ func SynthesizeFromBrief(brief *docs.ServiceDoc, opts Options) (*spec.Service, *
 	return svc, rep, nil
 }
 
-// generateSM produces one SM under the selected decoding regime.
+// generateSM produces one SM under the selected decoding regime and
+// reports how many times it re-prompted: attempt 0 is the prompt, so
+// MaxRePrompts bounds the attempts at MaxRePrompts+1.
 func generateSM(x *extractor, rd *docs.ResourceDoc, opts Options) (*spec.SM, int, error) {
-	rePrompts := 0
 	for attempt := 0; ; attempt++ {
 		sm := x.extractSM(rd, attempt)
 		if opts.Decoding == Constrained {
 			// The AST is the output: grammar conformance by
 			// construction.
-			return sm, rePrompts, nil
+			return sm, attempt, nil
 		}
 		// Free decoding: the model emits text, which may be mangled.
-		text := spec.PrintSM(sm)
+		// Unmangled text parses back to the AST it was printed from,
+		// so only a mangled draw is printed and parsed.
 		r := opts.Noise.rng(rd.Name+"/syntax", attempt)
-		if decide(r, opts.Noise.SyntaxErr) {
-			text = mangle(text, r)
+		if !decide(r, opts.Noise.SyntaxErr) {
+			return sm, attempt, nil
 		}
-		parsed, err := spec.ParseSM(text)
+		parsed, err := spec.ParseSM(mangle(spec.PrintSM(sm), r))
 		if err == nil {
-			return parsed, rePrompts, nil
+			return parsed, attempt, nil
 		}
-		rePrompts++
-		if rePrompts > opts.MaxRePrompts {
-			return nil, rePrompts, fmt.Errorf("synth: %s: free decoding failed after %d re-prompts: %w", rd.Name, rePrompts, err)
+		if attempt == opts.MaxRePrompts {
+			return nil, attempt, fmt.Errorf("synth: %s: free decoding failed after %d re-prompts: %w", rd.Name, attempt, err)
 		}
 	}
 }
 
 // mangle injects a realistic syntax error into emitted spec text:
 // a dropped delimiter.
-func mangle(text string, r *rand.Rand) string {
+func mangle(text string, r source) string {
 	candidates := []byte{')', '}', '('}
 	c := candidates[r.Intn(len(candidates))]
 	positions := []int{}

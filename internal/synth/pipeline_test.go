@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"lce/internal/cloud/aws/dynamodb"
@@ -134,6 +136,48 @@ func TestFreeDecodingRePrompts(t *testing.T) {
 	}
 	if rep2.RePrompts != 0 {
 		t.Errorf("constrained decoding re-prompted %d times", rep2.RePrompts)
+	}
+}
+
+// TestFreeDecodingGivesUp: a resource whose every draw is mangled gets
+// one prompt and MaxRePrompts re-prompts, and both the error and the
+// report count the re-prompts, not the attempts.
+func TestFreeDecodingGivesUp(t *testing.T) {
+	brief := &docs.ServiceDoc{Service: "s", Resources: []*docs.ResourceDoc{{
+		Name:     "Widget",
+		IDPrefix: "w",
+		APIs:     []docs.APIDoc{{Name: "CreateWidget", Kind: spec.KCreate}},
+	}}}
+	_, rep, err := SynthesizeFromBrief(brief, Options{Noise: Noise{SyntaxErr: 1}, Decoding: Free, MaxRePrompts: 2})
+	if err == nil {
+		t.Fatal("every draw was mangled, yet synthesis succeeded")
+	}
+	if !strings.Contains(err.Error(), "free decoding failed after 2 re-prompts") {
+		t.Errorf("error = %q, want it to count 2 re-prompts", err)
+	}
+	if rep == nil || rep.RePrompts != 2 {
+		t.Errorf("report = %+v, want 2 re-prompts", rep)
+	}
+}
+
+// TestStreamMatchesEagerSource: seeding on first draw yields exactly
+// the draws of a source seeded up front.
+func TestStreamMatchesEagerSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+		lazy := &stream{seed: seed}
+		eager := rand.New(rand.NewSource(seed))
+		for i := 0; i < 64; i++ {
+			if i%2 == 0 {
+				if a, b := lazy.Float64(), eager.Float64(); a != b {
+					t.Fatalf("seed %d draw %d: Float64 %v, want %v", seed, i, a, b)
+				}
+			} else if a, b := lazy.Intn(1000), eager.Intn(1000); a != b {
+				t.Fatalf("seed %d draw %d: Intn %d, want %d", seed, i, a, b)
+			}
+		}
+	}
+	if s := Perfect.rng("Vpc", 0); decide(s, 0) || s.r != nil {
+		t.Error("a zero-rate draw seeded the stream")
 	}
 }
 

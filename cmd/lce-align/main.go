@@ -60,20 +60,17 @@ func main() {
 	if *traceOut != "" {
 		ob = lce.NewObs(*traceSeed)
 	}
-	var res *lce.AlignResult
-	var err error
+	cfg := lce.AlignConfig{Workers: *workers, Obs: ob}
 	if *chaos {
-		var policy *lce.RetryPolicy
+		faults := lce.UniformFaults(*faultRate, *chaosSeed)
+		cfg.Faults = &faults
 		if !*noRetry {
 			p := lce.DefaultRetryPolicy()
 			p.Seed = *chaosSeed
-			policy = &p
+			cfg.Retry = &p
 		}
-		res, err = lce.AlignWithFlakyCloudObserved(*service, opts, *workers,
-			lce.UniformFaults(*faultRate, *chaosSeed), policy, ob)
-	} else {
-		res, err = lce.AlignWithCloudObserved(*service, opts, *workers, ob)
 	}
+	res, err := lce.Align(*service, opts, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lce-align:", err)
 		os.Exit(1)

@@ -34,8 +34,8 @@
 // -fsync always. Router-originated failures (502 node died, 503
 // migrating) use the same {__error, Code, Message, RequestId}
 // envelope as everything else and are classified transient, so a
-// resilient client (lce.ConnectResilient) rides through node deaths
-// on its ordinary retry policy.
+// resilient client (lce.Resilient over lce.Connect) rides through
+// node deaths on its ordinary retry policy.
 package main
 
 import (

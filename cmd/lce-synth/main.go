@@ -13,7 +13,6 @@ import (
 
 	"lce"
 	"lce/internal/checks"
-	"lce/internal/metrics"
 	"lce/internal/spec"
 	"lce/internal/synth"
 )
@@ -54,13 +53,13 @@ func main() {
 
 	switch {
 	case *stats:
-		g := metrics.Graph(svc)
+		g := checks.Graph(svc)
 		fmt.Printf("service %s: %d SMs, %d dependency edges (density %.3f), %d states, %d transitions, %d checks, containment depth %d\n",
 			g.Service, g.Nodes, g.Edges, g.EdgeDensity, g.States, g.Transitions, g.Checks, g.MaxDepth)
-		for _, cx := range metrics.Complexities(svc) {
+		for _, cx := range checks.Complexities(svc) {
 			fmt.Printf("  %-28s states=%-3d transitions=%-3d complexity=%d\n", cx.SM, cx.States, cx.Transitions, cx.Total())
 		}
-		for _, ap := range metrics.AntiPatterns(svc) {
+		for _, ap := range checks.AntiPatterns(svc) {
 			fmt.Printf("  anti-pattern [%s] %s.%s: %s\n", ap.Kind, ap.SM, ap.Action, ap.Detail)
 		}
 	case *smName != "":

@@ -39,7 +39,6 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/docs"
 	"lce/internal/interp"
-	"lce/internal/metrics"
 	"lce/internal/obsv"
 	"lce/internal/retry"
 	"lce/internal/spec"
@@ -109,9 +108,9 @@ type Result struct {
 	Converged bool
 	// Final is the aligned (or best-effort) emulator.
 	Final *interp.Emulator
-	// Stats aggregates run-wide counters (comparisons, divergences,
-	// repairs). Deterministic for a given workload at any worker count.
-	Stats metrics.AlignStats
+	// Stats sums the rounds (comparisons, divergences, repairs) and
+	// adds the run's retry tallies.
+	Stats Stats
 }
 
 // Options tunes the loop.
@@ -129,10 +128,10 @@ type Options struct {
 	Workers int
 	// Retry, when non-nil, wraps every worker's oracle in a resilient
 	// client with this policy: transient oracle faults (throttling,
-	// 5xx, timeouts) are retried — counted in the run's
-	// metrics.AlignStats — instead of surfacing as spurious
-	// divergences. Each worker's wrapper draws a derived jitter seed
-	// so backoff schedules stay deterministic per worker.
+	// 5xx, timeouts) are retried — counted in the run's Stats —
+	// instead of surfacing as spurious divergences. Each worker's
+	// wrapper draws a derived jitter seed so backoff schedules stay
+	// deterministic per worker.
 	Retry *retry.Policy
 	// Obs, when non-nil, records the run's observability: one root
 	// span per trace comparison (keyed by round and trace index, so
@@ -161,7 +160,7 @@ func RunFactory(svc *spec.Service, brief *docs.ServiceDoc, factory cloudapi.Back
 	return run(svc, brief, factory(), factory, seeds, opts)
 }
 
-func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, factory cloudapi.BackendFactory, seeds []trace.Trace, opts Options) (*Result, error) {
+func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, factory cloudapi.BackendFactory, seeds []trace.Trace, opts Options) (res *Result, err error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = len(svc.SMs) + 2
 	}
@@ -171,14 +170,15 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	}
 	workers := poolSize(opts.Workers, len(traces), factory != nil)
 
-	res := &Result{}
-	counters := &metrics.AlignCounters{}
+	res = &Result{}
+	var tally retry.Tally
 	// One keyed-ID epoch per run: reusing an Obs across runs keeps
 	// trace IDs unique without losing run-to-run determinism.
 	epoch := opts.Obs.TracerOrNil().NextEpoch()
-	// Publish whatever the run counted — converged, stuck, or errored —
-	// into the registry on the way out.
+	// Every return — converged, stuck, or errored — reads the run's
+	// counts off the rounds it recorded and adds them to the registry.
 	defer func() {
+		res.Stats = statsOf(res.Rounds, &tally)
 		if opts.Obs != nil {
 			res.Stats.PublishTo(opts.Obs.Registry)
 		}
@@ -195,18 +195,24 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	memo := make([][]trace.Outcome, len(traces))
 
 	for round := 1; round <= opts.MaxRounds; round++ {
-		before := counters.Snapshot()
-		reports, emu, err := compareRound(svc, oracle, factory, traces, memo, workers, opts.Retry, counters, epoch, round, opts.Obs)
+		// Each trace is compared once per round and its memo entry only
+		// ever filled, so the entries filled so far are this round's hits.
+		hits := 0
+		for _, out := range memo {
+			if out != nil {
+				hits++
+			}
+		}
+		reports, emu, err := compareRound(svc, oracle, factory, traces, memo, workers, opts.Retry, &tally, epoch, round, opts.Obs)
 		if err != nil {
 			return res, err
 		}
-		after := counters.Snapshot()
 		res.Final = emu
 		r := Round{
 			Round:          round,
 			Total:          len(traces),
-			OracleReplays:  int(after.OracleReplays - before.OracleReplays),
-			OracleMemoHits: int(after.OracleMemoHits - before.OracleMemoHits),
+			OracleReplays:  len(traces) - hits,
+			OracleMemoHits: hits,
 		}
 		implicated := map[string]trace.StepDiff{}
 		var wrongCodes []trace.StepDiff
@@ -239,11 +245,9 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				wrongCodes = append(wrongCodes, d)
 			}
 		}
-		counters.RoundFinished()
 		if r.Aligned == r.Total {
 			res.Rounds = append(res.Rounds, r)
 			res.Converged = true
-			res.Stats = counters.Snapshot()
 			return res, nil
 		}
 
@@ -261,6 +265,9 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				continue
 			}
 			if err := synth.RepairSM(svc, brief, n); err != nil {
+				// The round happened: record it with the repairs that
+				// did apply before giving up.
+				res.Rounds = append(res.Rounds, r)
 				return res, fmt.Errorf("align: repair of %s failed: %w", n, err)
 			}
 			redocumented[n] = true
@@ -292,14 +299,11 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				}
 			}
 		}
-		counters.RepairsApplied(len(r.Repairs))
 		res.Rounds = append(res.Rounds, r)
 		if !progressed {
-			res.Stats = counters.Snapshot()
 			return res, nil // stuck: report best effort
 		}
 	}
-	res.Stats = counters.Snapshot()
 	return res, nil
 }
 
@@ -326,33 +330,35 @@ func poolSize(requested, traces int, haveFactory bool) int {
 // round's comparison phase, exported for the speedup benchmark and for
 // callers that want bulk differential replay without the repair loop.
 func CompareSuite(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int) ([]trace.Report, error) {
-	return CompareSuiteResilient(svc, factory, traces, workers, nil, nil)
-}
-
-// CompareSuiteResilient is CompareSuite with a retry policy applied
-// to every worker's oracle (nil policy = no retries) and an optional
-// counters sink for retry/fault totals. The chaos benchmark and the
-// degraded-mode tests use it to replay suites against flaky oracles.
-func CompareSuiteResilient(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters) ([]trace.Report, error) {
-	return CompareSuiteObserved(svc, factory, traces, workers, policy, counters, nil)
-}
-
-// CompareSuiteObserved is CompareSuiteResilient under an
-// observability stack: each comparison gets a root span keyed by its
-// trace index, with per-call child spans and fault/retry events, and
-// per-op latencies land in the registry. A nil obs is exactly
-// CompareSuiteResilient.
-func CompareSuiteObserved(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, workers int, policy *retry.Policy, counters *metrics.AlignCounters, obs *obsv.Obs) ([]trace.Report, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("align: nil backend factory")
-	}
-	if counters == nil {
-		counters = &metrics.AlignCounters{}
-	}
-	workers = poolSize(workers, len(traces), true)
-	epoch := obs.TracerOrNil().NextEpoch()
-	reports, _, err := compareRound(svc, nil, factory, traces, make([][]trace.Outcome, len(traces)), workers, policy, counters, epoch, 0, obs)
+	reports, _, err := CompareSuiteWith(svc, factory, traces, Options{Workers: workers})
 	return reports, err
+}
+
+// CompareSuiteWith is CompareSuite configured by the Workers, Retry and
+// Obs fields of opts: a non-nil Retry wraps every worker's oracle in
+// the resilient client, and a non-nil Obs roots one span per
+// comparison keyed by its trace index, with per-call child spans,
+// fault/retry events and per-op latencies in the registry. The Stats
+// count the one comparison phase (Rounds is 0) and its retries.
+func CompareSuiteWith(svc *spec.Service, factory cloudapi.BackendFactory, traces []trace.Trace, opts Options) ([]trace.Report, Stats, error) {
+	if factory == nil {
+		return nil, Stats{}, fmt.Errorf("align: nil backend factory")
+	}
+	var tally retry.Tally
+	workers := poolSize(opts.Workers, len(traces), true)
+	epoch := opts.Obs.TracerOrNil().NextEpoch()
+	reports, _, err := compareRound(svc, nil, factory, traces, make([][]trace.Outcome, len(traces)), workers, opts.Retry, &tally, epoch, 0, opts.Obs)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	n := int64(len(reports))
+	st := Stats{TracesCompared: n, OracleReplays: n, Retries: tally.Retries(), TransientFaults: tally.TransientFaults()}
+	for i := range reports {
+		if !reports[i].Aligned() {
+			st.Divergent++
+		}
+	}
+	return reports, st, nil
 }
 
 // compareRound runs the comparison phase of one round and returns the
@@ -365,13 +371,14 @@ func CompareSuiteObserved(svc *spec.Service, factory cloudapi.BackendFactory, tr
 // immutable compiled program so the spec is lowered once per round,
 // not once per worker. A non-nil
 // retry policy wraps each worker's oracle in a resilient client
-// (derived jitter seed per worker) so transient oracle faults are
-// retried inside the worker instead of surfacing as divergences. A
+// (derived jitter seed per worker, events counted in tally) so
+// transient oracle faults are retried inside the worker instead of
+// surfacing as divergences. A
 // non-nil obs roots one span per comparison, keyed by (epoch, round,
 // index) so trace IDs never depend on which worker drew which trace.
 // memo is the run's oracle memo (see diff): worker writes land on
 // disjoint indices, and the next round reads them after the pool joins.
-func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, memo [][]trace.Outcome, workers int, policy *retry.Policy, counters *metrics.AlignCounters, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
+func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, memo [][]trace.Outcome, workers int, policy *retry.Policy, tally *retry.Tally, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
 	emus := make([]*interp.Emulator, workers)
 	oracles := make([]cloudapi.Backend, workers)
 	base, err := interp.New(svc)
@@ -392,7 +399,7 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 		if policy != nil {
 			p := *policy
 			p.Seed = policy.Seed ^ int64(w+1)*0x9E3779B9
-			oracles[w] = retry.Wrap(oracles[w], p, counters)
+			oracles[w] = retry.Wrap(oracles[w], p, tally)
 		}
 	}
 
@@ -425,11 +432,9 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 	diff := func(ctx context.Context, emu *interp.Emulator, ora cloudapi.Backend, i int) (trace.Report, bool) {
 		tr := traces[i]
 		if out := memo[i]; out != nil {
-			counters.OracleMemoHit()
 			return trace.Diff(i, tr, trace.RunTraced(ctx, emu, tr, "emulator"), out), true
 		}
 		rep := trace.CompareIndexedTraced(ctx, emu, ora, i, tr)
-		counters.OracleReplayed()
 		if memoizable(rep.Oracle) {
 			memo[i] = rep.Oracle
 		}
@@ -441,7 +446,6 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 		if tracer == nil {
 			// Nil-tracer fast path: exactly the untraced comparison.
 			rep, _ := diff(context.Background(), emu, ora, i)
-			counters.TraceCompared(!rep.Aligned())
 			countDivergence(rep.FirstDiff())
 			return rep
 		}
@@ -457,7 +461,6 @@ func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.B
 		} else {
 			root.SetAttr("oracle", "replayed")
 		}
-		counters.TraceCompared(!rep.Aligned())
 		if d := rep.FirstDiff(); d != nil {
 			root.SetAttr("aligned", "false")
 			root.SetAttr("diff.action", d.Action)

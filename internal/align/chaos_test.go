@@ -9,7 +9,6 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
-	"lce/internal/metrics"
 	"lce/internal/retry"
 	"lce/internal/scenarios"
 	"lce/internal/spec"
@@ -69,9 +68,8 @@ func TestChaosWithRetriesIsByteIdenticalToFaultFree(t *testing.T) {
 			}
 
 			svc = perfectSpec(t, c.service)
-			counters := &metrics.AlignCounters{}
 			flaky := fault.Factory(c.factory, fault.Uniform(0.10, 1234))
-			chaotic, err := CompareSuiteResilient(svc, flaky, c.suite, workers, retryPolicy(1234), counters)
+			chaotic, stats, err := CompareSuiteWith(svc, flaky, c.suite, Options{Workers: workers, Retry: retryPolicy(1234)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +88,6 @@ func TestChaosWithRetriesIsByteIdenticalToFaultFree(t *testing.T) {
 					t.Errorf("%s@%dw: divergence under chaos+retry: %s", c.service, workers, trace.FormatReport(rep))
 				}
 			}
-			stats := counters.Snapshot()
 			if stats.TransientFaults == 0 || stats.Retries == 0 {
 				t.Errorf("%s@%dw: chaos at 10%% injected no faults (stats: %s) — the test is vacuous", c.service, workers, stats)
 			}

@@ -26,14 +26,13 @@ var goldenServices = []string{"ec2", "dynamodb", "network-firewall", "azure-netw
 // budget outlasts the injector's consecutive-fault cap.
 func alignCase(t testing.TB, service string, workers int, chaos bool) *lce.AlignResult {
 	t.Helper()
-	var res *lce.AlignResult
-	var err error
+	cfg := lce.AlignConfig{Workers: workers}
 	if chaos {
-		policy := lce.RetryPolicy{MaxAttempts: fault.DefaultMaxConsecutive + 2, Seed: 7}
-		res, err = lce.AlignWithFlakyCloud(service, lce.DefaultOptions(), workers, lce.UniformFaults(0.10, 7), &policy)
-	} else {
-		res, err = lce.AlignWithCloudWorkers(service, lce.DefaultOptions(), workers)
+		faults := lce.UniformFaults(0.10, 7)
+		cfg.Faults = &faults
+		cfg.Retry = &lce.RetryPolicy{MaxAttempts: fault.DefaultMaxConsecutive + 2, Seed: 7}
 	}
+	res, err := lce.Align(service, lce.DefaultOptions(), cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", service, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
-	"lce/internal/metrics"
 	"lce/internal/obsv"
 	"lce/internal/scenarios"
 	"lce/internal/synth"
@@ -129,7 +128,7 @@ func TestTraceIDsIgnoreWorkerCount(t *testing.T) {
 	ids := func(workers int) map[string]string {
 		svc := perfectSpec(t, "ec2")
 		obs := obsv.New(7, 0)
-		if _, err := CompareSuiteObserved(svc, ec2.Factory(), suite, workers, nil, nil, obs); err != nil {
+		if _, _, err := CompareSuiteWith(svc, ec2.Factory(), suite, Options{Workers: workers, Obs: obs}); err != nil {
 			t.Fatal(err)
 		}
 		out := map[string]string{}
@@ -157,9 +156,8 @@ func TestChaosTraceIsComplete(t *testing.T) {
 	suite := scenarios.EC2Fig3()
 	svc := perfectSpec(t, "ec2")
 	obs := obsv.New(99, 0)
-	counters := &metrics.AlignCounters{}
 	flaky := fault.Factory(ec2.Factory(), fault.Uniform(0.10, 99))
-	reports, err := CompareSuiteObserved(svc, flaky, suite, 4, nil, counters, obs)
+	reports, stats, err := CompareSuiteWith(svc, flaky, suite, Options{Workers: 4, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,15 +226,15 @@ func TestChaosTraceIsComplete(t *testing.T) {
 	if injectedEvents == 0 {
 		t.Error("no fault.injected events recorded")
 	}
-	if counters.Snapshot().TracesCompared != int64(len(suite)) {
-		t.Errorf("counters saw %d comparisons, want %d", counters.Snapshot().TracesCompared, len(suite))
+	if stats.TracesCompared != int64(len(suite)) || stats.Divergent != int64(diverged) {
+		t.Errorf("stats say %d comparisons (%d divergent), want %d (%d)", stats.TracesCompared, stats.Divergent, len(suite), diverged)
 	}
 }
 
-// BenchmarkCompareSuiteObserved measures the nil-tracer overhead: the
+// BenchmarkCompareSuiteTraced measures the nil-tracer overhead: the
 // disabled path must cost a nil check per layer and nothing else.
 // Compare the untraced sub-benchmark's ns/op against traced.
-func BenchmarkCompareSuiteObserved(b *testing.B) {
+func BenchmarkCompareSuiteTraced(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		obs  *obsv.Obs
@@ -253,7 +251,7 @@ func BenchmarkCompareSuiteObserved(b *testing.B) {
 			factory := ec2.Factory()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := CompareSuiteObserved(svc, factory, suite, 1, nil, nil, bc.obs); err != nil {
+				if _, _, err := CompareSuiteWith(svc, factory, suite, Options{Workers: 1, Obs: bc.obs}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,7 +5,9 @@
 // generations (describe transitions must not mutate state, transitions
 // may only call into SMs reachable in their dependency hierarchy,
 // creation must not destroy ancestors). These run after linking and
-// before the spec is accepted as an executable specification.
+// before the spec is accepted as an executable specification. The same
+// dependency graph backs the §4.4 complexity and anti-pattern measures
+// (graph.go).
 package checks
 
 import (

@@ -12,7 +12,6 @@ import (
 	"lce/internal/docs"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
-	"lce/internal/metrics"
 	"lce/internal/retry"
 	"lce/internal/scenarios"
 	"lce/internal/synth"
@@ -42,7 +41,7 @@ func TestChaosBenchSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rate := range []float64{0, 0.1} {
-			counters := &metrics.AlignCounters{}
+			var tally retry.Tally
 			var mu sync.Mutex
 			var injectors []*fault.Injector
 			factory := func() cloudapi.Backend {
@@ -53,9 +52,9 @@ func TestChaosBenchSmoke(t *testing.T) {
 				injectors = append(injectors, inj)
 				p := retry.DefaultPolicy()
 				p.Seed = seed ^ (n+1)*0x5DEECE66D
-				return retry.Wrap(inj, p, counters)
+				return retry.Wrap(inj, p, &tally)
 			}
-			reports, err := align.CompareSuiteObserved(svc, factory, c.suite, 4, nil, nil, nil)
+			reports, err := align.CompareSuite(svc, factory, c.suite, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +75,6 @@ func TestChaosBenchSmoke(t *testing.T) {
 				calls += s.Calls
 				faults += s.Faults
 			}
-			stats := counters.Snapshot()
 			cell := fmt.Sprintf("%s@%.0f%%", c.service, 100*rate)
 			if semantic != 0 {
 				t.Errorf("%s: %d semantic divergences under retry", cell, semantic)
@@ -88,14 +86,14 @@ func TestChaosBenchSmoke(t *testing.T) {
 				t.Errorf("%s: the replay reached the oracle 0 times", cell)
 			}
 			if rate == 0 {
-				if faults != 0 || stats.Retries != 0 {
-					t.Errorf("%s: faults=%d retries=%d", cell, faults, stats.Retries)
+				if faults != 0 || tally.Retries() != 0 {
+					t.Errorf("%s: faults=%d retries=%d", cell, faults, tally.Retries())
 				}
 				continue
 			}
-			if faults == 0 || stats.Retries == 0 || stats.TransientFaults == 0 {
+			if faults == 0 || tally.Retries() == 0 || tally.TransientFaults() == 0 {
 				t.Errorf("%s: chaos injected nothing (faults=%d retries=%d transient=%d)",
-					cell, faults, stats.Retries, stats.TransientFaults)
+					cell, faults, tally.Retries(), tally.TransientFaults())
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"lce/internal/align"
 	"lce/internal/catalog"
+	"lce/internal/checks"
 	"lce/internal/cloud/aws/dynamodb"
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/cloud/aws/eks"
@@ -21,7 +22,6 @@ import (
 	"lce/internal/docs/corpus"
 	"lce/internal/interp"
 	"lce/internal/manual"
-	"lce/internal/metrics"
 	"lce/internal/scenarios"
 	"lce/internal/synth"
 	"lce/internal/synth/d2c"
@@ -186,7 +186,7 @@ func FormatFig3(rows []SystemAccuracy) string {
 type Fig4Series struct {
 	Service string
 	SMs     int
-	Points  []metrics.CDFPoint
+	Points  []checks.CDFPoint
 	Mean    float64
 	Max     int
 }
@@ -200,9 +200,9 @@ func Fig4() ([]Fig4Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		series := Fig4Series{Service: d.Service, SMs: len(svc.SMs), Points: metrics.CDF(svc)}
+		series := Fig4Series{Service: d.Service, SMs: len(svc.SMs), Points: checks.CDF(svc)}
 		total := 0
-		for _, c := range metrics.Complexities(svc) {
+		for _, c := range checks.Complexities(svc) {
 			total += c.Total()
 			if c.Total() > series.Max {
 				series.Max = c.Total()
@@ -475,16 +475,16 @@ func DecodingAblation() ([]DecodingRow, error) {
 // ---------- A3: complexity & anti-patterns ----------
 
 // GraphReport bundles the §4.4 complexity metrics for every service.
-func GraphReport() ([]metrics.GraphStats, []metrics.AntiPattern, error) {
-	var stats []metrics.GraphStats
-	var anti []metrics.AntiPattern
+func GraphReport() ([]checks.GraphStats, []checks.AntiPattern, error) {
+	var stats []checks.GraphStats
+	var anti []checks.AntiPattern
 	for _, d := range []*docs.ServiceDoc{corpus.EC2(), corpus.NetworkFirewall(), corpus.DynamoDB(), corpus.Azure()} {
 		svc, _, err := synth.Synthesize(docs.Render(d), synth.Options{Noise: synth.Perfect, Decoding: synth.Constrained})
 		if err != nil {
 			return nil, nil, err
 		}
-		stats = append(stats, metrics.Graph(svc))
-		anti = append(anti, metrics.AntiPatterns(svc)...)
+		stats = append(stats, checks.Graph(svc))
+		anti = append(anti, checks.AntiPatterns(svc)...)
 	}
 	return stats, anti, nil
 }

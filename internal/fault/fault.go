@@ -3,8 +3,7 @@
 // like a real cloud control plane under load — throttling
 // (Throttling / RequestLimitExceeded), transient server faults
 // (InternalError / ServiceUnavailable), dropped calls that surface as
-// RequestTimeout, and extra per-call latency (fixed plus jittered,
-// composing with cloudapi.WithLatency).
+// RequestTimeout, and extra per-call latency (fixed plus jittered).
 //
 // Every backend in this repository is perfectly reliable, so without
 // this layer the alignment engine and the HTTP front-end are never
@@ -160,9 +159,9 @@ func New(b cloudapi.Backend, cfg Config) *Injector {
 }
 
 // Wrap returns b with fault injection. The wrapper preserves
-// forkability the way cloudapi.WithLatency does: when b implements
-// cloudapi.Forker so does the wrapper (each fork derives an
-// independent deterministic seed), otherwise neither does.
+// forkability: when b implements cloudapi.Forker so does the wrapper
+// (each fork derives an independent deterministic seed), otherwise
+// neither does.
 func Wrap(b cloudapi.Backend, cfg Config) cloudapi.Backend {
 	in := New(b, cfg)
 	if _, ok := b.(cloudapi.Forker); ok {

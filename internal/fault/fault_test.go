@@ -137,16 +137,6 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
-func TestComposesWithWithLatency(t *testing.T) {
-	b := Wrap(cloudapi.WithLatency(ec2.New(), time.Millisecond), Uniform(0.2, 9))
-	if _, ok := b.(cloudapi.Forker); !ok {
-		t.Fatal("injector over a forkable latency-wrapped oracle lost forkability")
-	}
-	if b.Service() != "ec2" {
-		t.Errorf("service = %q", b.Service())
-	}
-}
-
 func TestForkabilityMirrorsInner(t *testing.T) {
 	if _, ok := Wrap(&countingBackend{}, Uniform(0.1, 1)).(cloudapi.Forker); ok {
 		t.Error("injector over a non-forkable backend claims to fork")

@@ -44,7 +44,6 @@ import (
 	"lce/internal/interp"
 	"lce/internal/obsv"
 	"lce/internal/opsplane"
-	"lce/internal/retry"
 	"lce/internal/tenant"
 )
 
@@ -895,14 +894,6 @@ func (m *clientMeta) setAPIVersion(v string) {
 	m.mu.Lock()
 	m.apiVersion = v
 	m.mu.Unlock()
-}
-
-// NewResilientClient connects to a served backend and retries
-// transient wire faults (throttling, 5xx, timeouts) under the given
-// policy — the client to use against a server running with -chaos, or
-// against any real cloud-shaped endpoint.
-func NewResilientClient(baseURL string, p retry.Policy) cloudapi.Backend {
-	return retry.Wrap(NewClient(baseURL), p, nil)
 }
 
 // NewClient connects to a served backend at baseURL (no trailing

@@ -224,7 +224,7 @@ func TestResilientClientSurvivesChaosServer(t *testing.T) {
 	srv := httptest.NewServer(New(flaky))
 	defer srv.Close()
 	policy := retry.Policy{MaxAttempts: fault.DefaultMaxConsecutive + 2, Seed: 1}
-	client := NewResilientClient(srv.URL, policy)
+	client := retry.Wrap(NewClient(srv.URL), policy, nil)
 	for i := 0; i < 50; i++ {
 		res, err := client.Invoke(cloudapi.Request{
 			Action: "CreateVpc",

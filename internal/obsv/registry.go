@@ -14,9 +14,8 @@ import (
 
 // Registry is a typed metrics registry: counters, gauges, and
 // fixed-bucket histograms, identified by name plus label pairs, and
-// exposed in Prometheus text format. It supersedes the ad-hoc
-// counter structs that predate it (metrics.AlignCounters publishes
-// its snapshot into a Registry; see metrics.AlignStats.PublishTo).
+// exposed in Prometheus text format. An alignment run adds its counts
+// to a Registry once it ends (align.Stats.PublishTo).
 //
 // Instruments are created on first use and memoized. A lookup of a
 // series seen before costs one map probe and no allocation (see

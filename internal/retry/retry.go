@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lce/internal/cloudapi"
@@ -127,8 +128,7 @@ func (p Policy) Schedule(failures int) []time.Duration {
 	return out
 }
 
-// Observer receives retry-loop events; *metrics.AlignCounters
-// implements it.
+// Observer receives retry-loop events; *Tally implements it.
 type Observer interface {
 	// RecordRetry is called before each retry attempt is made.
 	RecordRetry()
@@ -136,6 +136,26 @@ type Observer interface {
 	// observed, whether or not it is retried.
 	RecordTransientFault()
 }
+
+// Tally counts retry-loop events. The alignment engine shares one
+// across every comparison worker's wrapper, so it is safe for
+// concurrent use; a zero Tally is ready to use.
+type Tally struct {
+	retries, transientFaults atomic.Int64
+}
+
+// RecordRetry implements Observer.
+func (t *Tally) RecordRetry() { t.retries.Add(1) }
+
+// RecordTransientFault implements Observer.
+func (t *Tally) RecordTransientFault() { t.transientFaults.Add(1) }
+
+// Retries returns the retry attempts recorded so far.
+func (t *Tally) Retries() int64 { return t.retries.Load() }
+
+// TransientFaults returns the transient faults recorded so far,
+// retried or not.
+func (t *Tally) TransientFaults() int64 { return t.transientFaults.Load() }
 
 type noopObserver struct{}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,12 +46,6 @@ func (s *scriptedBackend) Invoke(req cloudapi.Request) (cloudapi.Result, error) 
 }
 
 func throttle() error { return cloudapi.Errf(cloudapi.CodeThrottling, "slow down") }
-
-// tally implements Observer.
-type tally struct{ retries, faults int }
-
-func (t *tally) RecordRetry()          { t.retries++ }
-func (t *tally) RecordTransientFault() { t.faults++ }
 
 func TestClassifierEveryCodeFamily(t *testing.T) {
 	transient := []string{
@@ -157,7 +152,7 @@ func TestJitterBounds(t *testing.T) {
 
 func TestRetriesRecoverTransientFaults(t *testing.T) {
 	bk := &scriptedBackend{errs: []error{throttle(), cloudapi.Errf(cloudapi.CodeServiceUnavailable, "down")}}
-	obs := &tally{}
+	obs := &Tally{}
 	rb := WrapClock(bk, Policy{MaxAttempts: 5}, obs, &sleepClock{})
 	res, err := rb.Invoke(cloudapi.Request{Action: "Ping"})
 	if err != nil {
@@ -166,8 +161,8 @@ func TestRetriesRecoverTransientFaults(t *testing.T) {
 	if !res.Get("ok").AsBool() {
 		t.Errorf("res = %v", res)
 	}
-	if bk.calls != 3 || obs.retries != 2 || obs.faults != 2 {
-		t.Errorf("calls=%d retries=%d faults=%d, want 3/2/2", bk.calls, obs.retries, obs.faults)
+	if bk.calls != 3 || obs.Retries() != 2 || obs.TransientFaults() != 2 {
+		t.Errorf("calls=%d retries=%d faults=%d, want 3/2/2", bk.calls, obs.Retries(), obs.TransientFaults())
 	}
 }
 
@@ -177,7 +172,7 @@ func TestAttemptExhaustionReturnsLastTransientError(t *testing.T) {
 		errs[i] = throttle()
 	}
 	bk := &scriptedBackend{errs: errs}
-	obs := &tally{}
+	obs := &Tally{}
 	rb := WrapClock(bk, Policy{MaxAttempts: 3}, obs, &sleepClock{})
 	_, err := rb.Invoke(cloudapi.Request{Action: "Ping"})
 	ae, ok := cloudapi.AsAPIError(err)
@@ -187,8 +182,8 @@ func TestAttemptExhaustionReturnsLastTransientError(t *testing.T) {
 	if bk.calls != 3 {
 		t.Errorf("calls = %d, want exactly MaxAttempts", bk.calls)
 	}
-	if obs.retries != 2 || obs.faults != 3 {
-		t.Errorf("retries=%d faults=%d, want 2/3", obs.retries, obs.faults)
+	if obs.Retries() != 2 || obs.TransientFaults() != 3 {
+		t.Errorf("retries=%d faults=%d, want 2/3", obs.Retries(), obs.TransientFaults())
 	}
 }
 
@@ -218,14 +213,14 @@ func TestBudgetExhaustion(t *testing.T) {
 
 func TestSemanticErrorsAreNeverRetried(t *testing.T) {
 	bk := &scriptedBackend{errs: []error{cloudapi.Errf("InvalidVpc.Range", "bad cidr")}}
-	obs := &tally{}
+	obs := &Tally{}
 	rb := WrapClock(bk, Policy{MaxAttempts: 5}, obs, &sleepClock{})
 	_, err := rb.Invoke(cloudapi.Request{Action: "Ping"})
 	if ae, ok := cloudapi.AsAPIError(err); !ok || ae.Code != "InvalidVpc.Range" {
 		t.Fatalf("err = %v", err)
 	}
-	if bk.calls != 1 || obs.retries != 0 || obs.faults != 0 {
-		t.Errorf("semantic error drove retries: calls=%d retries=%d faults=%d", bk.calls, obs.retries, obs.faults)
+	if bk.calls != 1 || obs.Retries() != 0 || obs.TransientFaults() != 0 {
+		t.Errorf("semantic error drove retries: calls=%d retries=%d faults=%d", bk.calls, obs.Retries(), obs.TransientFaults())
 	}
 }
 
@@ -282,5 +277,32 @@ func TestRetryRecordsSpanEvents(t *testing.T) {
 	bk2 := &scriptedBackend{errs: []error{throttle()}}
 	if _, err := WrapClock(bk2, p, nil, fake).Invoke(cloudapi.Request{Action: "Ping"}); err != nil {
 		t.Fatalf("untraced retry broke: %v", err)
+	}
+}
+
+// TestTallyConcurrent bumps one Tally from many goroutines, as the
+// alignment engine's comparison workers do; run it under -race.
+func TestTallyConcurrent(t *testing.T) {
+	var tl Tally
+	const goroutines, perG = 16, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				tl.RecordTransientFault()
+				if i%4 == 0 {
+					tl.RecordRetry()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := tl.Retries(), int64(goroutines*perG/4); got != want {
+		t.Errorf("retries = %d, want %d", got, want)
+	}
+	if got, want := tl.TransientFaults(), int64(goroutines*perG); got != want {
+		t.Errorf("transient faults = %d, want %d", got, want)
 	}
 }

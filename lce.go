@@ -6,7 +6,7 @@
 //
 //	corpus := lce.Documentation("ec2")       // provider documentation (rendered text)
 //	emu, report, err := lce.Learn(corpus, lce.DefaultOptions()) // docs → SM spec → emulator
-//	res, err := lce.AlignWithCloud(emu, ...) // close the loop against the cloud
+//	res, err := lce.Align("ec2", lce.DefaultOptions(), lce.AlignConfig{}) // close the loop against the cloud
 //	lce.ListenAndServe(addr, lce.Serve(emu))  // the HTTP/1.1 front of internal/h1, header/idle timeouts
 //
 // Everything underneath lives in internal/ packages: the SM spec
@@ -213,58 +213,43 @@ func DivergenceTraces(ob *Obs) []DivergenceRef {
 // AlignResult is the outcome of the alignment loop.
 type AlignResult = align.Result
 
-// AlignWithCloud runs the automated alignment loop (§4.3) for a
-// service: synthesize under opts, then iteratively repair against the
-// oracle using the standard trace suites plus symbolically derived
+// AlignConfig tunes Align. The zero value is a fault-free, unobserved
+// run on GOMAXPROCS comparison workers.
+type AlignConfig struct {
+	// Workers is the comparison worker-pool size: 1 forces the serial
+	// engine, 0 uses GOMAXPROCS. Every setting produces an identical
+	// AlignResult; workers only change wall-clock time.
+	Workers int
+	// Faults, when non-nil, puts the oracle behind the chaos layer.
+	Faults *FaultConfig
+	// Retry, when non-nil, has every comparison worker talk to the
+	// oracle through the resilient client. With a policy whose
+	// MaxAttempts exceeds the injector's consecutive-fault cap, a run
+	// under Faults is identical to the fault-free run — retries absorb
+	// every injected fault; without one, injected faults surface as
+	// exhausted-transient divergences (never semantic ones, and never
+	// spec repairs).
+	Retry *RetryPolicy
+	// Obs, when non-nil, records the run: every comparison roots a span
+	// with nested replay and per-call spans (injected faults and their
+	// retries are events on them, so every divergence is findable by
+	// trace ID via DivergenceTraces), per-op latency histograms land in
+	// the registry, and the run's Stats are added to the lce_align_*
+	// counters. The AlignResult is byte-identical to the unobserved run.
+	Obs *Obs
+}
+
+// Align runs the automated alignment loop (§4.3) for a service:
+// synthesize under opts, then iteratively repair against the oracle
+// using the standard trace suites plus symbolically derived
 // single-violation traces. It returns the aligned emulator.
-func AlignWithCloud(service string, opts Options) (*AlignResult, error) {
-	return AlignWithCloudWorkers(service, opts, 0)
-}
-
-// AlignWithCloudWorkers is AlignWithCloud with an explicit comparison
-// worker-pool size: 1 forces the serial engine, 0 uses GOMAXPROCS.
-// Every setting produces an identical AlignResult; workers only change
-// wall-clock time.
-func AlignWithCloudWorkers(service string, opts Options, workers int) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, nil)
-}
-
-// AlignWithCloudObserved is AlignWithCloudWorkers under an
-// observability stack: every comparison records a root span with
-// nested replay and per-call spans, per-op latency histograms land in
-// the registry, and run counters are published as lce_align_* metrics.
-// The AlignResult is byte-identical to the unobserved run.
-func AlignWithCloudObserved(service string, opts Options, workers int, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, nil, nil, ob)
-}
-
-// AlignWithFlakyCloud is AlignWithCloudWorkers against a degraded
-// cloud: the oracle is wrapped in the chaos layer (cfg) and, when
-// policy is non-nil, every comparison worker talks to it through the
-// resilient client. With a policy whose MaxAttempts exceeds the
-// injector's consecutive-fault cap, the result is identical to the
-// fault-free run — retries absorb every injected fault; without a
-// policy, injected faults surface as exhausted-transient divergences
-// (never semantic ones, and never spec repairs).
-func AlignWithFlakyCloud(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, nil)
-}
-
-// AlignWithFlakyCloudObserved is AlignWithFlakyCloud under an
-// observability stack: injected faults and the retries they triggered
-// appear as events on the comparison spans, so every divergence in the
-// result is findable by trace ID (DivergenceTraces).
-func AlignWithFlakyCloudObserved(service string, opts Options, workers int, cfg FaultConfig, policy *RetryPolicy, ob *Obs) (*AlignResult, error) {
-	return alignWithCloud(service, opts, workers, &cfg, policy, ob)
-}
-
-func alignWithCloud(service string, opts Options, workers int, cfg *FaultConfig, policy *RetryPolicy, ob *Obs) (*AlignResult, error) {
+func Align(service string, opts Options, cfg AlignConfig) (*AlignResult, error) {
 	factory, err := CloudFactory(service)
 	if err != nil {
 		return nil, err
 	}
-	if cfg != nil {
-		factory = fault.Factory(factory, *cfg)
+	if cfg.Faults != nil {
+		factory = fault.Factory(factory, *cfg.Faults)
 	}
 	brief := corpusBrief(service)
 	if brief == nil {
@@ -274,7 +259,12 @@ func alignWithCloud(service string, opts Options, workers int, cfg *FaultConfig,
 	if err != nil {
 		return nil, err
 	}
-	return align.RunFactory(svc, brief, factory, Scenarios(service), align.Options{GenerateViolations: true, Workers: workers, Retry: policy, Obs: ob})
+	return align.RunFactory(svc, brief, factory, Scenarios(service), align.Options{GenerateViolations: true, Workers: cfg.Workers, Retry: cfg.Retry, Obs: cfg.Obs})
+}
+
+// AlignWithCloudWorkers is Align with only the worker-pool size set.
+func AlignWithCloudWorkers(service string, opts Options, workers int) (*AlignResult, error) {
+	return Align(service, opts, AlignConfig{Workers: workers})
 }
 
 // corpusBrief returns the structured documentation for a learnable
@@ -326,16 +316,13 @@ func Serve(b Backend) http.Handler {
 	return httpapi.New(b)
 }
 
-// Connect returns a Backend speaking to a served emulator over HTTP.
-func Connect(baseURL string) Backend {
+// Connect returns a client speaking to a served emulator over HTTP; it
+// is a Backend. Client.WithSession scopes it to a tenant session, and
+// Resilient(Connect(url), DefaultRetryPolicy()) retries the transient
+// faults of a chaos-enabled (or genuinely degraded) server instead of
+// surfacing them.
+func Connect(baseURL string) *Client {
 	return httpapi.NewClient(baseURL)
-}
-
-// ConnectResilient is Connect with the default retry policy wrapped
-// around the wire client: transient faults from a chaos-enabled (or
-// genuinely degraded) server are retried instead of surfacing.
-func ConnectResilient(baseURL string) Backend {
-	return httpapi.NewResilientClient(baseURL, retry.DefaultPolicy())
 }
 
 // BackendFactory stamps out independent backend instances — one per
@@ -360,9 +347,3 @@ type DurableStore = durable.Store
 // Client is the wire client; WithSession scopes it to a tenant
 // session and Batch sends many requests in one round trip.
 type Client = httpapi.Client
-
-// SessionClient returns a client for one tenant session on a pool
-// server. An empty session means the shared default session.
-func SessionClient(baseURL, session string) *Client {
-	return httpapi.NewClient(baseURL).WithSession(session)
-}

@@ -48,7 +48,7 @@ func TestPublicAPICloudAndCompare(t *testing.T) {
 }
 
 func TestPublicAPIAlignWithCloud(t *testing.T) {
-	res, err := AlignWithCloud("azure-network", DefaultOptions())
+	res, err := Align("azure-network", DefaultOptions(), AlignConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,8 @@ func TestPublicAPIFlakyCloud(t *testing.T) {
 	}
 	policy := DefaultRetryPolicy()
 	policy.BaseDelay, policy.Seed = 0, 42 // zero-delay retries keep the test fast
-	flaky, err := AlignWithFlakyCloud("azure-network", DefaultOptions(), 4, UniformFaults(0.1, 42), &policy)
+	faults := UniformFaults(0.1, 42)
+	flaky, err := Align("azure-network", DefaultOptions(), AlignConfig{Workers: 4, Faults: &faults, Retry: &policy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,8 @@ durable-smoke:
 # the dead node's sessions from the shared directory, and any 5xx in
 # the failover window must carry the unified transient envelope. The
 # /v2/cluster view must report the death and /v2/sessions must
-# aggregate the fleet.
+# aggregate the fleet. The router's fleet-merged /metrics must lint
+# (lce-tracecheck -metrics), one label schema per family included.
 #
 # The tracing leg: every process runs with its default tracer, so
 # after the traffic the surviving nodes' /debug/traces dumps plus the
@@ -248,11 +249,12 @@ cluster-smoke:
 	echo "$$out" | grep -q '"cluster":true' || { echo "fleet sessions aggregation broken: $$out"; exit 1; }; \
 	out=$$(curl -s 127.0.0.1:4610/healthz); \
 	echo "$$out" | grep -q '"slo"' || { echo "router /healthz missing fleet SLO section: $$out"; exit 1; }; \
+	curl -s 127.0.0.1:4610/metrics | ./lce-tracecheck-cluster -metrics -; \
 	curl -s "127.0.0.1:4610/debug/traces?format=jsonl" > trace-router.jsonl; \
 	curl -s "127.0.0.1:4611/debug/traces?format=jsonl" > trace-n1.jsonl; \
 	curl -s "127.0.0.1:4613/debug/traces?format=jsonl" > trace-n3.jsonl; \
 	./lce-tracecheck-cluster -stitch -skew 500ms trace-router.jsonl trace-n1.jsonl trace-n3.jsonl; \
 	rm -f /tmp/lce-cluster-smoke-body; \
-	echo "cluster smoke: 3-node fleet, kill -9 failover, byte parity vs control, fleet views, stitched traces all OK"
+	echo "cluster smoke: 3-node fleet, kill -9 failover, byte parity vs control, fleet views, merged metrics lint, stitched traces all OK"
 
 ci: build lint race chaos bench obsv-smoke tenant-smoke ops-smoke durable-smoke cluster-smoke

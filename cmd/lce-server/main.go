@@ -39,11 +39,11 @@
 //	lce-server -service ec2 -backend oracle -chaos -fault-rate 0.1 -chaos-seed 7
 //
 // The server is observable by default: GET /metrics serves the typed
-// metrics registry in Prometheus text (per-route request/error
-// counters, latency histograms, per-op backend latencies), and
-// GET /debug/traces serves the recorded request spans grouped by
-// trace. The operations plane (on by default, -ops=false to disable)
-// adds dimensional request metrics with trace exemplars, a structured
+// metrics registry in Prometheus text (request counters by route,
+// action, session and response code, latency histograms, per-op
+// backend latencies), and GET /debug/traces serves the recorded
+// request spans grouped by trace. The operations plane (on by
+// default, -ops=false to disable) adds trace exemplars, a structured
 // event log (-log-format text|json, -log-session to scope it to one
 // tenant), live SSE streaming on GET /debug/events, a flight recorder
 // of the last -flight data-plane requests on GET /debug/flightrecorder

@@ -36,8 +36,9 @@
 //
 // It fails when a line is malformed, a label value breaks the escaping
 // rules, families or series are out of the registry's deterministic
-// order, histogram buckets are not cumulative, or an exemplar does not
-// parse — see obsv.LintExposition for the full invariant list.
+// order, a family's series disagree on their label names, histogram
+// buckets are not cumulative, or an exemplar does not parse — see
+// obsv.LintExposition for the full invariant list.
 package main
 
 import (

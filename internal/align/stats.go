@@ -55,13 +55,14 @@ func statsOf(rounds []Round, tally *retry.Tally) Stats {
 
 // PublishTo adds one run's counts to the lce_align_* counters of r, so
 // runs sharing a registry sum. Publish each run once; a nil registry
-// is a no-op.
+// is a no-op. Divergent has no counter here: the run counted each
+// divergence as it found it, by cause, in lce_align_divergences_total,
+// whose sum over causes it equals.
 func (s Stats) PublishTo(r *obsv.Registry) {
 	if r == nil {
 		return
 	}
 	r.Counter("lce_align_comparisons_total").Add(s.TracesCompared)
-	r.Counter("lce_align_divergent_total").Add(s.Divergent)
 	r.Counter("lce_align_repairs_total").Add(s.Repairs)
 	r.Counter("lce_align_rounds_total").Add(s.Rounds)
 	r.Counter("lce_align_retries_total").Add(s.Retries)

@@ -380,12 +380,3 @@ func DescribeAll(rs []*Resource) cloudapi.Value {
 func OKResult() cloudapi.Result {
 	return cloudapi.Result{"return": cloudapi.True}
 }
-
-// IDList renders resources as a list of their ID strings.
-func IDList(rs []*Resource) cloudapi.Value {
-	out := make([]cloudapi.Value, len(rs))
-	for i, r := range rs {
-		out[i] = cloudapi.Str(r.ID)
-	}
-	return cloudapi.List(out...)
-}

@@ -162,17 +162,6 @@ var transientCodes = map[string]bool{
 // infrastructure fault (retryable) rather than a semantic API error.
 func IsTransientCode(code string) bool { return transientCodes[code] }
 
-// IsThrottlingCode reports whether code is in the throttling family —
-// transient faults that wire-map to HTTP 400 (as AWS query APIs do)
-// rather than to a 5xx.
-func IsThrottlingCode(code string) bool {
-	switch code {
-	case CodeThrottling, CodeRequestLimitExceeded, CodeThrottlingException, CodeThroughputExceeded:
-		return true
-	}
-	return false
-}
-
 // Backend is a cloud-shaped thing that can execute API requests: the
 // ground-truth cloud models, the learned (spec-interpreted) emulator,
 // the manual baseline, and the direct-to-code baseline all implement
@@ -190,15 +179,4 @@ type Backend interface {
 	// Reset clears all resource state, returning the backend to a
 	// fresh account.
 	Reset()
-}
-
-// SortedActions is a helper for Backend implementations: it copies and
-// sorts the given action names.
-func SortedActions(names map[string]bool) []string {
-	out := make([]string, 0, len(names))
-	for n := range names {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -153,9 +153,6 @@ func StringOf(v *Value) string { return v.s }
 // IntOf is AsInt without copying the value.
 func IntOf(v *Value) int64 { return v.i }
 
-// BoolOf is AsBool without copying the value.
-func BoolOf(v *Value) bool { return v.b }
-
 // RefOfPtr is AsRef without copying the value.
 func RefOfPtr(v *Value) Ref { return v.ref }
 

@@ -18,6 +18,7 @@ import (
 	"lce/internal/httpapi"
 	"lce/internal/interp"
 	"lce/internal/obsv"
+	"lce/internal/opsplane"
 	"lce/internal/spec"
 	"lce/internal/tenant"
 )
@@ -663,11 +664,22 @@ func TestRouterSessionsAggregation(t *testing.T) {
 
 // TestRouterMetricsAggregation: the merged exposition carries every
 // node's samples with injected node labels and exactly one TYPE line
-// per family.
+// per family, and lints — one label schema per family included. The
+// nodes carry what lce.NewServer mounts: registry, operations plane,
+// and a pool reporting into the registry.
 func TestRouterMetricsAggregation(t *testing.T) {
+	observed := func(name string, seed int64) *httptest.Server {
+		ob := obsv.New(seed, 0)
+		ops := opsplane.New(opsplane.Config{Service: "ec2", Obs: ob, Objectives: opsplane.DefaultObjectives()})
+		pool, err := tenant.New(ec2.Factory(), tenant.Config{Registry: ob.Registry, OnEvict: ops.OnEvict()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newEC2Node(t, name, httpapi.WithPool(pool), httpapi.WithObs(ob), httpapi.WithOps(ops))
+	}
 	_, rsrv := newRouter(t, 2, map[string]*httptest.Server{
-		"n1": newEC2Node(t, "n1", httpapi.WithObs(obsv.New(1, 0))),
-		"n2": newEC2Node(t, "n2", httpapi.WithObs(obsv.New(2, 0))),
+		"n1": observed("n1", 1),
+		"n2": observed("n2", 2),
 	})
 	for i := 0; i < 12; i++ {
 		cl := httpapi.NewClient(rsrv.URL).WithSession(fmt.Sprintf("m-%d", i))
@@ -696,6 +708,9 @@ func TestRouterMetricsAggregation(t *testing.T) {
 	}
 	if len(seenType) == 0 {
 		t.Fatal("merged exposition has no TYPE lines")
+	}
+	if _, err := obsv.LintExposition(strings.NewReader(text)); err != nil {
+		t.Errorf("merged exposition does not lint: %v", err)
 	}
 }
 

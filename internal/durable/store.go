@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lce/internal/cloudapi"
@@ -68,7 +67,9 @@ type Config struct {
 	// journaling, no checkpoint, no compaction. cmd/lce-replay uses it
 	// to replay a partial flight dump against a recovered world.
 	ReadOnly bool
-	// Registry, when non-nil, receives the lce_durable_* series.
+	// Registry, when non-nil, receives the lce_durable_* series. Its
+	// counters are the store's only copy of those counts, so stores
+	// that share a registry share their counts (and their Stats).
 	Registry *obsv.Registry
 	// Events, when non-nil, receives the store's operational events
 	// (Event* kinds). The server forwards them to the ops-plane bus.
@@ -112,17 +113,15 @@ type Store struct {
 	mu    sync.Mutex
 	known map[string]struct{} // sessions with on-disk state
 
-	spills       atomic.Int64
-	spillBytes   atomic.Int64
-	rehydrations atomic.Int64
-	records      atomic.Int64
-
-	gSessions  *obsv.Gauge
-	cSpills    *obsv.Counter
-	cSpillB    *obsv.Counter
-	cRehydrate *obsv.Counter
-	cRecords   *obsv.Counter
-	cStalls    *obsv.Counter
+	// The counters are Config.Registry's series, or standalone
+	// counters without one, and Stats reads them: each count is kept
+	// once. gSessions is nil (a no-op) without a registry.
+	gSessions    *obsv.Gauge
+	spills       *obsv.Counter
+	spillBytes   *obsv.Counter
+	rehydrations *obsv.Counter
+	records      *obsv.Counter
+	stalls       *obsv.Counter
 
 	clock          obsv.Clock
 	stallThreshold time.Duration // resolved: 0 = watchdog off
@@ -166,15 +165,14 @@ func Open(cfg Config) (*Store, error) {
 	for _, id := range s.scanSessions() {
 		s.known[id] = struct{}{}
 	}
-	if reg := cfg.Registry; reg != nil {
-		s.gSessions = reg.Gauge(obsv.MetricDurableSessions)
-		s.cSpills = reg.Counter(obsv.MetricDurableSpills)
-		s.cSpillB = reg.Counter(obsv.MetricDurableSpillBytes)
-		s.cRehydrate = reg.Counter(obsv.MetricDurableRehydrations)
-		s.cRecords = reg.Counter(obsv.MetricDurableJournalRecords)
-		s.cStalls = reg.Counter(obsv.MetricDurableStalls)
-		s.gSessions.Add(int64(len(s.known)))
-	}
+	reg := cfg.Registry
+	s.gSessions = reg.Gauge(obsv.MetricDurableSessions)
+	s.gSessions.Add(int64(len(s.known)))
+	s.spills = reg.CounterOrNew(obsv.MetricDurableSpills)
+	s.spillBytes = reg.CounterOrNew(obsv.MetricDurableSpillBytes)
+	s.rehydrations = reg.CounterOrNew(obsv.MetricDurableRehydrations)
+	s.records = reg.CounterOrNew(obsv.MetricDurableJournalRecords)
+	s.stalls = reg.CounterOrNew(obsv.MetricDurableStalls)
 	return s, nil
 }
 
@@ -285,10 +283,10 @@ func (s *Store) onDisk(id string) bool {
 func (s *Store) Stats() Stats {
 	return Stats{
 		Sessions:       s.Count(),
-		Spills:         s.spills.Load(),
-		SpillBytes:     s.spillBytes.Load(),
-		Rehydrations:   s.rehydrations.Load(),
-		JournalRecords: s.records.Load(),
+		Spills:         s.spills.Value(),
+		SpillBytes:     s.spillBytes.Value(),
+		Rehydrations:   s.rehydrations.Value(),
+		JournalRecords: s.records.Value(),
 	}
 }
 
@@ -520,8 +518,7 @@ func (s *Store) rehydrate(sb *sessionBackend) (*journal, bool, error) {
 			dropSegmentsAfter(sb.dir, res.lastSeg)
 		}
 	}
-	s.rehydrations.Add(1)
-	s.cRehydrate.Inc()
+	s.rehydrations.Inc()
 	s.emit(EventRehydrated, sb.id, attrs)
 	if lastSeq > jr.seq {
 		jr.seq = lastSeq
@@ -564,10 +561,8 @@ func (s *Store) Spill(id string, b cloudapi.Backend) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.spills.Add(1)
+	s.spills.Inc()
 	s.spillBytes.Add(n)
-	s.cSpills.Inc()
-	s.cSpillB.Add(n)
 	s.emit(EventSpilled, id, map[string]string{
 		"bytes":     strconv.FormatInt(n, 10),
 		"compacted": strconv.FormatBool(compacted),
@@ -713,7 +708,7 @@ func (sb *sessionBackend) stallEnd(t0 time.Time) {
 		return
 	}
 	if d := s.clock.Now().Sub(t0); d >= s.stallThreshold {
-		s.cStalls.Inc()
+		s.stalls.Inc()
 		s.emit(EventStall, sb.id, map[string]string{
 			"durationNs":  strconv.FormatInt(d.Nanoseconds(), 10),
 			"thresholdNs": strconv.FormatInt(s.stallThreshold.Nanoseconds(), 10),
@@ -742,8 +737,7 @@ func (sb *sessionBackend) appendLocked(rec record, pt *obsv.PhaseTimer) {
 		return
 	}
 	sb.recsSinceCkpt++
-	sb.store.records.Add(1)
-	sb.store.cRecords.Inc()
+	sb.store.records.Inc()
 }
 
 // maybeCompactLocked compacts once a recovery would have CompactEvery
@@ -788,7 +782,6 @@ func (sb *sessionBackend) checkpointLocked(compact bool) (int64, bool, error) {
 	}
 	jr.seq, jr.ckptEnd = st.LastSeq, jr.segSize
 	sb.recsSinceCkpt, sb.clean = 0, true
-	sb.store.records.Add(1)
-	sb.store.cRecords.Inc()
+	sb.store.records.Inc()
 	return n, compact, nil
 }

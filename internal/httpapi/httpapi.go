@@ -185,8 +185,9 @@ type config struct {
 // Option configures New.
 type Option func(*config)
 
-// WithObs mounts the observability stack: per-route request/error
-// counters and latency histograms, one root span per request threaded
+// WithObs mounts the observability stack: the request counter
+// lce_http_requests_total{route,service,action,session,code}, latency
+// histograms, one root span per request threaded
 // into the backend call, plus GET /metrics (Prometheus text) and
 // GET /debug/traces (spans grouped by trace). A nil obs is a no-op.
 func WithObs(o *obsv.Obs) Option { return func(c *config) { c.obs = o } }

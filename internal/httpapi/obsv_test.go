@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,9 +23,10 @@ func newObservedServer(t *testing.T) (*httptest.Server, *Client, *obsv.Obs) {
 	return srv, NewClient(srv.URL), obs
 }
 
-// TestEveryRequestIncrementsRegistry: each handled request bumps
-// lce_http_requests_total for its route, errors bump
-// lce_http_errors_total, and every request lands a latency observation.
+// TestEveryRequestIncrementsRegistry: each handled request bumps one
+// lce_http_requests_total series labelled with its route, errors are the
+// series whose code is not "OK", and every request lands a latency
+// observation.
 func TestEveryRequestIncrementsRegistry(t *testing.T) {
 	srv, client, obs := newObservedServer(t)
 
@@ -51,19 +53,42 @@ func TestEveryRequestIncrementsRegistry(t *testing.T) {
 	// first call, and Actions asks again.
 	wantRequests := map[string]int64{"v2.invoke": 2, "v2.reset": 1, "actions": 2, "healthz": 1}
 	for route, want := range wantRequests {
-		if got := reg.Counter(obsv.MetricHTTPRequests, "route", route).Value(); got != want {
+		if got, _ := routeRequests(t, reg, route); got != want {
 			t.Errorf("requests_total{route=%q} = %d, want %d", route, got, want)
 		}
 		if got := reg.Histogram(obsv.MetricHTTPSeconds, "route", route).Count(); got != want {
 			t.Errorf("request_seconds{route=%q} count = %d, want %d", route, got, want)
 		}
 	}
-	if got := reg.Counter(obsv.MetricHTTPErrors, "route", "v2.invoke").Value(); got != 1 {
-		t.Errorf("errors_total{route=v2.invoke} = %d, want 1", got)
+	if _, errs := routeRequests(t, reg, "v2.invoke"); errs != 1 {
+		t.Errorf(`requests_total{route="v2.invoke",code!="OK"} = %d, want 1`, errs)
 	}
-	if got := reg.Counter(obsv.MetricHTTPErrors, "route", "healthz").Value(); got != 0 {
-		t.Errorf("errors_total{route=healthz} = %d, want 0", got)
+	if _, errs := routeRequests(t, reg, "healthz"); errs != 0 {
+		t.Errorf(`requests_total{route="healthz",code!="OK"} = %d, want 0`, errs)
 	}
+}
+
+// routeRequests reads a route's requests and errors off the exposition,
+// as sum(lce_http_requests_total{route=...}) and the same with
+// code!="OK".
+func routeRequests(t *testing.T, reg *obsv.Registry, route string) (total, errs int64) {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, obsv.MetricHTTPRequests+"{") || !strings.Contains(line, `route="`+route+`"`) {
+			continue
+		}
+		n, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		total += n
+		if !strings.Contains(line, `code="OK"`) {
+			errs += n
+		}
+	}
+	return total, errs
 }
 
 // TestErroredRequestsCarrySpanErrorStatus: the root span of a failed

@@ -16,11 +16,10 @@ import (
 	"lce/internal/tenant"
 )
 
-// WithOps mounts the live operations plane: dimensional request
-// metrics ({service,action,session,code} on top of the per-route
-// aggregates), latency exemplars carrying span trace IDs, SLO
-// recording for /healthz and /readyz, flight-recorder capture of the
-// data-plane routes, and the streaming endpoints
+// WithOps mounts the live operations plane: latency exemplars carrying
+// span trace IDs, SLO recording for /healthz and /readyz,
+// flight-recorder capture of the data-plane routes, and the streaming
+// endpoints
 //
 //	GET /debug/events          — SSE event stream (?session=&service=&kind=)
 //	GET /debug/flightrecorder  — JSON dump of the recent-request window
@@ -198,11 +197,11 @@ func (x *exchange) release() {
 }
 
 // instrument wraps one route's handler with the request-scoped
-// observability: root span, request/error counters, latency histogram,
-// and — when the operations plane is mounted — dimensional metric
-// vecs, latency exemplars, SLO recording, and flight capture. With
-// everything disabled it returns fn untouched, so the plain server
-// runs the exact same code path as before.
+// observability: root span, the request counter, latency and phase
+// histograms, and — when the operations plane is mounted — latency
+// exemplars, SLO recording, and flight capture. With everything
+// disabled it returns fn untouched, so the plain server runs the exact
+// same code path as before.
 //
 // The wrapper does each thing once per request — one pooled exchange,
 // one query parse, one snapshot of the phase timer feeding span
@@ -284,25 +283,26 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 			}
 		}
 
-		code, action := "", ""
-		if ops != nil {
-			code = responseCode(status, sw.errorCode)
-			switch {
-			case x.queryAction != "":
-				action = x.queryAction
-			case x.decoded:
-				action = x.decodedAction
-			case x.captured:
-				action = bodyAction(x.reqBody.Bytes())
-			}
+		code := responseCode(status, sw.errorCode)
+		var action string
+		switch {
+		case x.queryAction != "":
+			action = x.queryAction
+		case x.decoded:
+			action = x.decodedAction
+		case x.captured:
+			action = bodyAction(x.reqBody.Bytes())
 		}
 		if reg != nil {
-			// Per-route aggregates: the pre-ops series, kept stable so
-			// existing dashboards and tests read unchanged totals.
-			reg.Counter(obsv.MetricHTTPRequests, "route", route).Inc()
-			if status >= 400 {
-				reg.Counter(obsv.MetricHTTPErrors, "route", route).Inc()
+			// One request series: a route's total, its errors (code
+			// != "OK") and any per-session or per-action view are sums
+			// over it, so no request is counted in two series.
+			label := session
+			if label == "" {
+				label = tenant.DefaultSession
 			}
+			reg.Counter(obsv.MetricHTTPRequests, "route", route,
+				"service", service, "action", action, "session", label, "code", code).Inc()
 			reg.Histogram(obsv.MetricHTTPSeconds, "route", route).ObserveDurationExemplar(dur, traceID)
 			// Per-phase self-time histograms: lce_phase_seconds sums
 			// to lce_http_request_seconds by construction, so a
@@ -312,14 +312,6 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 					reg.Histogram(obsv.MetricPhaseSeconds, "phase", name, "service", service).
 						ObserveDurationExemplar(times.Self[i], traceID)
 				}
-			}
-			if ops != nil {
-				label := session
-				if label == "" {
-					label = tenant.DefaultSession
-				}
-				reg.Counter(obsv.MetricHTTPRequests,
-					"service", service, "action", action, "session", label, "code", code).Inc()
 			}
 		}
 		if ops != nil {

@@ -55,24 +55,32 @@ const (
 	SpanMigrateFlip   = "migrate.flip"
 )
 
-// Canonical metric names.
+// Canonical metric names. Each count lives in one series, and every
+// series of a family carries the same label names (LintExposition
+// holds an exposition to that), so a sum over any label counts each
+// event once.
 const (
 	MetricBackendOpSeconds = "lce_backend_op_seconds"
-	MetricHTTPRequests     = "lce_http_requests_total"
-	MetricHTTPErrors       = "lce_http_errors_total"
-	MetricHTTPSeconds      = "lce_http_request_seconds"
+
+	// HTTP series (internal/httpapi): every handled request, once, in
+	// {route,service,action,session,code} — a route's errors are its
+	// series whose code is not "OK" — and request latency by {route}.
+	MetricHTTPRequests = "lce_http_requests_total"
+	MetricHTTPSeconds  = "lce_http_request_seconds"
 
 	// Tenant-pool series (internal/tenant): resident-session
 	// occupancy, registry hit/miss counters (hit rate = hits /
 	// (hits+misses)), and evictions labelled by shard and reason
-	// ("idle" | "capacity").
+	// ("idle" | "capacity" | "release"); a reason's pool-wide total is
+	// the sum over shards.
 	MetricTenantSessions  = "lce_tenant_sessions"
 	MetricTenantHits      = "lce_tenant_hits_total"
 	MetricTenantMisses    = "lce_tenant_misses_total"
 	MetricTenantEvictions = "lce_tenant_evictions_total"
 
 	// Operations-plane series (internal/opsplane): per-divergence
-	// attribution {service,cause}, event-bus throughput/loss, flight
+	// attribution {service,cause} (its sum over causes is an alignment
+	// run's divergent count), event-bus throughput/loss, flight
 	// recorder occupancy, and the SLO engine's per-window burn rates
 	// {slo,window} (a float gauge — burn is a ratio).
 	MetricAlignDivergences = "lce_align_divergences_total"

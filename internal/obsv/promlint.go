@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -20,6 +21,9 @@ import (
 //   - metric and label names match the Prometheus grammar
 //   - label values use only the \\ \" \n escapes and close their quotes
 //   - no duplicate label keys within a sample, no duplicate series
+//   - every series of a family carries the same set of label names
+//     (le aside on _bucket lines), so summing a family over any label
+//     counts each event once
 //   - TYPE precedes its samples, each family is declared once, and
 //     families appear in sorted order (the registry's determinism
 //     contract — scrapes must be diffable)
@@ -77,6 +81,7 @@ type linter struct {
 	familyKind string
 	lastFamily string          // for sorted-family-order check
 	lastSeries string          // labels of the previous sample in this family
+	labelNames string          // label-name set of this family's first sample, "" before it
 	seen       map[string]bool // full series (name+labels) for duplicate check
 	hist       map[string]bool // histogram families
 
@@ -126,7 +131,7 @@ func (l *linter) typeLine(line string, st *LintStats) error {
 	if name <= l.lastFamily {
 		return fmt.Errorf("family %q out of order after %q (deterministic ordering broken)", name, l.lastFamily)
 	}
-	l.family, l.familyKind, l.lastFamily, l.lastSeries = name, kind, name, ""
+	l.family, l.familyKind, l.lastFamily, l.lastSeries, l.labelNames = name, kind, name, "", ""
 	if kind == "histogram" {
 		l.hist[name] = true
 	}
@@ -168,8 +173,11 @@ func (l *linter) sample(line string, st *LintStats) error {
 		return fmt.Errorf("sample %q does not match TYPE %s", name, l.familyKind)
 	}
 
-	_, kv, err := parseLabels(labels)
+	keys, kv, err := parseLabels(labels)
 	if err != nil {
+		return err
+	}
+	if err := l.checkLabelNames(keys, suffix == "_bucket"); err != nil {
 		return err
 	}
 	if l.seen[name+labels] && suffix != "_bucket" {
@@ -217,6 +225,27 @@ func (l *linter) sample(line string, st *LintStats) error {
 		st.Series++
 		return nil
 	}
+}
+
+// checkLabelNames holds every series of the current family to the
+// label-name set of its first sample. A family whose series disagree —
+// some {route}, some {service,code} — counts each event once per
+// schema, so any sum over it double-counts.
+func (l *linter) checkLabelNames(keys []string, bucket bool) error {
+	names := make([]string, 0, len(keys))
+	for _, k := range keys {
+		if !(bucket && k == "le") {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	set := "{" + strings.Join(names, ",") + "}"
+	if l.labelNames == "" {
+		l.labelNames = set
+	} else if set != l.labelNames {
+		return fmt.Errorf("family %q mixes label sets %s and %s", l.family, l.labelNames, set)
+	}
+	return nil
 }
 
 // bucket tracks one histogram series' cumulative bucket run.

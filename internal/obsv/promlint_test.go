@@ -12,10 +12,12 @@ import (
 // values needing escaping, and exemplars.
 func TestLintLiveExposition(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("lce_http_requests_total", "route", "invoke").Add(7)
-	reg.Counter("lce_http_requests_total", "route", "reset").Add(2)
 	reg.Counter("lce_http_requests_total",
-		"service", "ec2", "action", "CreateVpc", "session", "al\"ice\n", "code", "OK").Inc()
+		"route", "v2.invoke", "service", "ec2", "action", "CreateVpc", "session", "s00", "code", "OK").Add(7)
+	reg.Counter("lce_http_requests_total",
+		"route", "v2.reset", "service", "ec2", "action", "", "session", "s00", "code", "OK").Add(2)
+	reg.Counter("lce_http_requests_total",
+		"route", "v2.invoke", "service", "ec2", "action", "CreateVpc", "session", "al\"ice\n", "code", "OK").Inc()
 	reg.Gauge("lce_sessions_resident", "shard", "0").Set(3)
 	reg.FloatGauge("lce_slo_burn_rate", "slo", "error-rate", "window", "5m0s").Set(0.42)
 	h := reg.Histogram("lce_http_request_seconds", "route", "invoke")
@@ -75,6 +77,24 @@ func TestLintRejectsMalformed(t *testing.T) {
 	for name, body := range cases {
 		if _, err := LintExposition(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: lint accepted malformed body:\n%s", name, body)
+		}
+	}
+}
+
+// TestLintRejectsMixedLabelSets: a family whose series carry different
+// label-name sets fails the lint, while every other rule holds — the
+// series below are sorted, unique and well formed.
+func TestLintRejectsMixedLabelSets(t *testing.T) {
+	cases := map[string]string{
+		"counter":                    "# TYPE a counter\na{code=\"OK\",route=\"x\"} 1\na{route=\"x\"} 1\n",
+		"unlabelled beside labelled": "# TYPE a counter\na 1\na{k=\"1\"} 1\n",
+		"histogram": "# TYPE a histogram\na_bucket{k=\"1\",le=\"+Inf\"} 1\na_sum{k=\"1\"} 1\na_count{k=\"1\"} 1\n" +
+			"a_bucket{j=\"1\",k=\"2\",le=\"+Inf\"} 1\na_sum{j=\"1\",k=\"2\"} 1\na_count{j=\"1\",k=\"2\"} 1\n",
+	}
+	for name, body := range cases {
+		_, err := LintExposition(strings.NewReader(body))
+		if err == nil || !strings.Contains(err.Error(), "mixes label sets") {
+			t.Errorf("%s: lint error = %v, want a mixed-label-set violation:\n%s", name, err, body)
 		}
 	}
 }

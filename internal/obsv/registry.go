@@ -169,6 +169,17 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	return (*Counter)(r.lookup("counter", name, labels))
 }
 
+// CounterOrNew is Counter, except that a nil registry yields a fresh
+// standalone counter instead of the nil no-op. It is for components
+// whose own Stats read the count: the counter is then the count's only
+// copy, whether or not a registry exports it.
+func (r *Registry) CounterOrNew(name string, labels ...string) *Counter {
+	if r == nil {
+		return new(Counter)
+	}
+	return r.Counter(name, labels...)
+}
+
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 

@@ -199,7 +199,8 @@ func TestPhaseSecondsBuckets(t *testing.T) {
 func BenchmarkRegistryLookupHit(b *testing.B) {
 	r := NewRegistry()
 	lookup := func() {
-		r.Counter(MetricHTTPRequests, "service", "ec2", "action", "DescribeSubnets", "session", "s00", "code", "OK").Inc()
+		r.Counter(MetricHTTPRequests, "route", "v2.invoke",
+			"service", "ec2", "action", "DescribeSubnets", "session", "s00", "code", "OK").Inc()
 		r.Histogram(MetricPhaseSeconds, "phase", PhaseDispatch, "service", "ec2").ObserveDurationExemplar(time.Microsecond, "00000000000000aa")
 	}
 	lookup()

@@ -2,13 +2,14 @@ package spec
 
 import (
 	"strconv"
+	"unicode/utf8"
 
 	"lce/internal/cloudapi"
 )
 
 // Parser is a recursive-descent parser for the concrete spec syntax.
 //
-//	service <name> { sm ... }
+//	service <name> { sm ... }                 name: identifiers joined by '-'
 //	sm <Name> { doc? idprefix? parent? notfound? dependency? states {...} transition ... }
 //	transition <Name>(params) <kind> doc? { stmts }
 //
@@ -151,14 +152,14 @@ func (p *Parser) parseService() (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := p.expectIdent()
+	name, err := p.serviceName()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
-	svc := &Service{Name: name.Text, Pos: start.Pos}
+	svc := &Service{Name: name, Pos: start.Pos}
 	for !p.peekIs(TokRBrace) {
 		sm, err := p.parseSM()
 		if err != nil {
@@ -170,6 +171,29 @@ func (p *Parser) parseService() (*Service, error) {
 		return nil, err
 	}
 	return svc, nil
+}
+
+// serviceName reads a service name: identifiers joined by '-' with
+// nothing between them, as in network-firewall. A '-' with space on
+// either side is not part of the name.
+func (p *Parser) serviceName() (string, error) {
+	t, err := p.expectIdent()
+	if err != nil {
+		return "", err
+	}
+	name, end := t.Text, t.Pos
+	end.Col += utf8.RuneCountInString(t.Text)
+	for p.peekIs(TokMinus) && p.cur().Pos == end {
+		next := p.toks[p.pos+1]
+		if next.Kind != TokIdent || next.Pos != (Pos{Line: end.Line, Col: end.Col + 1}) {
+			break
+		}
+		p.pos += 2
+		name += "-" + next.Text
+		end = next.Pos
+		end.Col += utf8.RuneCountInString(next.Text)
+	}
+	return name, nil
 }
 
 func (p *Parser) peekIs(kind TokenKind) bool { return p.cur().Kind == kind }

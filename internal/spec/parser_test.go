@@ -189,6 +189,9 @@ func TestParseErrors(t *testing.T) {
 		{"dup sm", `service s { sm A { } sm A { } }`, "duplicate SM"},
 		{"dup action", `service s { sm A { transition T() modify {} } sm B { transition T() modify {} } }`, `action "T" defined on both`},
 		{"call shape", `service s { sm A { transition T() modify { call(foo) } } }`, "call target must be of the form"},
+		{"spaced hyphen", `service network - firewall {}`, "expected '{'"},
+		{"trailing hyphen", `service network- {}`, "expected '{'"},
+		{"hyphen before digit", `service network-1 {}`, "expected '{'"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +203,23 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseHyphenatedServiceName: identifiers joined by '-' with
+// nothing between them name one service, and print back unchanged.
+func TestParseHyphenatedServiceName(t *testing.T) {
+	for _, name := range []string{"network-firewall", "azure-network", "a-b-c"} {
+		svc, err := Parse("service " + name + " {}")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if svc.Name != name {
+			t.Errorf("parsed name %q, want %q", svc.Name, name)
+		}
+		if got, want := Print(svc), "service "+name+" {\n}\n"; got != want {
+			t.Errorf("Print = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -23,8 +23,6 @@
 package d2c
 
 import (
-	"strings"
-
 	"lce/internal/cloudapi"
 	"lce/internal/docs"
 	"lce/internal/docs/wrangle"
@@ -184,13 +182,4 @@ func walkExpr(e spec.Expr, f func(spec.Expr)) {
 		walkExpr(x.X, f)
 		walkExpr(x.Y, f)
 	}
-}
-
-// Taxonomy classifies the divergences a D2C emulator produces into the
-// paper's two categories.
-func Taxonomy(kindDetail string) string {
-	if strings.Contains(kindDetail, "result") {
-		return "state-error"
-	}
-	return "transition-error"
 }

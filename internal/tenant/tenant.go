@@ -62,9 +62,11 @@ type Config struct {
 	// deterministically.
 	Clock obsv.Clock
 	// Registry, when non-nil, receives the lce_tenant_* series:
-	// occupancy gauge, hit/miss counters, and eviction counters both
-	// as per-reason aggregates ({reason}) and per-shard breakdowns
-	// ({shard,reason}).
+	// occupancy gauge, hit/miss counters, and eviction counters per
+	// shard and reason ({shard,reason}; sum by reason for the pool's
+	// totals). The registry's counters are the pool's only copy of
+	// those counts, so pools that share a registry share their counts
+	// (and their Stats).
 	Registry *obsv.Registry
 	// OnEvict, when non-nil, is called once per evicted session with
 	// its id, owning shard, reason (EvictIdle | EvictCapacity),
@@ -179,25 +181,19 @@ type Pool struct {
 	defMu sync.Mutex
 	def   cloudapi.Backend
 
-	hits, misses       atomic.Int64
-	idleEvict, capEvic atomic.Int64
-	releases           atomic.Int64
-	spillsOK           atomic.Int64
+	spillsOK atomic.Int64
 
 	onEvict func(session string, shard int, reason, outcome string, bytes int64)
 	spill   SpillTier
 
-	// instruments (nil-safe no-ops when Config.Registry is nil). The
-	// shard-labelled eviction counters are pre-created per shard so
-	// the eviction path never hits the registry's memoization lock.
-	gSessions       *obsv.Gauge
-	cHits           *obsv.Counter
-	cMisses         *obsv.Counter
-	cEvictIdle      *obsv.Counter
-	cEvictCap       *obsv.Counter
-	cEvictRelease   *obsv.Counter
-	cEvictShardIdle []*obsv.Counter
-	cEvictShardCap  []*obsv.Counter
+	// The counters are Config.Registry's series, or standalone
+	// counters without one, and Stats reads them: each count is kept
+	// once. evictions maps a reason to its per-shard counters,
+	// pre-created so the eviction path never takes the registry's
+	// memoization lock. gSessions is nil (a no-op) without a registry.
+	gSessions    *obsv.Gauge
+	hits, misses *obsv.Counter
+	evictions    map[string][]*obsv.Counter
 }
 
 // New builds a pool over factory. Every session's backend is a fresh
@@ -229,20 +225,17 @@ func New(factory cloudapi.BackendFactory, cfg Config) (*Pool, error) {
 	for i := range p.shards {
 		p.shards[i] = &shard{idx: i, sessions: make(map[string]*list.Element), lru: list.New()}
 	}
-	if reg := cfg.Registry; reg != nil {
-		p.gSessions = reg.Gauge(obsv.MetricTenantSessions)
-		p.cHits = reg.Counter(obsv.MetricTenantHits)
-		p.cMisses = reg.Counter(obsv.MetricTenantMisses)
-		p.cEvictIdle = reg.Counter(obsv.MetricTenantEvictions, "reason", EvictIdle)
-		p.cEvictCap = reg.Counter(obsv.MetricTenantEvictions, "reason", EvictCapacity)
-		p.cEvictRelease = reg.Counter(obsv.MetricTenantEvictions, "reason", EvictRelease)
-		p.cEvictShardIdle = make([]*obsv.Counter, cfg.Shards)
-		p.cEvictShardCap = make([]*obsv.Counter, cfg.Shards)
-		for i := 0; i < cfg.Shards; i++ {
-			s := strconv.Itoa(i)
-			p.cEvictShardIdle[i] = reg.Counter(obsv.MetricTenantEvictions, "shard", s, "reason", EvictIdle)
-			p.cEvictShardCap[i] = reg.Counter(obsv.MetricTenantEvictions, "shard", s, "reason", EvictCapacity)
+	reg := cfg.Registry
+	p.gSessions = reg.Gauge(obsv.MetricTenantSessions)
+	p.hits = reg.CounterOrNew(obsv.MetricTenantHits)
+	p.misses = reg.CounterOrNew(obsv.MetricTenantMisses)
+	p.evictions = make(map[string][]*obsv.Counter, 3)
+	for _, reason := range []string{EvictIdle, EvictCapacity, EvictRelease} {
+		cs := make([]*obsv.Counter, cfg.Shards)
+		for i := range cs {
+			cs[i] = reg.CounterOrNew(obsv.MetricTenantEvictions, "shard", strconv.Itoa(i), "reason", reason)
 		}
+		p.evictions[reason] = cs
 	}
 	return p, nil
 }
@@ -326,8 +319,7 @@ func (p *Pool) defaultBackend(ctx context.Context) cloudapi.Backend {
 	}
 	b := p.def
 	p.defMu.Unlock()
-	p.hits.Add(1)
-	p.cHits.Inc()
+	p.hits.Inc()
 	return b
 }
 
@@ -340,8 +332,7 @@ func (p *Pool) getLocked(ctx context.Context, sh *shard, id string) cloudapi.Bac
 		sess := el.Value.(*session)
 		sess.lastUsed = now
 		sh.lru.MoveToFront(el)
-		p.hits.Add(1)
-		p.cHits.Inc()
+		p.hits.Inc()
 		return sess.backend
 	}
 	// Miss: stamp out a fresh backend. The factory runs under the
@@ -352,8 +343,7 @@ func (p *Pool) getLocked(ctx context.Context, sh *shard, id string) cloudapi.Bac
 	// one a crashed process left behind).
 	sess := &session{id: id, backend: p.adopt(ctx, id, p.factory()), lastUsed: now}
 	sh.sessions[id] = sh.lru.PushFront(sess)
-	p.misses.Add(1)
-	p.cMisses.Inc()
+	p.misses.Inc()
 	p.gSessions.Add(1)
 	for sh.lru.Len() > p.shardCap {
 		p.evictLocked(ctx, sh, sh.lru.Back(), EvictCapacity)
@@ -410,23 +400,7 @@ func (p *Pool) evictLocked(ctx context.Context, sh *shard, el *list.Element, rea
 			p.spillsOK.Add(1)
 		}
 	}
-	switch reason {
-	case EvictIdle:
-		p.idleEvict.Add(1)
-		p.cEvictIdle.Inc()
-		if p.cEvictShardIdle != nil {
-			p.cEvictShardIdle[sh.idx].Inc()
-		}
-	case EvictRelease:
-		p.releases.Add(1)
-		p.cEvictRelease.Inc()
-	default:
-		p.capEvic.Add(1)
-		p.cEvictCap.Inc()
-		if p.cEvictShardCap != nil {
-			p.cEvictShardCap[sh.idx].Inc()
-		}
-	}
+	p.evictions[reason][sh.idx].Inc()
 	p.gSessions.Add(-1)
 	if p.onEvict != nil {
 		p.onEvict(sess.id, sh.idx, reason, outcome, bytes)
@@ -442,13 +416,13 @@ func (p *Pool) Sweep() int {
 		return 0
 	}
 	now := p.clock.Now()
-	before := p.idleEvict.Load()
+	before := p.evictionsFor(EvictIdle)
 	for _, sh := range p.shards {
 		sh.mu.Lock()
 		p.expireLocked(context.Background(), sh, now)
 		sh.mu.Unlock()
 	}
-	return int(p.idleEvict.Load() - before)
+	return int(p.evictionsFor(EvictIdle) - before)
 }
 
 // Reset clears one session's account — the session-scoped Reset the
@@ -510,7 +484,16 @@ func (p *Pool) Release(id string) (found, spilled bool) {
 }
 
 // Releases counts targeted Release evictions.
-func (p *Pool) Releases() int64 { return p.releases.Load() }
+func (p *Pool) Releases() int64 { return p.evictionsFor(EvictRelease) }
+
+// evictionsFor sums reason's eviction counters over the shards.
+func (p *Pool) evictionsFor(reason string) int64 {
+	var n int64
+	for _, c := range p.evictions[reason] {
+		n += c.Value()
+	}
+	return n
+}
 
 // Drop removes a session entirely — resident world and any spilled
 // state — reporting whether anything was removed. The pinned default
@@ -580,10 +563,10 @@ func (p *Pool) Shards() int { return len(p.shards) }
 func (p *Pool) Stats() Stats {
 	st := Stats{
 		PerShard:          make([]int, len(p.shards)),
-		Hits:              p.hits.Load(),
-		Misses:            p.misses.Load(),
-		IdleEvictions:     p.idleEvict.Load(),
-		CapacityEvictions: p.capEvic.Load(),
+		Hits:              p.hits.Value(),
+		Misses:            p.misses.Value(),
+		IdleEvictions:     p.evictionsFor(EvictIdle),
+		CapacityEvictions: p.evictionsFor(EvictCapacity),
 		Spills:            p.spillsOK.Load(),
 	}
 	if p.spill != nil {

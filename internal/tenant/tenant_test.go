@@ -228,10 +228,10 @@ func TestMetricsPublished(t *testing.T) {
 	if got := reg.Counter(obsv.MetricTenantMisses).Value(); got != 3 {
 		t.Errorf("misses = %d, want 3", got)
 	}
-	if got := reg.Counter(obsv.MetricTenantEvictions, "reason", "capacity").Value(); got != 1 {
+	if got := reg.Counter(obsv.MetricTenantEvictions, "shard", "0", "reason", "capacity").Value(); got != 1 {
 		t.Errorf("capacity evictions = %d, want 1", got)
 	}
-	if got := reg.Counter(obsv.MetricTenantEvictions, "reason", "idle").Value(); got != 2 {
+	if got := reg.Counter(obsv.MetricTenantEvictions, "shard", "0", "reason", "idle").Value(); got != 2 {
 		t.Errorf("idle evictions = %d, want 2", got)
 	}
 	if got := reg.Gauge(obsv.MetricTenantSessions).Value(); got != 0 {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -159,11 +160,23 @@ func TestOpsChaosEndToEnd(t *testing.T) {
 		t.Errorf("openmetrics scrape invalid: %v", err)
 	}
 	scrape := om.String()
-	if !strings.Contains(scrape, `lce_http_requests_total{action="DescribeVpcs",code="OK",service="ec2",session="tenant-03"}`) {
+	if !strings.Contains(scrape, `lce_http_requests_total{action="DescribeVpcs",code="OK",route="v2.invoke",service="ec2",session="tenant-03"}`) {
 		t.Errorf("labeled request vec missing from scrape:\n%s", grepLines(scrape, "lce_http_requests_total"))
 	}
-	if !strings.Contains(scrape, `lce_http_requests_total{route="v2.invoke"}`) {
-		t.Error("pre-ops per-route aggregate series gone — back-compat broken")
+	// One request series: its route="v2.invoke" samples add up to the
+	// invokes made, each counted once.
+	var invokes int64
+	for _, line := range strings.Split(grepLines(scrape, `lce_http_requests_total{`), "\n") {
+		if strings.Contains(line, `route="v2.invoke"`) {
+			n, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			invokes += n
+		}
+	}
+	if invokes != 16*perSession {
+		t.Errorf(`sum(lce_http_requests_total{route="v2.invoke"}) = %d, want %d`, invokes, 16*perSession)
 	}
 
 	// An exemplar's trace ID resolves to a recorded trace.

@@ -40,27 +40,33 @@
 //
 // The server is observable by default: GET /metrics serves the typed
 // metrics registry in Prometheus text (request counters by route,
-// action, session and response code, latency histograms, per-op
+// service, action and response code, latency histograms, per-op
 // backend latencies), and GET /debug/traces serves the recorded
 // request spans grouped by trace. The operations plane (on by
-// default, -ops=false to disable) adds trace exemplars, a structured
-// event log (-log-format text|json, -log-session to scope it to one
-// tenant), live SSE streaming on GET /debug/events, a flight recorder
+// default, -ops=false to disable) adds trace exemplars, live events
+// on GET /debug/events (SSE; ?session= scopes the stream to one
+// tenant, ?kind= and ?service= filter it further), a flight recorder
 // of the last -flight data-plane requests on GET /debug/flightrecorder
 // (replayable with lce-replay), and an SLO health engine behind
-// GET /healthz and GET /readyz (-slo-error-rate, -slo-p99). With
-// -debug-addr a side listener additionally exposes the pprof profiling
-// endpoints (kept off the main listener so a served emulator never
-// leaks profiles to its API clients):
+// GET /healthz and GET /readyz (1% errors, 250ms p99, over 5m and 1h
+// windows). With -debug-addr a side listener additionally exposes the
+// pprof profiling endpoints (kept off the main listener so a served
+// emulator never leaks profiles to its API clients):
 //
 //	lce-server -service ec2 -debug-addr localhost:6060
 //	go tool pprof http://localhost:6060/debug/pprof/profile
+//
+// The process log is the server's own startup and listener lines on
+// stderr: -log-format text (the default) prints them as plain log
+// lines, json as one slog JSON object per line, and off drops them.
+// A listen failure is printed under every format.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -89,18 +95,23 @@ func main() {
 		ttl       = flag.Duration("session-ttl", 15*time.Minute, "evict tenant sessions idle longer than this (0 = never)")
 		dataDir   = flag.String("data-dir", "", "durable tier: write-ahead journal + snapshot directory; evicted sessions spill here and a restart recovers every session (empty = in-memory only)")
 		fsyncPol  = flag.String("fsync", "batch", "journal fsync policy with -data-dir: always (sync every journaled call) | batch (every 64 records and at every spill and compaction) | off (page cache only)")
-		stallThr  = flag.Duration("stall-threshold", 0, "durable tier: emit a durable.stall event when a journal append exceeds this (0 = default 100ms, negative = off)")
 		telemetry = flag.Duration("telemetry", 10*time.Second, "runtime telemetry sampling interval for the lce_runtime_* gauges (0 = off)")
 
-		ops        = flag.Bool("ops", true, "mount the operations plane (dimensional metrics, /debug/events, flight recorder, SLO health)")
-		logFormat  = flag.String("log-format", "text", "structured process log format: text | json | off")
-		logLevel   = flag.String("log-level", "info", "minimum process log level: debug | info | warn | error")
-		logSession = flag.String("log-session", "", "scope the process log to one tenant session (event bus still sees all)")
-		flightCap  = flag.Int("flight", 0, "flight-recorder window size in requests (0 = default 1024)")
-		sloErrRate = flag.Float64("slo-error-rate", 0, "SLO error-rate target as a fraction (0 = default 0.01)")
-		sloP99     = flag.Duration("slo-p99", 0, "SLO p99 latency target (0 = default 250ms)")
+		ops       = flag.Bool("ops", true, "mount the operations plane (dimensional metrics, /debug/events, flight recorder, SLO health)")
+		logFormat = flag.String("log-format", "text", "process log format: text | json (one slog JSON object per line) | off")
+		flightCap = flag.Int("flight", 0, "flight-recorder window size in requests (0 = default 1024)")
 	)
 	flag.Parse()
+	switch *logFormat {
+	case "text":
+	case "json":
+		slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
+	case "off":
+		log.SetOutput(io.Discard)
+	default:
+		fmt.Fprintf(os.Stderr, "lce-server: unknown -log-format %q (want text | json | off)\n", *logFormat)
+		os.Exit(2)
+	}
 
 	srv, err := lce.NewServer(lce.ServerConfig{
 		Service: *service, Backend: *backend, Noisy: *noisy,
@@ -108,13 +119,8 @@ func main() {
 		TraceSeed: *traceSeed,
 		Node:      *node,
 		Sessions:  *sessions, Shards: *shards, SessionTTL: *ttl,
-		DataDir: *dataDir, Fsync: *fsyncPol, StallThreshold: *stallThr,
-		Ops:            *ops,
-		FlightCapacity: *flightCap,
-		SLOErrorRate:   *sloErrRate,
-		SLOP99:         *sloP99,
-		LogHandler:     logHandler(*logFormat, *logLevel),
-		LogSession:     *logSession,
+		DataDir: *dataDir, Fsync: *fsyncPol,
+		Ops: *ops, FlightCapacity: *flightCap,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -160,34 +166,11 @@ func main() {
 			hint, hint, hint, hint)
 	}
 	log.Printf("try: curl -s -XPOST '%s/v2/%s?Action=CreateVpc' -d '{\"params\":{\"cidrBlock\":\"10.0.0.0/16\"}}'", hint, *service)
+	// Printed past the log, so that -log-format off still names why
+	// the server did not start.
 	if err := lce.ListenAndServe(*addr, srv.Handler); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// logHandler builds the process-log delegate for the operations plane's
-// slog pipeline. "off" (or an unknown format) returns nil: events still
-// reach the bus and SSE subscribers, nothing is printed.
-func logHandler(format, level string) slog.Handler {
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		lv = slog.LevelInfo
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.NewTextHandler(os.Stderr, opts)
-	case "json":
-		return slog.NewJSONHandler(os.Stderr, opts)
-	default:
-		return nil
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 

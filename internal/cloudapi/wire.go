@@ -14,42 +14,21 @@ import (
 // distinguished by a {"$ref": "Type/ID"} wrapper so they survive the
 // round trip; lists and maps map recursively.
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler with the AppendJSON encoding.
 func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.kind {
-	case KindNil:
-		return []byte("null"), nil
-	case KindString:
-		return json.Marshal(v.s)
-	case KindInt:
-		return json.Marshal(v.i)
-	case KindBool:
-		return json.Marshal(v.b)
-	case KindRef:
-		return json.Marshal(map[string]string{"$ref": v.ref.Type + "/" + v.ref.ID})
-	case KindList:
-		if v.list == nil {
-			return []byte("[]"), nil
-		}
-		return json.Marshal(v.list)
-	case KindMap:
-		if v.m == nil {
-			return []byte("{}"), nil
-		}
-		return json.Marshal(v.m)
-	default:
+	if v.kind < KindNil || v.kind > KindMap {
 		return nil, fmt.Errorf("cloudapi: cannot marshal kind %v", v.kind)
 	}
+	return AppendJSON(nil, &v), nil
 }
 
 // AppendJSON appends v's wire encoding to dst and returns the extended
 // slice. The output is byte-for-byte what encoding/json produces for
-// the same value — sorted map keys, HTML-escaped strings, the {"$ref"}
-// wrapper — which the wire tests assert; the HTTP front-end's pooled
-// success path (through AppendNormalizedResult, which shares this
-// encoder) depends on that equivalence to skip the reflective
-// marshaller (and its per-call allocations) without changing a single
-// response byte.
+// the plain Go tree of the same value — sorted map keys, HTML-escaped
+// strings, the {"$ref"} wrapper — which the wire tests assert against
+// encoding/json itself; the HTTP front-end's pooled success path
+// (through AppendNormalizedResult, which shares this encoder) renders
+// with it, and so does MarshalJSON.
 func AppendJSON(dst []byte, v *Value) []byte { return appendJSON(dst, v, false) }
 
 // AppendNormalizedJSON appends the wire encoding of NormalizeValue(*v)
@@ -122,9 +101,10 @@ func appendJSON(dst []byte, v *Value, normalize bool) []byte {
 		}
 		return append(dst, '}')
 	default:
-		// MarshalJSON errors here; the append path renders null so the
-		// caller still emits valid JSON. Unreachable for values built
-		// through this package's constructors.
+		// MarshalJSON errors on an unknown kind at the top; the append
+		// path renders null so the caller still emits valid JSON.
+		// Unreachable for values built through this package's
+		// constructors.
 		return append(dst, "null"...)
 	}
 }

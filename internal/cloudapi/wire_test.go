@@ -11,13 +11,46 @@ import (
 	"testing/quick"
 )
 
+// plainJSON is the reference the encoder is held to: v as the plain Go
+// tree encoding/json marshals reflectively — nil, string, int64, bool,
+// a {"$ref": "Type/ID"} map, []any and map[string]any, empty
+// collections non-nil. Value.MarshalJSON itself renders through
+// AppendJSON, so marshalling a Value would compare the encoder with
+// itself.
+func plainJSON(v Value) any {
+	switch v.kind {
+	case KindString:
+		return v.s
+	case KindInt:
+		return v.i
+	case KindBool:
+		return v.b
+	case KindRef:
+		return map[string]string{"$ref": v.ref.Type + "/" + v.ref.ID}
+	case KindList:
+		out := make([]any, len(v.list))
+		for i, e := range v.list {
+			out[i] = plainJSON(e)
+		}
+		return out
+	case KindMap:
+		out := make(map[string]any, len(v.m))
+		for k, e := range v.m {
+			out[k] = plainJSON(e)
+		}
+		return out
+	default:
+		return nil
+	}
+}
+
 // TestQuickAppendJSONMatchesEncodingJSON: the append-based encoder
-// must produce byte-for-byte what encoding/json produces, across
-// randomly generated value trees with hostile strings (see
-// hostileValueGen), refs kept as {"$ref"} wrappers.
+// must produce byte-for-byte what encoding/json produces for the plain
+// Go tree, across randomly generated value trees with hostile strings
+// (see hostileValueGen), refs kept as {"$ref"} wrappers.
 func TestQuickAppendJSONMatchesEncodingJSON(t *testing.T) {
 	f := func(g hostileValueGen) bool {
-		want, err := json.Marshal(g.V)
+		want, err := json.Marshal(plainJSON(g.V))
 		return err == nil && bytes.Equal(AppendJSON(nil, &g.V), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -27,7 +60,8 @@ func TestQuickAppendJSONMatchesEncodingJSON(t *testing.T) {
 
 // TestAppendJSONEscaping pins the string-escaping corners one by one:
 // quotes, backslashes, the HTML-unsafe set, control characters, the
-// U+2028 pair, and invalid UTF-8.
+// U+2028 pair, and invalid UTF-8 — and that json.Marshal of a Value
+// renders the same bytes, refusing a kind the encoder does not know.
 func TestAppendJSONEscaping(t *testing.T) {
 	cases := []Value{
 		Nil,
@@ -56,13 +90,19 @@ func TestAppendJSONEscaping(t *testing.T) {
 		}),
 	}
 	for _, v := range cases {
-		want, err := json.Marshal(v)
+		want, err := json.Marshal(plainJSON(v))
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
 		if got := AppendJSON(nil, &v); !bytes.Equal(got, want) {
 			t.Errorf("AppendJSON(%v)\n got %s\nwant %s", v, got, want)
 		}
+		if got, err := json.Marshal(v); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("json.Marshal(%v) = %s, %v; want %s", v, got, err, want)
+		}
+	}
+	if _, err := json.Marshal(Value{kind: KindMap + 1}); err == nil {
+		t.Error("json.Marshal of an unknown kind succeeded")
 	}
 }
 
@@ -91,11 +131,12 @@ func (hostileValueGen) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 // TestQuickAppendNormalizedJSONMatchesEncodingJSON: encoding a value
-// normalized on the fly is byte-for-byte encoding/json over the
-// NormalizeValue copy, and leaves the value itself untouched.
+// normalized on the fly is byte-for-byte encoding/json over the plain
+// tree of the NormalizeValue copy, and leaves the value itself
+// untouched.
 func TestQuickAppendNormalizedJSONMatchesEncodingJSON(t *testing.T) {
 	f := func(g hostileValueGen) bool {
-		want, err := json.Marshal(NormalizeValue(g.V))
+		want, err := json.Marshal(plainJSON(NormalizeValue(g.V)))
 		if err != nil {
 			return false
 		}
@@ -118,8 +159,9 @@ func TestQuickAppendNormalizedJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendJSON/BenchmarkMarshalJSON compare the two encoders on
-// a describe-sized payload.
+// BenchmarkAppendJSON/BenchmarkMarshalJSON compare the encoder with
+// encoding/json's reflective one (over the plain tree) on a
+// describe-sized payload.
 func benchPayload() Value {
 	vpcs := make([]Value, 8)
 	for i := range vpcs {
@@ -143,7 +185,7 @@ func BenchmarkAppendJSON(b *testing.B) {
 }
 
 func BenchmarkMarshalJSON(b *testing.B) {
-	v := benchPayload()
+	v := plainJSON(benchPayload())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := json.Marshal(v); err != nil {

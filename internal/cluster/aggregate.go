@@ -197,7 +197,7 @@ func (rt *Router) sessions(w http.ResponseWriter, r *http.Request) {
 		answered = append(answered, m)
 	}
 	if len(answered) == 0 {
-		rt.writeError(w, rt.requestID(r), cloudapi.CodeServiceUnavailable, "no node answered /v2/sessions")
+		rt.writeError(w, http.StatusServiceUnavailable, rt.requestID(r), cloudapi.CodeServiceUnavailable, "no node answered /v2/sessions")
 		return
 	}
 	out := map[string]any{

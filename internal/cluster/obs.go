@@ -63,7 +63,7 @@ func (rt *Router) recordForward(node string, isErr bool, dur time.Duration, serv
 	rt.obsMu.Lock()
 	h := rt.health[node]
 	if h == nil {
-		h = opsplane.NewHealth(rt.cfg.SLO, clock, nil)
+		h = opsplane.NewHealth(opsplane.DefaultObjectives(), clock, nil)
 		rt.health[node] = h
 	}
 	fleet := rt.health[fleetKey]
@@ -72,7 +72,7 @@ func (rt *Router) recordForward(node string, isErr bool, dur time.Duration, serv
 		if rt.obs != nil {
 			reg = rt.obs.Registry
 		}
-		fleet = opsplane.NewHealth(rt.cfg.SLO, clock, reg)
+		fleet = opsplane.NewHealth(opsplane.DefaultObjectives(), clock, reg)
 		rt.health[fleetKey] = fleet
 	}
 	if serverTiming != "" {

@@ -60,10 +60,6 @@ type Config struct {
 	// GET /debug/traces serving the fleet-merged store. Nil disables
 	// all of it — forwarded bytes are identical either way.
 	Obs *obsv.Obs
-	// SLO tunes the fleet burn-rate engines /healthz evaluates over
-	// per-node counters recorded at forward time. Both targets zero
-	// means opsplane.DefaultObjectives.
-	SLO opsplane.Objectives
 	// SSERetryMax caps the backoff between reconnect attempts when a
 	// node drops out of the merged /debug/events stream (<= 0 means
 	// 2s; the first retry starts at 1/16th of the cap).
@@ -135,9 +131,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if cfg.SLO.ErrorRate == 0 && cfg.SLO.P99 == 0 {
-		cfg.SLO = opsplane.DefaultObjectives()
 	}
 	// The front tier salts its root IDs with its own identity: nodes
 	// and router all default to trace seed 1, and unsalted same-seed
@@ -295,64 +288,25 @@ func (rt *Router) noteAlive(st *nodeState) bool {
 	return true
 }
 
-// requestID echoes the client-tagged request ID or derives one — the
-// same splitmix64 scheme the node uses, with a router marker so an
-// operator can tell which tier minted an ID.
+// requestID echoes the client-tagged request ID or mints one with the
+// router's "lce-r-" prefix.
 func (rt *Router) requestID(r *http.Request) string {
 	if id := headerValue(r.Header, requestIDKey); id != "" {
 		return httpapi.ClampRequestID(id)
 	}
-	x := rt.reqSeq.Add(1) * 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	const hex = "0123456789abcdef"
-	id := [22]byte{'l', 'c', 'e', '-', 'r', '-'}
-	for i := len(id) - 1; i >= 6; i-- {
-		id[i] = hex[x&15]
-		x >>= 4
-	}
-	return string(id[:])
+	return httpapi.MintRequestID("lce-r-", rt.reqSeq.Add(1))
 }
 
-// wireError mirrors httpapi's unified error envelope field-for-field,
-// so router-originated failures decode exactly like node-originated
-// ones.
-type wireError struct {
-	IsError   bool   `json:"__error"`
-	Code      string `json:"Code"`
-	Message   string `json:"Message"`
-	RequestID string `json:"RequestId,omitempty"`
-}
-
-// statusFor mirrors httpapi's code→status table for the codes the
-// router itself originates.
-func statusFor(code string) int {
-	switch code {
-	case cloudapi.CodeBadGateway:
-		return http.StatusBadGateway
-	case cloudapi.CodeServiceUnavailable:
-		return http.StatusServiceUnavailable
-	case "NotFound":
-		return http.StatusNotFound
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// writeError renders a router-originated failure in the unified
+// writeError renders a router-originated failure in the node's unified
 // envelope, version-stamped and request-ID'd like everything the
 // router serves. The two codes the data plane uses — BadGateway (node
 // died mid-exchange) and ServiceUnavailable (migration in flight, or
 // no owner) — are both transient per cloudapi.IsTransientCode, so
 // resilient clients ride through membership changes on their
 // ordinary retry policy.
-func (rt *Router) writeError(w http.ResponseWriter, reqID, code, format string, args ...any) {
+func (rt *Router) writeError(w http.ResponseWriter, status int, reqID, code, format string, args ...any) {
 	w.Header().Set(httpapi.APIVersionHeader, httpapi.APIVersionCluster)
-	w.Header().Set(httpapi.RequestIDHeader, reqID)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(statusFor(code))
-	_ = json.NewEncoder(w).Encode(wireError{IsError: true, Code: code, Message: fmt.Sprintf(format, args...), RequestID: reqID})
+	httpapi.WriteError(w, status, reqID, cloudapi.Errf(code, format, args...))
 }
 
 func (rt *Router) writeJSON(w http.ResponseWriter, reqID string, status int, v any) {
@@ -393,7 +347,7 @@ func (rt *Router) Handler() http.Handler {
 	}
 
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		rt.writeError(w, rt.requestID(r), "NotFound", "no route %s %s", r.Method, r.URL.Path)
+		rt.writeError(w, http.StatusNotFound, rt.requestID(r), "NotFound", "no route %s %s", r.Method, r.URL.Path)
 	})
 	return mux
 }
@@ -441,7 +395,7 @@ func (rt *Router) forwardSession(route string) http.HandlerFunc {
 		decide.End()
 		if err != nil {
 			root.SetError(err.Error())
-			rt.writeError(w, reqID, cloudapi.CodeServiceUnavailable, "%v", err)
+			rt.writeError(w, http.StatusServiceUnavailable, reqID, cloudapi.CodeServiceUnavailable, "%v", err)
 			return
 		}
 		if rt.forward(ctx, w, r, st, reqID, route) {
@@ -494,7 +448,7 @@ func (rt *Router) forwardAny(route string) http.HandlerFunc {
 		rt.mu.RUnlock()
 		if st == nil {
 			root.SetError("no healthy node")
-			rt.writeError(w, reqID, cloudapi.CodeServiceUnavailable, "no healthy node")
+			rt.writeError(w, http.StatusServiceUnavailable, reqID, cloudapi.CodeServiceUnavailable, "no healthy node")
 			return
 		}
 		rt.forward(ctx, w, r, st, reqID, route)
@@ -535,14 +489,14 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Re
 		fsp.SetError(err.Error())
 		var cbe *clientBodyError
 		if errors.As(err, &cbe) {
-			rt.writeError(w, reqID, "MalformedRequest", "%v", cbe)
+			rt.writeError(w, http.StatusBadRequest, reqID, "MalformedRequest", "%v", cbe)
 			return false
 		}
 		rt.recordForward(st.name, true, clock.Now().Sub(start), "")
 		if rt.noteFailure(st) {
 			go rt.rebalance()
 		}
-		rt.writeError(w, reqID, cloudapi.CodeBadGateway,
+		rt.writeError(w, http.StatusBadGateway, reqID, cloudapi.CodeBadGateway,
 			"node %s did not answer: %v", st.name, err)
 		return false
 	}
@@ -657,12 +611,12 @@ func (rt *Router) join(w http.ResponseWriter, r *http.Request) {
 	reqID := rt.requestID(r)
 	name, rawurl := r.URL.Query().Get("name"), r.URL.Query().Get("url")
 	if name == "" || rawurl == "" {
-		rt.writeError(w, reqID, "MalformedRequest", "join needs name and url query parameters")
+		rt.writeError(w, http.StatusBadRequest, reqID, "MalformedRequest", "join needs name and url query parameters")
 		return
 	}
 	fresh, err := newNodeState(name, rawurl)
 	if err != nil {
-		rt.writeError(w, reqID, "MalformedRequest", "bad url: %v", err)
+		rt.writeError(w, http.StatusBadRequest, reqID, "MalformedRequest", "bad url: %v", err)
 		return
 	}
 	rt.mu.Lock()
@@ -689,7 +643,7 @@ func (rt *Router) leave(w http.ResponseWriter, r *http.Request) {
 	st := rt.nodes[name]
 	if st == nil {
 		rt.mu.Unlock()
-		rt.writeError(w, reqID, "MalformedRequest", "unknown node %q", name)
+		rt.writeError(w, http.StatusBadRequest, reqID, "MalformedRequest", "unknown node %q", name)
 		return
 	}
 	rt.ring.Remove(name)

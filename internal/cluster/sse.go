@@ -23,12 +23,12 @@ import (
 func (rt *Router) events(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		rt.writeError(w, rt.requestID(r), cloudapi.CodeServiceUnavailable, "streaming unsupported")
+		rt.writeError(w, http.StatusServiceUnavailable, rt.requestID(r), cloudapi.CodeServiceUnavailable, "streaming unsupported")
 		return
 	}
 	nodes := rt.liveNodes()
 	if len(nodes) == 0 {
-		rt.writeError(w, rt.requestID(r), cloudapi.CodeServiceUnavailable, "no healthy node")
+		rt.writeError(w, http.StatusServiceUnavailable, rt.requestID(r), cloudapi.CodeServiceUnavailable, "no healthy node")
 		return
 	}
 

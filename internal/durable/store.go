@@ -19,9 +19,8 @@ import (
 	"lce/internal/obsv"
 )
 
-// Event kinds the store reports through Config.Events. The strings
-// match the operations plane's Kind* constants, so the server can
-// forward them to the bus verbatim.
+// Event kinds the store reports through Config.Events; the server
+// forwards them to the operations-plane bus verbatim.
 const (
 	EventSpilled      = "session.spilled"
 	EventRehydrated   = "session.rehydrated"
@@ -32,17 +31,23 @@ const (
 	EventStall        = "durable.stall"
 )
 
-// Defaults applied by Open when the corresponding Config field is
+// DefaultCompactEvery is what Open applies when Config.CompactEvery is
 // zero.
+const DefaultCompactEvery = 256
+
 const (
-	DefaultSegmentMaxBytes = 1 << 20
-	DefaultCompactEvery    = 256
-	// DefaultStallThreshold is the journal-append latency past which
-	// the fsync-stall watchdog fires. 100ms is far above any healthy
-	// append (a local fsync is single-digit milliseconds) and well
-	// below the timeouts clients notice, so a firing watchdog means
-	// the disk is genuinely misbehaving.
-	DefaultStallThreshold = 100 * time.Millisecond
+	// segmentMaxBytes compacts a session's journal once a recovery
+	// would have this many bytes of records to replay, and keeps a
+	// spill from growing the segment past it.
+	segmentMaxBytes = 1 << 20
+	// stallThreshold is the journal-append duration past which the
+	// store emits an EventStall ("durable.stall") and increments
+	// lce_durable_stalls_total — the canary for a degrading disk or a
+	// saturated fsync queue. 100ms is far above any healthy append (a
+	// local fsync is single-digit milliseconds) and well below the
+	// timeouts clients notice, so a firing watchdog means the disk is
+	// genuinely misbehaving.
+	stallThreshold = 100 * time.Millisecond
 )
 
 // Config tunes a Store.
@@ -52,11 +57,6 @@ type Config struct {
 	// Fsync is the journal durability policy: FsyncAlways, FsyncBatch
 	// (the default), or FsyncOff.
 	Fsync string
-	// SegmentMaxBytes compacts a session's journal once a recovery
-	// would have this many bytes of records to replay, and keeps a
-	// spill from growing the segment past it
-	// (0 = DefaultSegmentMaxBytes).
-	SegmentMaxBytes int64
 	// CompactEvery compacts the journal — restarts it from a checkpoint
 	// in a fresh segment — once a recovery would have this many records
 	// to replay (0 = DefaultCompactEvery). Compaction bounds both
@@ -78,12 +78,6 @@ type Config struct {
 	// the system clock; tests inject an obsv.FakeClock (whose Now
 	// never advances) to pin the watchdog off.
 	Clock obsv.Clock
-	// StallThreshold is the journal-append duration past which the
-	// store emits an EventStall ("durable.stall") and increments
-	// lce_durable_stalls_total — the canary for a degrading disk or a
-	// saturated fsync queue. 0 means DefaultStallThreshold; negative
-	// disables the watchdog.
-	StallThreshold time.Duration
 }
 
 // Stats is a point-in-time snapshot of store activity.
@@ -123,8 +117,7 @@ type Store struct {
 	records      *obsv.Counter
 	stalls       *obsv.Counter
 
-	clock          obsv.Clock
-	stallThreshold time.Duration // resolved: 0 = watchdog off
+	clock obsv.Clock
 }
 
 // Open initializes a store over cfg.Dir, creating the directory tree
@@ -141,9 +134,6 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("durable: unknown fsync policy %q (want %s|%s|%s)",
 			cfg.Fsync, FsyncAlways, FsyncBatch, FsyncOff)
 	}
-	if cfg.SegmentMaxBytes <= 0 {
-		cfg.SegmentMaxBytes = DefaultSegmentMaxBytes
-	}
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = DefaultCompactEvery
 	}
@@ -155,12 +145,6 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, known: map[string]struct{}{}, clock: cfg.Clock}
 	if s.clock == nil {
 		s.clock = obsv.System()
-	}
-	switch {
-	case cfg.StallThreshold == 0:
-		s.stallThreshold = DefaultStallThreshold
-	case cfg.StallThreshold > 0:
-		s.stallThreshold = cfg.StallThreshold
 	}
 	for _, id := range s.scanSessions() {
 		s.known[id] = struct{}{}
@@ -695,23 +679,15 @@ func (sb *sessionBackend) Reset() {
 // "durable.stall" event and bumps lce_durable_stalls_total, the
 // operator's early warning that the disk is the bottleneck — visible
 // even when no client is watching latency.
-func (sb *sessionBackend) stallStart() time.Time {
-	if sb.store.stallThreshold <= 0 {
-		return time.Time{}
-	}
-	return sb.store.clock.Now()
-}
+func (sb *sessionBackend) stallStart() time.Time { return sb.store.clock.Now() }
 
 func (sb *sessionBackend) stallEnd(t0 time.Time) {
 	s := sb.store
-	if s.stallThreshold <= 0 {
-		return
-	}
-	if d := s.clock.Now().Sub(t0); d >= s.stallThreshold {
+	if d := s.clock.Now().Sub(t0); d >= stallThreshold {
 		s.stalls.Inc()
 		s.emit(EventStall, sb.id, map[string]string{
 			"durationNs":  strconv.FormatInt(d.Nanoseconds(), 10),
-			"thresholdNs": strconv.FormatInt(s.stallThreshold.Nanoseconds(), 10),
+			"thresholdNs": strconv.FormatInt(stallThreshold.Nanoseconds(), 10),
 		})
 	}
 }
@@ -741,10 +717,10 @@ func (sb *sessionBackend) appendLocked(rec record, pt *obsv.PhaseTimer) {
 }
 
 // maybeCompactLocked compacts once a recovery would have CompactEvery
-// records, or SegmentMaxBytes of them, to replay.
+// records, or segmentMaxBytes of them, to replay.
 func (sb *sessionBackend) maybeCompactLocked() {
 	jr, cfg := sb.jr, &sb.store.cfg
-	if !jr.live() || (sb.recsSinceCkpt < cfg.CompactEvery && jr.segSize-jr.ckptEnd < cfg.SegmentMaxBytes) {
+	if !jr.live() || (sb.recsSinceCkpt < cfg.CompactEvery && jr.segSize-jr.ckptEnd < segmentMaxBytes) {
 		return
 	}
 	if _, _, err := sb.checkpointLocked(true); err != nil {
@@ -757,7 +733,7 @@ func (sb *sessionBackend) maybeCompactLocked() {
 // record: appended to the live segment (the caller syncs or closes
 // it), or — when compact is set, the journal is not live, or the
 // append would leave the segment larger than compactGrowth such
-// checkpoints or SegmentMaxBytes — as the synced first record of a
+// checkpoints or segmentMaxBytes — as the synced first record of a
 // fresh segment, after which everything older is unlinked. Returns
 // the bytes written and whether it compacted.
 func (sb *sessionBackend) checkpointLocked(compact bool) (int64, bool, error) {
@@ -770,7 +746,7 @@ func (sb *sessionBackend) checkpointLocked(compact bool) (int64, bool, error) {
 	frame := checkpointFrame(st)
 	n := int64(len(frame))
 	grown := jr.segSize + n
-	compact = compact || !jr.live() || grown > compactGrowth*n || grown > sb.store.cfg.SegmentMaxBytes
+	compact = compact || !jr.live() || grown > compactGrowth*n || grown > segmentMaxBytes
 	var err error
 	if compact {
 		err = jr.compact(frame)

@@ -60,8 +60,8 @@ func (s *server) writeTransferError(w http.ResponseWriter, reqID, verb, sid stri
 		s.writeAPIError(w, reqID, err)
 		return
 	}
-	s.writeError(w, http.StatusBadRequest, reqID,
-		cloudapi.Errf(CodeNotSnapshottable, "cannot %s session %q: %v", verb, sid, err), nil)
+	WriteError(w, http.StatusBadRequest, reqID,
+		cloudapi.Errf(CodeNotSnapshottable, "cannot %s session %q: %v", verb, sid, err))
 }
 
 // v2AdminExport cuts a consistent snapshot of one session and removes

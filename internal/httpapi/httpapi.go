@@ -312,8 +312,8 @@ func (s *server) routes() http.Handler {
 	// Unmatched paths get the unified error envelope rather than the
 	// router's plain-text 404.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		s.writeError(w, http.StatusNotFound, s.requestID(r),
-			cloudapi.Errf("NotFound", "no route %s %s", r.Method, r.URL.Path), nil)
+		WriteError(w, http.StatusNotFound, s.requestID(r),
+			cloudapi.Errf("NotFound", "no route %s %s", r.Method, r.URL.Path))
 	})
 	return mux
 }
@@ -338,22 +338,29 @@ func ClampRequestID(id string) string {
 	return id[:n]
 }
 
-// requestID echoes the client-tagged request ID, or derives a fresh
-// one from the server's sequence counter (splitmix64, so IDs look
-// opaque but are deterministic per server instance).
+// requestID echoes the client-tagged request ID, or mints a fresh one
+// from the server's sequence counter.
 func (s *server) requestID(r *http.Request) string {
 	if id := headerValue(r.Header, requestIDKey); id != "" {
 		return ClampRequestID(id)
 	}
-	x := s.reqSeq.Add(1) * 0x9E3779B97F4A7C15
+	return MintRequestID("lce-", s.reqSeq.Add(1))
+}
+
+// MintRequestID is the request ID a process mints for its seq-th
+// untagged request: prefix, then splitmix64(seq) as 16 hex digits, so
+// IDs look opaque but are deterministic per process. Nodes mint with
+// "lce-" and the router with "lce-r-", so an operator can tell which
+// tier minted an ID.
+func MintRequestID(prefix string, seq uint64) string {
+	x := seq * 0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
 	var raw [8]byte
 	binary.BigEndian.PutUint64(raw[:], x)
-	id := [20]byte{'l', 'c', 'e', '-'}
-	hex.Encode(id[4:], raw[:])
-	return string(id[:])
+	var buf [32]byte
+	return string(hex.AppendEncode(append(buf[:0], prefix...), raw[:]))
 }
 
 // sessionOf extracts the session selector ("" means default).
@@ -697,8 +704,8 @@ func (s *server) readRequest(w http.ResponseWriter, r *http.Request, reqID strin
 // server does not host.
 func (s *server) checkService(w http.ResponseWriter, r *http.Request, reqID string) bool {
 	if svc := r.PathValue("service"); svc != s.backend.Service() {
-		s.writeError(w, http.StatusNotFound, reqID,
-			cloudapi.Errf(cloudapi.CodeInvalidService, "this server hosts %q, not %q", s.backend.Service(), svc), nil)
+		WriteError(w, http.StatusNotFound, reqID,
+			cloudapi.Errf(cloudapi.CodeInvalidService, "this server hosts %q, not %q", s.backend.Service(), svc))
 		return false
 	}
 	return true
@@ -760,20 +767,23 @@ func (s *server) writeAPIError(w http.ResponseWriter, reqID string, err error) {
 	if !ok {
 		ae = cloudapi.Errf(cloudapi.CodeInternalFailure, "backend failure: %v", err)
 	}
-	s.writeError(w, statusFor(ae.Code), reqID, ae, nil)
+	WriteError(w, statusFor(ae.Code), reqID, ae)
 }
 
-func (s *server) writeError(w http.ResponseWriter, status int, reqID string, ae *cloudapi.APIError, advice *wireAdvice) {
+// WriteError renders ae as the unified error envelope with the given
+// status and request ID. The router answers the failures it originates
+// through it too, so they decode exactly like a node's.
+func WriteError(w http.ResponseWriter, status int, reqID string, ae *cloudapi.APIError) {
 	w.Header()[requestIDKey] = []string{reqID}
 	noteErrorCode(w, ae.Code)
-	writeJSON(w, status, wireError{IsError: true, Code: ae.Code, Message: ae.Message, RequestID: reqID, Advice: advice})
+	writeJSON(w, status, wireError{IsError: true, Code: ae.Code, Message: ae.Message, RequestID: reqID})
 }
 
 // malformed is the client-fault path (unreadable or malformed
 // requests): a 400 carrying the MalformedRequest code in the unified
 // envelope.
 func (s *server) malformed(w http.ResponseWriter, reqID, format string, args ...any) {
-	s.writeError(w, http.StatusBadRequest, reqID, cloudapi.Errf("MalformedRequest", format, args...), nil)
+	WriteError(w, http.StatusBadRequest, reqID, cloudapi.Errf("MalformedRequest", format, args...))
 }
 
 // statusWriter captures the response status for the instrumentation

@@ -13,7 +13,6 @@ import (
 	"lce/internal/cloudapi"
 	"lce/internal/obsv"
 	"lce/internal/opsplane"
-	"lce/internal/tenant"
 )
 
 // WithOps mounts the live operations plane: latency exemplars carrying
@@ -60,7 +59,7 @@ func sloError(status int, code string) bool {
 
 // responseCode is the "code" label of a finished exchange: codeOK
 // below 400, the unified envelope's Code when the handler wrote one
-// (writeError and writeInvokeError report it to the status writer as
+// (WriteError and writeInvokeError report it to the status writer as
 // they encode it), and the bare HTTP status otherwise.
 func responseCode(status int, envelopeCode string) string {
 	if status < 400 {
@@ -244,7 +243,6 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 		pt.Reset(clock)
 		x.Scope = obsv.Scope{Context: r.Context(), Span: sp, Registry: reg, Phases: pt}
 		x.queryAction = queryValue(r.URL.RawQuery, "Action")
-		session := sessionOf(r)
 		hr := r.WithContext(x)
 		var start time.Time
 		if capture {
@@ -295,14 +293,13 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 		}
 		if reg != nil {
 			// One request series: a route's total, its errors (code
-			// != "OK") and any per-session or per-action view are sums
-			// over it, so no request is counted in two series.
-			label := session
-			if label == "" {
-				label = tenant.DefaultSession
-			}
+			// != "OK") and any per-action view are sums over it, so no
+			// request is counted in two series. Session IDs are
+			// client-minted, so they label no series (the registry
+			// would grow with every new one); /debug/events?session=,
+			// the flight recorder and the spans carry them.
 			reg.Counter(obsv.MetricHTTPRequests, "route", route,
-				"service", service, "action", action, "session", label, "code", code).Inc()
+				"service", service, "action", action, "code", code).Inc()
 			reg.Histogram(obsv.MetricHTTPSeconds, "route", route).ObserveDurationExemplar(dur, traceID)
 			// Per-phase self-time histograms: lce_phase_seconds sums
 			// to lce_http_request_seconds by construction, so a
@@ -321,7 +318,7 @@ func (s *server) instrument(route string, fn http.HandlerFunc) http.HandlerFunc 
 					Time:         start,
 					Method:       r.Method,
 					Path:         r.URL.RequestURI(),
-					Session:      session,
+					Session:      sessionOf(r),
 					Action:       action,
 					TraceID:      traceID,
 					RequestID:    headerValue(sw.Header(), requestIDKey),

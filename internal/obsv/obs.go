@@ -63,8 +63,8 @@ const (
 	MetricBackendOpSeconds = "lce_backend_op_seconds"
 
 	// HTTP series (internal/httpapi): every handled request, once, in
-	// {route,service,action,session,code} — a route's errors are its
-	// series whose code is not "OK" — and request latency by {route}.
+	// {route,service,action,code} — a route's errors are its series
+	// whose code is not "OK" — and request latency by {route}.
 	MetricHTTPRequests = "lce_http_requests_total"
 	MetricHTTPSeconds  = "lce_http_request_seconds"
 

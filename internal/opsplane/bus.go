@@ -11,8 +11,7 @@ import (
 // Event is one structured operational occurrence: a span ending, a
 // fault being injected, a retry backing off, a divergence being
 // observed, a tenant session being evicted, an SLO window starting to
-// burn. Events are the unit of the live stream (GET /debug/events) and
-// of the structured log — the same record, two transports.
+// burn. Events are the unit of the live stream (GET /debug/events).
 type Event struct {
 	// Seq is the bus-assigned publish sequence (1-based, dense). SSE
 	// clients receive it as the event id, so a reconnecting consumer
@@ -35,6 +34,10 @@ type Event struct {
 }
 
 // Event kinds — the operations-plane event taxonomy (DESIGN.md §9).
+// The durable tier's kinds (session.spilled, session.rehydrated,
+// recovery.*, journal.error, durable.stall) are declared once, as
+// internal/durable's Event* constants, and reach the bus through
+// Plane.OnDurable.
 const (
 	KindSpanEnd        = "span.end"
 	KindFaultInjected  = "fault.injected"
@@ -44,22 +47,6 @@ const (
 	KindDivergence     = "align.divergence"
 	KindEviction       = "tenant.evicted"
 	KindSLOBreach      = "slo.breach"
-
-	// Durable-tier kinds (internal/durable reports these through the
-	// server's event hook; the strings match durable's Event*
-	// constants). session.spilled / session.rehydrated bracket the
-	// disk tier's round trip; recovery.* narrate the boot-time scan of
-	// a data directory; journal.error surfaces a session whose
-	// journaling failed and was disabled.
-	KindSessionSpilled    = "session.spilled"
-	KindSessionRehydrated = "session.rehydrated"
-	KindRecoveryStart     = "recovery.start"
-	KindRecoverySession   = "recovery.session"
-	KindRecoveryDone      = "recovery.done"
-	KindJournalError      = "journal.error"
-	// KindDurableStall flags a journal append that blew past the
-	// store's stall threshold — the fsync-stall watchdog's output.
-	KindDurableStall = "durable.stall"
 )
 
 // Filter selects a subset of the event stream. Empty fields match

@@ -1,5 +1,5 @@
 // Package opsplane is the live operations plane: a bounded event bus
-// fed by span ends and structured logs, an SSE streaming endpoint, a
+// fed by span ends and subsystem hooks, an SSE streaming endpoint, a
 // lock-sharded flight recorder of recent HTTP exchanges, and a rolling
 // multi-window SLO health engine. It turns the passive observability
 // stack (internal/obsv: traces + metrics you pull after the fact) into
@@ -13,7 +13,6 @@ package opsplane
 import (
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -38,11 +37,6 @@ type Config struct {
 	// Objectives are the SLO targets (zero value disables both checks;
 	// use DefaultObjectives for the standard ones).
 	Objectives Objectives
-	// LogHandler is the process-log delegate (text or JSON); nil means
-	// events reach the bus but nothing is written to the process log.
-	LogHandler slog.Handler
-	// LogSession scopes the process log (not the bus) to one tenant.
-	LogSession string
 	// Heartbeat is the SSE keepalive interval for /debug/events: an
 	// idle stream writes a ": keepalive" comment this often so
 	// proxies and idle-timeout middleboxes don't kill quiet streams.
@@ -65,9 +59,6 @@ type Plane struct {
 	Bus       *Bus
 	Flight    *FlightRecorder
 	Health    *Health
-	// Logger fans through the bus and the configured process-log
-	// handler; hand it to anything that wants slog.
-	Logger *slog.Logger
 
 	mu          sync.Mutex
 	lastHealthy bool
@@ -101,7 +92,6 @@ func New(cfg Config) *Plane {
 		Health:      NewHealth(cfg.Objectives, cfg.Clock, reg),
 		lastHealthy: true,
 	}
-	p.Logger = slog.New(NewHandler(p.Bus, cfg.LogHandler, cfg.Service, cfg.LogSession))
 	if cfg.Obs != nil && cfg.Obs.Tracer != nil {
 		cfg.Obs.Tracer.SetOnEnd(p.spanEnded)
 	}

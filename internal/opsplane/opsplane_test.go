@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -118,68 +117,6 @@ func TestBusConcurrentPublish(t *testing.T) {
 	}
 	if b.Published() != 800 {
 		t.Fatalf("published = %d", b.Published())
-	}
-}
-
-func TestSlogHandlerFansToBus(t *testing.T) {
-	b := NewBus(nil)
-	sub := b.Subscribe(Filter{}, 16)
-	var logOut strings.Builder
-	inner := slog.NewTextHandler(&logOut, &slog.HandlerOptions{Level: slog.LevelInfo})
-	lg := slog.New(NewHandler(b, inner, "ec2", ""))
-
-	lg.Info(KindFaultInjected, "session", "s1", "action", "CreateVpc", "code", "Throttling")
-	lg.Debug("debug.detail", "x", "1") // below inner level: bus yes, log no
-	lg.WithGroup("pool").Info("tenant.evicted", "shard", "3")
-
-	b.Close()
-	var got []Event
-	for e := range sub.Events() {
-		got = append(got, e)
-	}
-	if len(got) != 3 {
-		t.Fatalf("bus got %d events, want 3", len(got))
-	}
-	e := got[0]
-	if e.Kind != KindFaultInjected || e.Session != "s1" || e.Action != "CreateVpc" || e.Service != "ec2" {
-		t.Fatalf("field mapping wrong: %+v", e)
-	}
-	if e.Attrs["code"] != "Throttling" {
-		t.Fatalf("leftover attrs wrong: %+v", e.Attrs)
-	}
-	if got[2].Attrs["pool.shard"] != "3" {
-		t.Fatalf("group must flatten to dotted key: %+v", got[2].Attrs)
-	}
-	if strings.Contains(logOut.String(), "debug.detail") {
-		t.Fatal("inner level must still gate the process log")
-	}
-	if !strings.Contains(logOut.String(), KindFaultInjected) {
-		t.Fatalf("info record missing from process log:\n%s", logOut.String())
-	}
-}
-
-func TestSlogHandlerLogSessionScope(t *testing.T) {
-	b := NewBus(nil)
-	sub := b.Subscribe(Filter{}, 16)
-	var logOut strings.Builder
-	inner := slog.NewTextHandler(&logOut, nil)
-	lg := slog.New(NewHandler(b, inner, "ec2", "tenant-a"))
-
-	lg.Info("e1", "session", "tenant-a")
-	lg.Info("e2", "session", "tenant-b")
-	lg.Info("e3") // process-scoped, no session: always logged
-
-	b.Close()
-	n := 0
-	for range sub.Events() {
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("bus must see all 3 regardless of scope, got %d", n)
-	}
-	out := logOut.String()
-	if !strings.Contains(out, "e1") || strings.Contains(out, "e2") || !strings.Contains(out, "e3") {
-		t.Fatalf("log scoping wrong:\n%s", out)
 	}
 }
 

@@ -17,16 +17,14 @@ type Objectives struct {
 	// P99 is the maximum acceptable 99th-percentile request latency.
 	// Zero disables the latency check.
 	P99 time.Duration
-	// Windows are the rolling evaluation windows. Nil/empty means
-	// DefaultWindows. Multi-window evaluation is what keeps /healthz
-	// stable: a check breaches only when every window with data burns,
-	// so a brief spike heats the short window but not the long one and
-	// the verdict holds — see Healthy.
-	Windows []time.Duration
 }
 
-// DefaultWindows are the canonical fast/slow burn windows.
-var DefaultWindows = []time.Duration{5 * time.Minute, time.Hour}
+// windows are the rolling evaluation windows, shortest first: the fast
+// and the slow burn window. Multi-window evaluation is what keeps
+// /healthz stable: a check breaches only when every window with data
+// burns, so a brief spike heats the short window but not the long one
+// and the verdict holds — see Healthy.
+var windows = [...]time.Duration{5 * time.Minute, time.Hour}
 
 // DefaultObjectives targets 1% errors and a 250ms p99 — loose enough
 // for an emulator under normal load, tight enough that chaos mode
@@ -91,15 +89,10 @@ type Health struct {
 // clock uses the system clock; a non-nil registry receives
 // lce_slo_burn_rate{slo,window} on every Evaluate.
 func NewHealth(obj Objectives, clock obsv.Clock, reg *obsv.Registry) *Health {
-	if len(obj.Windows) == 0 {
-		obj.Windows = append([]time.Duration(nil), DefaultWindows...)
-	}
-	sort.Slice(obj.Windows, func(i, j int) bool { return obj.Windows[i] < obj.Windows[j] })
 	if clock == nil {
 		clock = obsv.System()
 	}
-	longest := obj.Windows[len(obj.Windows)-1]
-	n := int(longest/sloGranularity) + 1
+	n := int(windows[len(windows)-1]/sloGranularity) + 1
 	h := &Health{
 		obj:        obj,
 		clock:      clock,
@@ -160,7 +153,7 @@ func (h *Health) Evaluate() []CheckResult {
 		requests, errors int64
 		buckets          []int64
 	}
-	aggs := make([]agg, len(h.obj.Windows))
+	var aggs [len(windows)]agg
 	for i := range aggs {
 		aggs[i].buckets = make([]int64, len(obsv.DefaultDurationBuckets)+1)
 	}
@@ -173,7 +166,7 @@ func (h *Health) Evaluate() []CheckResult {
 		if age < 0 {
 			continue
 		}
-		for wi, w := range h.obj.Windows {
+		for wi, w := range windows {
 			if age >= int64(w/time.Second) {
 				continue
 			}
@@ -189,7 +182,7 @@ func (h *Health) Evaluate() []CheckResult {
 
 	var out []CheckResult
 	if obj.ErrorRate > 0 {
-		for wi, w := range obj.Windows {
+		for wi, w := range windows {
 			a := aggs[wi]
 			cr := CheckResult{SLO: "error-rate", Window: w.String(), Requests: a.requests, Errors: a.errors}
 			if a.requests == 0 {
@@ -204,7 +197,7 @@ func (h *Health) Evaluate() []CheckResult {
 	}
 	if obj.P99 > 0 {
 		target := obj.P99.Seconds()
-		for wi, w := range obj.Windows {
+		for wi, w := range windows {
 			a := aggs[wi]
 			cr := CheckResult{SLO: "latency-p99", Window: w.String(), Requests: a.requests, Errors: a.errors}
 			if a.requests == 0 {

@@ -31,8 +31,7 @@ func chaosServerConfig() ServerConfig {
 		Chaos: true, ChaosSeed: 7, FaultRate: 0.35,
 		TraceSeed: 3,
 		Sessions:  32, Shards: 8, SessionTTL: time.Hour,
-		Ops:          true,
-		SLOErrorRate: 0.01,
+		Ops: true,
 	}
 }
 
@@ -160,7 +159,7 @@ func TestOpsChaosEndToEnd(t *testing.T) {
 		t.Errorf("openmetrics scrape invalid: %v", err)
 	}
 	scrape := om.String()
-	if !strings.Contains(scrape, `lce_http_requests_total{action="DescribeVpcs",code="OK",route="v2.invoke",service="ec2",session="tenant-03"}`) {
+	if !strings.Contains(scrape, `lce_http_requests_total{action="DescribeVpcs",code="OK",route="v2.invoke",service="ec2"}`) {
 		t.Errorf("labeled request vec missing from scrape:\n%s", grepLines(scrape, "lce_http_requests_total"))
 	}
 	// One request series: its route="v2.invoke" samples add up to the
@@ -336,6 +335,34 @@ func TestOpsDivergenceCounterAndEvents(t *testing.T) {
 		if e.Service != "ec2" || e.Attrs["diff.cause"] == "" || e.TraceID == "" {
 			t.Errorf("divergence event underspecified: %+v", e)
 		}
+	}
+}
+
+// TestRequestSeriesBoundedBySessions: session IDs are minted by
+// clients, so the request counter must not grow with them. 200
+// distinct sessions leave lce_http_requests_total with as many series
+// as one session does.
+func TestRequestSeriesBoundedBySessions(t *testing.T) {
+	series := func(sessions int) int {
+		srv, err := NewServer(ServerConfig{Service: "ec2", Backend: "oracle", TraceSeed: 1,
+			Sessions: 64, Shards: 8, Ops: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sessions; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/v2/ec2?Action=DescribeVpcs", nil)
+			req.Header.Set(httpapi.SessionHeader, fmt.Sprintf("client-%03d", i))
+			rec := httptest.NewRecorder()
+			srv.Handler.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("session %d answered %d: %s", i, rec.Code, rec.Body)
+			}
+		}
+		return strings.Count(scrapeNow(srv.Obs.Registry), "\n"+obsv.MetricHTTPRequests+"{")
+	}
+	one, many := series(1), series(200)
+	if one == 0 || many != one {
+		t.Errorf("%s: %d series after one session, %d after 200", obsv.MetricHTTPRequests, one, many)
 	}
 }
 

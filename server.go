@@ -3,7 +3,6 @@ package lce
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"time"
@@ -23,10 +22,10 @@ import (
 )
 
 // OpsPlane is the live operations plane: bounded event bus with SSE
-// streaming (GET /debug/events), structured slog fan-out, flight
-// recorder (GET /debug/flightrecorder), and the rolling multi-window
-// SLO health engine behind /healthz and /readyz. A nil *OpsPlane is
-// fully disabled.
+// streaming (GET /debug/events), flight recorder (GET
+// /debug/flightrecorder), and the rolling multi-window SLO health
+// engine behind /healthz and /readyz. A nil *OpsPlane is fully
+// disabled.
 type OpsPlane = opsplane.Plane
 
 // OpsEvent is one structured operational event on the bus.
@@ -35,9 +34,6 @@ type OpsEvent = opsplane.Event
 // FlightDump is the serialized flight-recorder window — the artifact
 // GET /debug/flightrecorder serves and cmd/lce-replay re-drives.
 type FlightDump = opsplane.FlightDump
-
-// SLOObjectives are the health engine's targets.
-type SLOObjectives = opsplane.Objectives
 
 // NewBackend builds one backend instance by kind: "learned" (emulator
 // synthesized from documentation), "oracle" (hand-written ground-truth
@@ -137,27 +133,12 @@ type ServerConfig struct {
 	Fsync        string
 	ReadOnlyData bool
 
-	// StallThreshold arms the durable tier's fsync-stall watchdog: a
-	// journal append slower than this emits a "durable.stall" event
-	// and bumps lce_durable_stalls_total. 0 means
-	// durable.DefaultStallThreshold; negative disables the watchdog.
-	// Only meaningful with DataDir.
-	StallThreshold time.Duration
-
-	// Ops mounts the operations plane. FlightCapacity sizes the
-	// recorder window (0 = opsplane.DefaultFlightCapacity);
-	// SLOErrorRate and SLOP99 set the health targets (both 0 = the
-	// opsplane defaults: 1% errors, 250ms p99).
+	// Ops mounts the operations plane, with the SLO targets of
+	// opsplane.DefaultObjectives (1% errors, 250ms p99).
+	// FlightCapacity sizes the recorder window (0 =
+	// opsplane.DefaultFlightCapacity).
 	Ops            bool
 	FlightCapacity int
-	SLOErrorRate   float64
-	SLOP99         time.Duration
-
-	// LogHandler is the process-log delegate (text or JSON slog
-	// handler); LogSession scopes the process log to one tenant.
-	// Both only take effect with Ops.
-	LogHandler slog.Handler
-	LogSession string
 
 	// Clock drives SLO windows and event timestamps (nil = system).
 	Clock obsv.Clock
@@ -201,21 +182,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 	var ops *OpsPlane
 	if cfg.Ops {
-		obj := opsplane.DefaultObjectives()
-		if cfg.SLOErrorRate > 0 {
-			obj.ErrorRate = cfg.SLOErrorRate
-		}
-		if cfg.SLOP99 > 0 {
-			obj.P99 = cfg.SLOP99
-		}
 		ops = opsplane.New(opsplane.Config{
 			Service:        cfg.Service,
 			Obs:            ob,
 			Clock:          cfg.Clock,
 			FlightCapacity: cfg.FlightCapacity,
-			Objectives:     obj,
-			LogHandler:     cfg.LogHandler,
-			LogSession:     cfg.LogSession,
+			Objectives:     opsplane.DefaultObjectives(),
 		})
 	}
 
@@ -223,13 +195,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	var recovered []durable.RecoveredSession
 	if cfg.DataDir != "" {
 		store, err = durable.Open(durable.Config{
-			Dir:            cfg.DataDir,
-			Fsync:          cfg.Fsync,
-			ReadOnly:       cfg.ReadOnlyData,
-			Registry:       ob.Registry,
-			Events:         ops.OnDurable(),
-			Clock:          cfg.Clock,
-			StallThreshold: cfg.StallThreshold,
+			Dir:      cfg.DataDir,
+			Fsync:    cfg.Fsync,
+			ReadOnly: cfg.ReadOnlyData,
+			Registry: ob.Registry,
+			Events:   ops.OnDurable(),
+			Clock:    cfg.Clock,
 		})
 		if err != nil {
 			return nil, err

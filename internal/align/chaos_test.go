@@ -1,12 +1,12 @@
 package align
 
 import (
-	"reflect"
 	"testing"
 
 	"lce/internal/cloud/aws/dynamodb"
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
 	"lce/internal/retry"
@@ -74,10 +74,10 @@ func TestChaosWithRetriesIsByteIdenticalToFaultFree(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if !reflect.DeepEqual(clean, chaotic) {
+			if !cloudapitest.DeepEqual(clean, chaotic) {
 				t.Errorf("%s@%dw: chaos+retry reports differ from fault-free run", c.service, workers)
 				for i := range chaotic {
-					if !reflect.DeepEqual(clean[i], chaotic[i]) {
+					if !cloudapitest.DeepEqual(clean[i], chaotic[i]) {
 						t.Errorf("  first differing trace: %s", trace.FormatReport(chaotic[i]))
 						break
 					}
@@ -151,7 +151,7 @@ func TestAlignRunUnderChaosMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(clean.Rounds, chaotic.Rounds) {
+	if !cloudapitest.DeepEqual(clean.Rounds, chaotic.Rounds) {
 		t.Errorf("rounds differ under chaos+retry:\nclean:   %+v\nchaotic: %+v", clean.Rounds, chaotic.Rounds)
 	}
 	if clean.Converged != chaotic.Converged {

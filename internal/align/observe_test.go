@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lce/internal/cloud/aws/ec2"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
 	"lce/internal/obsv"
@@ -36,7 +37,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	obs := obsv.New(42, 0)
 	traced := run(obs)
 
-	if !reflect.DeepEqual(plain.Rounds, traced.Rounds) {
+	if !cloudapitest.DeepEqual(plain.Rounds, traced.Rounds) {
 		t.Errorf("rounds differ with tracing on:\nplain:  %+v\ntraced: %+v", plain.Rounds, traced.Rounds)
 	}
 	if plain.Converged != traced.Converged {

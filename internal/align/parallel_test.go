@@ -1,11 +1,11 @@
 package align
 
 import (
-	"reflect"
 	"testing"
 
 	"lce/internal/cloud/aws/dynamodb"
 	"lce/internal/cloud/aws/ec2"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/docs/corpus"
 	"lce/internal/scenarios"
 	"lce/internal/spec"
@@ -48,10 +48,10 @@ func assertIdenticalResults(t *testing.T, serial, parallel *Result) {
 		if s.Round != p.Round || s.Aligned != p.Aligned || s.Total != p.Total {
 			t.Fatalf("round %d header: serial %+v, parallel %+v", i+1, s, p)
 		}
-		if !reflect.DeepEqual(s.Repairs, p.Repairs) {
+		if !cloudapitest.DeepEqual(s.Repairs, p.Repairs) {
 			t.Fatalf("round %d repairs diverge:\n serial  %+v\n parallel %+v", i+1, s.Repairs, p.Repairs)
 		}
-		if !reflect.DeepEqual(s.Divergence, p.Divergence) {
+		if !cloudapitest.DeepEqual(s.Divergence, p.Divergence) {
 			t.Fatalf("round %d divergences differ (len %d vs %d)", i+1, len(s.Divergence), len(p.Divergence))
 		}
 	}

@@ -2,10 +2,10 @@ package align_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"lce"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/interp"
 	"lce/internal/spec"
 	"lce/internal/trace"
@@ -63,7 +63,7 @@ func TestPrintedSpecsRoundTrip(t *testing.T) {
 			// step (an unresolved binding), and Compare counts a broken
 			// subject as a divergence even when both sides break alike.
 			for _, tr := range lce.Scenarios(service) {
-				if got, want := trace.Run(reloaded, tr), trace.Run(emu, tr); !reflect.DeepEqual(got, want) {
+				if got, want := trace.Run(reloaded, tr), trace.Run(emu, tr); !cloudapitest.DeepEqual(got, want) {
 					t.Errorf("%s %s: re-parsed emulator answers %s differently:\n got %+v\nwant %+v", service, stage, tr.Name, got, want)
 				}
 			}

@@ -38,16 +38,15 @@ func equalNormalized(a, b Value) bool {
 	switch a.kind {
 	case KindNil:
 		return true
-	case KindInt:
-		return a.i == b.i
-	case KindBool:
-		return a.b == b.b
+	case KindInt, KindBool:
+		return a.n == b.n
 	case KindList:
-		if len(a.list) != len(b.list) {
+		if a.n != b.n {
 			return false
 		}
-		for i := range a.list {
-			if !equalNormalized(a.list[i], b.list[i]) {
+		al, bl := a.list(), b.list()
+		for i := range al {
+			if !equalNormalized(al[i], bl[i]) {
 				return false
 			}
 		}
@@ -74,7 +73,7 @@ func normalizedString(v Value) (string, bool) {
 	case KindString:
 		return v.s, true
 	case KindRef:
-		return v.ref.ID, true
+		return v.s, true
 	default:
 		return "", false
 	}

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types a Value can hold.
@@ -67,13 +68,21 @@ func (r Ref) IsZero() bool { return r.Type == "" && r.ID == "" }
 
 // Value is a dynamically typed value exchanged through cloud APIs.
 // The zero Value is nil.
+//
+// A Value is 48 bytes: every kind keeps its payload in the same five
+// words, so the interpreter's frames, lists and maps move less than
+// half the bytes a field per kind (104) would. A string and a ref's ID share s;
+// an int and a bool (0 or 1) share n; a ref's type and a list share the
+// pointer p with n as its length, read back only through
+// unsafe.String and unsafe.Slice; a map keeps its own typed field, so
+// the garbage collector and the map runtime see an ordinary map. A
+// list read back has len == cap, so appending to it never writes into
+// the array the Value holds.
 type Value struct {
 	kind Kind
 	s    string
-	i    int64
-	b    bool
-	ref  Ref
-	list []Value
+	p    unsafe.Pointer
+	n    int64
 	m    map[string]Value
 }
 
@@ -84,10 +93,15 @@ var Nil = Value{}
 func Str(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: i} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // True and False are the boolean constants.
 var (
@@ -96,13 +110,17 @@ var (
 )
 
 // RefVal returns a resource-reference value.
-func RefVal(typ, id string) Value { return Value{kind: KindRef, ref: Ref{Type: typ, ID: id}} }
+func RefVal(typ, id string) Value {
+	return Value{kind: KindRef, s: id, p: unsafe.Pointer(unsafe.StringData(typ)), n: int64(len(typ))}
+}
 
 // RefOf wraps an existing Ref in a Value.
-func RefOf(r Ref) Value { return Value{kind: KindRef, ref: r} }
+func RefOf(r Ref) Value { return RefVal(r.Type, r.ID) }
 
 // List returns a list value holding vs. The slice is used directly.
-func List(vs ...Value) Value { return Value{kind: KindList, list: vs} }
+func List(vs ...Value) Value {
+	return Value{kind: KindList, p: unsafe.Pointer(unsafe.SliceData(vs)), n: int64(len(vs))}
+}
 
 // Map returns a map value holding m. The map is used directly.
 func Map(m map[string]Value) Value {
@@ -112,6 +130,10 @@ func Map(m map[string]Value) Value {
 	return Value{kind: KindMap, m: m}
 }
 
+// refType and list decode p; the caller has checked the kind.
+func (v *Value) refType() string { return unsafe.String((*byte)(v.p), v.n) }
+func (v *Value) list() []Value   { return unsafe.Slice((*Value)(v.p), v.n) }
+
 // Kind returns the value's dynamic kind.
 func (v Value) Kind() Kind { return v.kind }
 
@@ -119,27 +141,27 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNil() bool { return v.kind == KindNil }
 
 // AsString returns the string payload; it is "" for non-strings.
-func (v Value) AsString() string { return v.s }
+func (v Value) AsString() string { return StringOf(&v) }
 
 // AsInt returns the integer payload; it is 0 for non-ints.
-func (v Value) AsInt() int64 { return v.i }
+func (v Value) AsInt() int64 { return IntOf(&v) }
 
 // AsBool returns the boolean payload; it is false for non-bools.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
 
 // AsRef returns the reference payload; it is the zero Ref for non-refs.
-func (v Value) AsRef() Ref { return v.ref }
+func (v Value) AsRef() Ref { return RefOfPtr(&v) }
 
 // AsList returns the list payload; it is nil for non-lists.
-func (v Value) AsList() []Value { return v.list }
+func (v Value) AsList() []Value { return ListOf(&v) }
 
 // AsMap returns the map payload; it is nil for non-maps.
 func (v Value) AsMap() map[string]Value { return v.m }
 
-// Pointer accessors. Value is a large struct, and its value-receiver
-// accessors copy the whole struct when called through a pointer — even
-// inlined, the compiler does not elide the copy. Interpreter hot paths
-// that already hold a *Value read through these instead.
+// Pointer accessors. Interpreter hot paths that already hold a *Value
+// read through these: a value-receiver accessor called through a
+// pointer copies the whole 48-byte struct, and even inlined the
+// compiler does not elide the copy.
 
 // KindOf is Kind without copying the value.
 func KindOf(v *Value) Kind { return v.kind }
@@ -148,16 +170,36 @@ func KindOf(v *Value) Kind { return v.kind }
 func IsNilPtr(v *Value) bool { return v.kind == KindNil }
 
 // StringOf is AsString without copying the value.
-func StringOf(v *Value) string { return v.s }
+func StringOf(v *Value) string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.s
+}
 
 // IntOf is AsInt without copying the value.
-func IntOf(v *Value) int64 { return v.i }
+func IntOf(v *Value) int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return v.n
+}
 
 // RefOfPtr is AsRef without copying the value.
-func RefOfPtr(v *Value) Ref { return v.ref }
+func RefOfPtr(v *Value) Ref {
+	if v.kind != KindRef {
+		return Ref{}
+	}
+	return Ref{Type: v.refType(), ID: v.s}
+}
 
 // ListOf is AsList without copying the value.
-func ListOf(v *Value) []Value { return v.list }
+func ListOf(v *Value) []Value {
+	if v.kind != KindList {
+		return nil
+	}
+	return v.list()
+}
 
 // MapOf is AsMap without copying the value.
 func MapOf(v *Value) map[string]Value { return v.m }
@@ -165,18 +207,12 @@ func MapOf(v *Value) map[string]Value { return v.m }
 // TruthyPtr is Truthy without copying the value.
 func TruthyPtr(v *Value) bool {
 	switch v.kind {
-	case KindNil:
-		return false
-	case KindBool:
-		return v.b
 	case KindString:
 		return v.s != ""
-	case KindInt:
-		return v.i != 0
+	case KindInt, KindBool, KindList:
+		return v.n != 0
 	case KindRef:
-		return !v.ref.IsZero()
-	case KindList:
-		return len(v.list) > 0
+		return v.n != 0 || v.s != ""
 	case KindMap:
 		return len(v.m) > 0
 	default:
@@ -186,34 +222,14 @@ func TruthyPtr(v *Value) bool {
 
 // Truthy reports whether the value counts as true in a predicate:
 // booleans by their value, nil as false, everything else as non-empty.
-func (v Value) Truthy() bool {
-	switch v.kind {
-	case KindNil:
-		return false
-	case KindBool:
-		return v.b
-	case KindString:
-		return v.s != ""
-	case KindInt:
-		return v.i != 0
-	case KindRef:
-		return !v.ref.IsZero()
-	case KindList:
-		return len(v.list) > 0
-	case KindMap:
-		return len(v.m) > 0
-	default:
-		return false
-	}
-}
+func (v Value) Truthy() bool { return TruthyPtr(&v) }
 
 // Equal reports deep equality of two values. Values of different kinds
 // are never equal (there is no implicit conversion).
 func (v Value) Equal(o Value) bool { return EqualPtr(&v, &o) }
 
-// EqualPtr is Equal without copying its operands. Value is a large
-// struct, so interpreter hot paths (predicates, list membership)
-// compare through pointers; Equal is a convenience wrapper around it.
+// EqualPtr is Equal without copying its operands; interpreter hot
+// paths (predicates, list membership) compare through pointers.
 func EqualPtr(v, o *Value) bool {
 	if v.kind != o.kind {
 		return false
@@ -223,18 +239,17 @@ func EqualPtr(v, o *Value) bool {
 		return true
 	case KindString:
 		return v.s == o.s
-	case KindInt:
-		return v.i == o.i
-	case KindBool:
-		return v.b == o.b
+	case KindInt, KindBool:
+		return v.n == o.n
 	case KindRef:
-		return v.ref == o.ref
+		return v.s == o.s && v.refType() == o.refType()
 	case KindList:
-		if len(v.list) != len(o.list) {
+		if v.n != o.n {
 			return false
 		}
-		for i := range v.list {
-			if !EqualPtr(&v.list[i], &o.list[i]) {
+		vl, ol := v.list(), o.list()
+		for i := range vl {
+			if !EqualPtr(&vl[i], &ol[i]) {
 				return false
 			}
 		}
@@ -255,6 +270,43 @@ func EqualPtr(v, o *Value) bool {
 	}
 }
 
+// Identical reports whether a and b are the same value in every
+// observable respect: Equal, and beyond it a nil list or map is not an
+// empty one, at any depth. Tests that hold two runs to the same
+// results compare with it; reflect.DeepEqual cannot, as it compares
+// the pointer a list or ref type is kept under by address.
+func Identical(a, b Value) bool {
+	if a.kind != b.kind {
+		return false
+	}
+	switch a.kind {
+	case KindList:
+		if (a.p == nil) != (b.p == nil) || a.n != b.n {
+			return false
+		}
+		al, bl := a.list(), b.list()
+		for i := range al {
+			if !Identical(al[i], bl[i]) {
+				return false
+			}
+		}
+		return true
+	case KindMap:
+		if (a.m == nil) != (b.m == nil) || len(a.m) != len(b.m) {
+			return false
+		}
+		for k, ae := range a.m {
+			be, ok := b.m[k]
+			if !ok || !Identical(ae, be) {
+				return false
+			}
+		}
+		return true
+	default:
+		return EqualPtr(&a, &b)
+	}
+}
+
 // String renders the value for logs and error messages.
 func (v Value) String() string {
 	switch v.kind {
@@ -263,14 +315,15 @@ func (v Value) String() string {
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	case KindRef:
-		return v.ref.String()
+		return v.AsRef().String()
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		l := v.list()
+		parts := make([]string, len(l))
+		for i, e := range l {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"

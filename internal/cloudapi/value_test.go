@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindAccessors(t *testing.T) {
@@ -37,6 +39,157 @@ func TestKindAccessors(t *testing.T) {
 	}
 	if RefVal("A", "a-1").AsRef() != (Ref{Type: "A", ID: "a-1"}) {
 		t.Error("AsRef")
+	}
+}
+
+// TestValueLayout: a Value fits in 48 bytes, the zero Value is nil,
+// and as the kinds share payload words, every accessor still reads its
+// zero from every kind but its own.
+func TestValueLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size > 48 {
+		t.Errorf("Value is %d bytes, budget 48", size)
+	}
+	var zero Value
+	if !zero.IsNil() || zero.Kind() != KindNil || zero.Truthy() {
+		t.Errorf("the zero Value is %v, want nil", zero)
+	}
+	for _, v := range []Value{Nil, Str("s"), Int(1), Bool(true), RefVal("Vpc", "vpc-1"), List(Int(1)), Map(map[string]Value{"k": Nil})} {
+		k := v.Kind()
+		if k != KindString && v.AsString() != "" {
+			t.Errorf("%v.AsString() = %q", v, v.AsString())
+		}
+		if k != KindInt && v.AsInt() != 0 {
+			t.Errorf("%v.AsInt() = %d", v, v.AsInt())
+		}
+		if k != KindBool && v.AsBool() {
+			t.Errorf("%v.AsBool() = true", v)
+		}
+		if k != KindRef && !v.AsRef().IsZero() {
+			t.Errorf("%v.AsRef() = %v", v, v.AsRef())
+		}
+		if k != KindList && v.AsList() != nil {
+			t.Errorf("%v.AsList() = %v", v, v.AsList())
+		}
+		if k != KindMap && v.AsMap() != nil {
+			t.Errorf("%v.AsMap() = %v", v, v.AsMap())
+		}
+	}
+}
+
+// oldValue is the field-per-kind layout Value had before its payloads
+// shared words. reflect.DeepEqual over it is what tests compared
+// Values with then; Identical must tell apart every pair it did.
+type oldValue struct {
+	kind Kind
+	s    string
+	i    int64
+	b    bool
+	ref  Ref
+	list []oldValue
+	m    map[string]oldValue
+}
+
+func toOld(v Value) oldValue {
+	o := oldValue{kind: v.Kind(), s: v.AsString(), i: v.AsInt(), b: v.AsBool(), ref: v.AsRef()}
+	if l := v.AsList(); l != nil {
+		o.list = make([]oldValue, len(l))
+		for i, e := range l {
+			o.list[i] = toOld(e)
+		}
+	}
+	if m := v.AsMap(); m != nil {
+		o.m = make(map[string]oldValue, len(m))
+		for k, e := range m {
+			o.m[k] = toOld(e)
+		}
+	}
+	return o
+}
+
+// rebuilt is v built again from fresh strings and collections, so no
+// pointer inside it is shared with v.
+func rebuilt(v Value) Value {
+	switch v.Kind() {
+	case KindString:
+		return Str(strings.Clone(v.AsString()))
+	case KindRef:
+		return RefVal(strings.Clone(v.AsRef().Type), strings.Clone(v.AsRef().ID))
+	case KindList:
+		l := v.AsList()
+		if l == nil {
+			return List()
+		}
+		out := make([]Value, len(l))
+		for i, e := range l {
+			out[i] = rebuilt(e)
+		}
+		return List(out...)
+	case KindMap:
+		if v.AsMap() == nil {
+			return v
+		}
+		out := make(map[string]Value, len(v.AsMap()))
+		for k, e := range v.AsMap() {
+			out[strings.Clone(k)] = rebuilt(e)
+		}
+		return Map(out)
+	default:
+		return v
+	}
+}
+
+func TestIdentical(t *testing.T) {
+	nested := func(leaf Value) Value {
+		return List(Int(1), Map(map[string]Value{"a": List(leaf), "b": RefVal("Vpc", "vpc-1")}))
+	}
+	differ := []struct {
+		name string
+		a, b Value
+	}{
+		{"nil vs empty list", Nil, List()},
+		{"nil vs empty map", Nil, Map(nil)},
+		{"nil list vs empty list", List(), List([]Value{}...)},
+		{"nil map vs empty map", Value{kind: KindMap}, Map(nil)},
+		{"ref type vs ref ID", RefVal("a", "b"), RefVal("b", "a")},
+		{"ref split", RefVal("ab", "c"), RefVal("a", "bc")},
+		{"ref vs its ID as a string", RefVal("Vpc", "vpc-1"), Str("vpc-1")},
+		{"untyped ref vs string", RefVal("", "vpc-1"), Str("vpc-1")},
+		{"int vs bool", Int(1), Bool(true)},
+		{"zero int vs false", Int(0), Bool(false)},
+		{"false vs nil", Bool(false), Nil},
+		{"int vs list of that length", Int(1), List(Int(1))},
+		{"empty string vs nil", Str(""), Nil},
+		{"nested leaf", nested(Str("x")), nested(Str("y"))},
+		{"nested nil list vs empty list", nested(List()), nested(List([]Value{}...))},
+		{"nested ref vs string", nested(RefVal("Vpc", "v")), nested(Str("v"))},
+		{"map key", Map(map[string]Value{"a": Int(1)}), Map(map[string]Value{"b": Int(1)})},
+		{"list length", List(Int(1)), List(Int(1), Nil)},
+	}
+	for _, c := range differ {
+		if Identical(c.a, c.b) || Identical(c.b, c.a) {
+			t.Errorf("%s: %v and %v compare identical", c.name, c.a, c.b)
+		}
+		if reflect.DeepEqual(toOld(c.a), toOld(c.b)) {
+			t.Errorf("%s: the field-per-kind layout holds them equal too; not a distinguishing pair", c.name)
+		}
+		for _, v := range []Value{c.a, c.b} {
+			if !Identical(v, rebuilt(v)) {
+				t.Errorf("%s: %v is not identical to itself rebuilt", c.name, v)
+			}
+		}
+	}
+}
+
+// TestQuickIdenticalMatchesFieldPerKindLayout: on random pairs, and on
+// a value beside itself rebuilt, Identical agrees with reflect.DeepEqual
+// over the field-per-kind layout.
+func TestQuickIdenticalMatchesFieldPerKindLayout(t *testing.T) {
+	f := func(a, b valueGen) bool {
+		return Identical(a.V, rebuilt(a.V)) &&
+			Identical(a.V, b.V) == reflect.DeepEqual(toOld(a.V), toOld(b.V))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -54,26 +54,27 @@ func appendJSON(dst []byte, v *Value, normalize bool) []byte {
 	case KindString:
 		return appendJSONString(dst, v.s)
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.n, 10)
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return append(dst, "true"...)
 		}
 		return append(dst, "false"...)
 	case KindRef:
 		if normalize {
-			return appendJSONString(dst, v.ref.ID)
+			return appendJSONString(dst, v.s)
 		}
 		dst = append(dst, `{"$ref":`...)
-		dst = appendJSONString(dst, v.ref.Type+"/"+v.ref.ID)
+		dst = appendJSONString(dst, v.refType()+"/"+v.s)
 		return append(dst, '}')
 	case KindList:
 		dst = append(dst, '[')
-		for i := range v.list {
+		l := v.list()
+		for i := range l {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSON(dst, &v.list[i], normalize)
+			dst = appendJSON(dst, &l[i], normalize)
 		}
 		return append(dst, ']')
 	case KindMap:

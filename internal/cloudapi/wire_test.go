@@ -18,24 +18,24 @@ import (
 // AppendJSON, so marshalling a Value would compare the encoder with
 // itself.
 func plainJSON(v Value) any {
-	switch v.kind {
+	switch v.Kind() {
 	case KindString:
-		return v.s
+		return v.AsString()
 	case KindInt:
-		return v.i
+		return v.AsInt()
 	case KindBool:
-		return v.b
+		return v.AsBool()
 	case KindRef:
-		return map[string]string{"$ref": v.ref.Type + "/" + v.ref.ID}
+		return map[string]string{"$ref": v.AsRef().String()}
 	case KindList:
-		out := make([]any, len(v.list))
-		for i, e := range v.list {
+		out := make([]any, len(v.AsList()))
+		for i, e := range v.AsList() {
 			out[i] = plainJSON(e)
 		}
 		return out
 	case KindMap:
-		out := make(map[string]any, len(v.m))
-		for k, e := range v.m {
+		out := make(map[string]any, len(v.AsMap()))
+		for k, e := range v.AsMap() {
 			out[k] = plainJSON(e)
 		}
 		return out

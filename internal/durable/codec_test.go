@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/fault"
 	"lce/internal/interp"
 )
@@ -56,7 +57,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeSnapshot: %v", err)
 	}
-	if !reflect.DeepEqual(got, st) {
+	if !cloudapitest.DeepEqual(got, st) {
 		t.Fatalf("round trip differs:\n got %+v\nwant %+v", got, st)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/cluster"
 	"lce/internal/httpapi"
 	"lce/internal/interp"
@@ -115,7 +115,7 @@ func TestClusterBench(t *testing.T) {
 		}
 		if want == nil {
 			want = got
-		} else if !reflect.DeepEqual(got, want) {
+		} else if !cloudapitest.DeepEqual(got, want) {
 			t.Fatalf("%s answered %v, direct answered %v", m.name, got, want)
 		}
 	}

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 )
 
 // sameAsJSON holds decodeWireRequest to encoding/json on one body: the
@@ -27,8 +27,8 @@ func sameAsJSON(body []byte) (string, bool) {
 		if werr != nil {
 			return fmt.Sprintf("%q: fast path took it, encoding/json says %v", body, werr), false
 		}
-		if !reflect.DeepEqual(fast, want) {
-			return fmt.Sprintf("%q: fast path %#v, encoding/json %#v", body, fast, want), false
+		if !cloudapitest.DeepEqual(fast, want) {
+			return fmt.Sprintf("%q: fast path %+v, encoding/json %+v", body, fast, want), false
 		}
 	}
 	switch {
@@ -36,8 +36,8 @@ func sameAsJSON(body []byte) (string, bool) {
 		return fmt.Sprintf("%q: decoder err %v, encoding/json err %v", body, gerr, werr), false
 	case gerr != nil && gerr.Error() != werr.Error():
 		return fmt.Sprintf("%q: decoder err %q, encoding/json err %q", body, gerr, werr), false
-	case gerr == nil && !reflect.DeepEqual(got, want):
-		return fmt.Sprintf("%q: decoder %#v, encoding/json %#v", body, got, want), false
+	case gerr == nil && !cloudapitest.DeepEqual(got, want):
+		return fmt.Sprintf("%q: decoder %+v, encoding/json %+v", body, got, want), false
 	}
 	return "", true
 }
@@ -98,8 +98,8 @@ func TestDecodeWireRequestPinned(t *testing.T) {
 		{`{"params":{"a":1},"params":null}`, wireRequest{}},
 	} {
 		got, ok := decodeFlatRequest([]byte(c.body))
-		if !ok || !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: fast path = %#v, %v; want %#v", c.body, got, ok, c.want)
+		if !ok || !cloudapitest.DeepEqual(got, c.want) {
+			t.Errorf("%s: fast path = %+v, %v; want %+v", c.body, got, ok, c.want)
 		}
 	}
 }

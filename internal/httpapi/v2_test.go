@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +14,7 @@ import (
 
 	"lce/internal/cloud/aws/ec2"
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/fault"
 	"lce/internal/obsv"
 	"lce/internal/retry"
@@ -389,7 +389,7 @@ func apply(b cloudapi.Backend, req cloudapi.Request) {
 // injection in front of every session backend. Each session's
 // workload is split into 4 chunks chained in order (so intra-session
 // order is deterministic while all 64 goroutines run concurrently),
-// and every session's final state must be reflect.DeepEqual to the
+// and every session's final state must be identical to the
 // same sequence replayed serially on a fresh fault-free backend.
 // Runs under -race in CI (make chaos).
 func TestChaosSoakCrossSessionIsolation(t *testing.T) {
@@ -450,7 +450,7 @@ func TestChaosSoakCrossSessionIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session %d: final describe: %v", i, err)
 		}
-		if !reflect.DeepEqual(cloudapi.NormalizeResult(got), cloudapi.NormalizeResult(want)) {
+		if !cloudapitest.DeepEqual(cloudapi.NormalizeResult(got), cloudapi.NormalizeResult(want)) {
 			t.Errorf("session %d diverged from serial replay:\n got %v\nwant %v", i, got, want)
 		}
 	}

@@ -3,6 +3,7 @@
 package interp
 
 import (
+	"strings"
 	"testing"
 
 	"lce/internal/cloudapi"
@@ -49,5 +50,23 @@ func TestInterpDescribeAllAllocBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Fatalf("describeAll over two instances allocates %.1f objects/op, budget %d", allocs, budget)
+	}
+}
+
+// TestInterpMissingParameterAllocBudget: a request missing a required
+// parameter is answered with its binder's one shared error, formatted
+// on the first such request; formatting it on every fire costs three
+// allocations (the message, its boxed argument, the error).
+func TestInterpMissingParameterAllocBudget(t *testing.T) {
+	emu := benchEmulator(t, true)
+	req := cloudapi.Request{Action: "PingVpc"}
+	const budget = 1
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := emu.Invoke(req); err == nil || !strings.Contains(err.Error(), cloudapi.CodeMissingParameter) {
+			t.Fatalf("PingVpc without self: err %v, want %s", err, cloudapi.CodeMissingParameter)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("missing-parameter call allocates %.1f objects/op, budget %d", allocs, budget)
 	}
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"lce/internal/cloudapi"
 	"lce/internal/spec"
@@ -102,6 +103,20 @@ type paramBinder struct {
 	optional bool
 	def      cloudapi.Value
 	coerce   coerceFn // nil = pass-through
+	// missing is the missing-parameter error, formatted on its first
+	// fire and shared by every later one. A Program serves all its
+	// sessions at once, so it is published atomically.
+	missing atomic.Pointer[cloudapi.APIError]
+}
+
+// missingErr returns the binder's missing-parameter error.
+func (b *paramBinder) missingErr() *cloudapi.APIError {
+	if e := b.missing.Load(); e != nil {
+		return e
+	}
+	e := cloudapi.Errf(cloudapi.CodeMissingParameter, "the request must contain the parameter %s", b.name)
+	b.missing.Store(e)
+	return e
 }
 
 type coerceFn func(w *World, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error)

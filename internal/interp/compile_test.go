@@ -2,11 +2,11 @@ package interp
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/spec"
 )
 
@@ -61,10 +61,10 @@ func invokeBoth(t *testing.T, walk, comp engine, action string, params cloudapi.
 			t.Fatalf("%s: API-error-ness diverged: walker=%v compiled=%v", action, wapi, capi)
 		}
 	}
-	if !reflect.DeepEqual(wres, cres) {
-		t.Fatalf("%s: results diverged:\n  walker:   %#v\n  compiled: %#v", action, wres, cres)
+	if !cloudapitest.DeepEqual(wres, cres) {
+		t.Fatalf("%s: results diverged:\n  walker:   %v\n  compiled: %v", action, wres, cres)
 	}
-	if ws, cs := walk.World().Snapshot(), comp.World().Snapshot(); !reflect.DeepEqual(ws, cs) {
+	if ws, cs := walk.World().Snapshot(), comp.World().Snapshot(); !cloudapitest.DeepEqual(ws, cs) {
 		t.Fatalf("%s: world snapshots diverged:\n  walker:   %v\n  compiled: %v", action, ws, cs)
 	}
 	return wres, werr
@@ -199,7 +199,7 @@ func TestInterpDifferentialDescribeRefs(t *testing.T) {
 		"tags":  cloudapi.List(cloudapi.Str("web")),
 		"meta":  cloudapi.Map(map[string]cloudapi.Value{"owner": cloudapi.Str("vpc-00000001")}),
 	})
-	if got := res.Get("subnet"); !reflect.DeepEqual(got, want) {
+	if got := res.Get("subnet"); !cloudapi.Identical(got, want) {
 		t.Errorf("DescribeSubnet = %v, want %v", got, want)
 	}
 }

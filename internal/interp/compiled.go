@@ -198,7 +198,7 @@ func (ct *compiledTrans) bind(f *frame, w *World, in cloudapi.Params) (*Instance
 		}
 		if !ok || raw.IsNil() {
 			if b.isRecv || !b.optional {
-				return nil, cloudapi.Errf(cloudapi.CodeMissingParameter, "the request must contain the parameter %s", b.name), nil
+				return nil, b.missingErr(), nil
 			}
 			f.params[b.slot] = b.def
 			continue

@@ -1,10 +1,10 @@
 package interp
 
 import (
-	"reflect"
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/docs"
 	"lce/internal/docs/corpus"
 	"lce/internal/fault"
@@ -68,11 +68,11 @@ func diffSuite(t *testing.T, ref, emu engine, suite []trace.Trace, faultRate flo
 			t.Fatalf("%s: reference saw %d calls, engine saw %d", tr.Name, len(rr.steps), len(re.steps))
 		}
 		for i := range rr.steps {
-			if !reflect.DeepEqual(rr.steps[i], re.steps[i]) {
+			if !cloudapitest.DeepEqual(rr.steps[i], re.steps[i]) {
 				t.Fatalf("%s call %d (%s) diverged:\n  reference: %+v\n  engine:    %+v", tr.Name, i, rr.steps[i].action, rr.steps[i], re.steps[i])
 			}
 		}
-		if !reflect.DeepEqual(or, oe) {
+		if !cloudapitest.DeepEqual(or, oe) {
 			t.Fatalf("%s: caller-visible outcomes diverged:\n  reference: %+v\n  engine:    %+v", tr.Name, or, oe)
 		}
 		calls += len(rr.steps)

@@ -166,7 +166,7 @@ type Service struct {
 	Pos  Pos
 
 	smIndex map[string]*SM
-	actIdx  map[string]*actionRef
+	actIdx  map[string]actionRef
 }
 
 type actionRef struct {
@@ -465,7 +465,11 @@ func (e *BinaryExpr) Position() Pos { return e.Pos }
 // parser and the repair engine call it automatically.
 func (s *Service) Index() error {
 	s.smIndex = make(map[string]*SM, len(s.SMs))
-	s.actIdx = make(map[string]*actionRef)
+	nTrans := 0
+	for _, sm := range s.SMs {
+		nTrans += len(sm.Transitions)
+	}
+	s.actIdx = make(map[string]actionRef, nTrans)
 	for _, sm := range s.SMs {
 		if _, dup := s.smIndex[sm.Name]; dup {
 			return fmt.Errorf("spec: duplicate SM %q in service %q", sm.Name, s.Name)
@@ -477,7 +481,7 @@ func (s *Service) Index() error {
 			if prev, dup := s.actIdx[tr.Name]; dup {
 				return fmt.Errorf("spec: action %q defined on both %q and %q", tr.Name, prev.sm.Name, sm.Name)
 			}
-			s.actIdx[tr.Name] = &actionRef{sm: sm, trans: tr}
+			s.actIdx[tr.Name] = actionRef{sm: sm, trans: tr}
 		}
 	}
 	for _, sm := range s.SMs {

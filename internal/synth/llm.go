@@ -15,10 +15,6 @@
 // loop (internal/align) must find and repair.
 package synth
 
-import (
-	"math/rand"
-)
-
 // Noise is the hallucination model: per-fact-category drop/corruption
 // probabilities applied by the simulated LLM. All draws come from a
 // seeded PRNG over a deterministic fact enumeration, so a given
@@ -85,24 +81,6 @@ func (n Noise) rng(resource string, attempt int) *stream {
 	}
 	return &stream{seed: n.Seed ^ h ^ int64(attempt)*2654435761}
 }
-
-// stream is a math/rand stream seeded on its first draw. Seeding a
-// source costs more than extracting a small SM, and a zero rate never
-// draws (decide), so a noise-free extraction seeds nothing.
-type stream struct {
-	seed int64
-	r    *rand.Rand
-}
-
-func (s *stream) rand() *rand.Rand {
-	if s.r == nil {
-		s.r = rand.New(rand.NewSource(s.seed))
-	}
-	return s.r
-}
-
-func (s *stream) Float64() float64 { return s.rand().Float64() }
-func (s *stream) Intn(n int) int   { return s.rand().Intn(n) }
 
 // decide is one Bernoulli draw.
 func decide(r source, p float64) bool {

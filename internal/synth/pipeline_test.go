@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -157,27 +156,6 @@ func TestFreeDecodingGivesUp(t *testing.T) {
 	}
 	if rep == nil || rep.RePrompts != 2 {
 		t.Errorf("report = %+v, want 2 re-prompts", rep)
-	}
-}
-
-// TestStreamMatchesEagerSource: seeding on first draw yields exactly
-// the draws of a source seeded up front.
-func TestStreamMatchesEagerSource(t *testing.T) {
-	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
-		lazy := &stream{seed: seed}
-		eager := rand.New(rand.NewSource(seed))
-		for i := 0; i < 64; i++ {
-			if i%2 == 0 {
-				if a, b := lazy.Float64(), eager.Float64(); a != b {
-					t.Fatalf("seed %d draw %d: Float64 %v, want %v", seed, i, a, b)
-				}
-			} else if a, b := lazy.Intn(1000), eager.Intn(1000); a != b {
-				t.Fatalf("seed %d draw %d: Intn %d, want %d", seed, i, a, b)
-			}
-		}
-	}
-	if s := Perfect.rng("Vpc", 0); decide(s, 0) || s.r != nil {
-		t.Error("a zero-rate draw seeded the stream")
 	}
 }
 

@@ -44,12 +44,16 @@ lint:
 # The node's data-plane rows: the request decoder and the success
 # encoder alone, beside the whole 22-call handler cycle, ns/op and
 # allocs/op, and the same cycle served through the HTTP/1.1 front over
-# loopback (served/instrumented is what the server side adds). The router-layer row: one traced forward over a loopback
-# upstream. The learning-loop row: the four-service default alignment
-# loop, with the oracle replays one loop makes.
+# loopback (served/instrumented is what the server side adds). The
+# interpreter rows: a describe, an empty point describe and a create,
+# each in the engine and in the reference walker. The router-layer row:
+# one traced forward over a loopback upstream. The learning-loop row:
+# the four-service default alignment loop, with the oracle replays one
+# loop makes.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 	$(GO) test -run '^$$' -bench 'ReadRequest|WriteWireResponse|HandlerCycle|ServedCycle' -benchtime 2000x -cpu 1 -benchmem ./internal/httpapi/
+	$(GO) test -run '^$$' -bench Invoke -benchtime 20000x -cpu 1 -benchmem ./internal/interp/
 	$(GO) test -run '^$$' -bench RouterForward -benchtime 20000x -cpu 1 -benchmem ./internal/cluster/
 	$(GO) test -run '^$$' -bench AlignLoop -benchtime 20x -cpu 1 -benchmem ./internal/align/
 	$(GO) test -run 'ZeroAlloc' ./internal/interp/

@@ -141,71 +141,46 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNil() bool { return v.kind == KindNil }
 
 // AsString returns the string payload; it is "" for non-strings.
-func (v Value) AsString() string { return StringOf(&v) }
-
-// AsInt returns the integer payload; it is 0 for non-ints.
-func (v Value) AsInt() int64 { return IntOf(&v) }
-
-// AsBool returns the boolean payload; it is false for non-bools.
-func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
-
-// AsRef returns the reference payload; it is the zero Ref for non-refs.
-func (v Value) AsRef() Ref { return RefOfPtr(&v) }
-
-// AsList returns the list payload; it is nil for non-lists.
-func (v Value) AsList() []Value { return ListOf(&v) }
-
-// AsMap returns the map payload; it is nil for non-maps.
-func (v Value) AsMap() map[string]Value { return v.m }
-
-// Pointer accessors. Interpreter hot paths that already hold a *Value
-// read through these: a value-receiver accessor called through a
-// pointer copies the whole 48-byte struct, and even inlined the
-// compiler does not elide the copy.
-
-// KindOf is Kind without copying the value.
-func KindOf(v *Value) Kind { return v.kind }
-
-// IsNilPtr is IsNil without copying the value.
-func IsNilPtr(v *Value) bool { return v.kind == KindNil }
-
-// StringOf is AsString without copying the value.
-func StringOf(v *Value) string {
+func (v Value) AsString() string {
 	if v.kind != KindString {
 		return ""
 	}
 	return v.s
 }
 
-// IntOf is AsInt without copying the value.
-func IntOf(v *Value) int64 {
+// AsInt returns the integer payload; it is 0 for non-ints.
+func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		return 0
 	}
 	return v.n
 }
 
-// RefOfPtr is AsRef without copying the value.
-func RefOfPtr(v *Value) Ref {
+// AsBool returns the boolean payload; it is false for non-bools.
+func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
+
+// AsRef returns the reference payload; it is the zero Ref for non-refs.
+func (v Value) AsRef() Ref {
 	if v.kind != KindRef {
 		return Ref{}
 	}
 	return Ref{Type: v.refType(), ID: v.s}
 }
 
-// ListOf is AsList without copying the value.
-func ListOf(v *Value) []Value {
+// AsList returns the list payload; it is nil for non-lists.
+func (v Value) AsList() []Value {
 	if v.kind != KindList {
 		return nil
 	}
 	return v.list()
 }
 
-// MapOf is AsMap without copying the value.
-func MapOf(v *Value) map[string]Value { return v.m }
+// AsMap returns the map payload; it is nil for non-maps.
+func (v Value) AsMap() map[string]Value { return v.m }
 
-// TruthyPtr is Truthy without copying the value.
-func TruthyPtr(v *Value) bool {
+// Truthy reports whether the value counts as true in a predicate:
+// booleans by their value, nil as false, everything else as non-empty.
+func (v Value) Truthy() bool {
 	switch v.kind {
 	case KindString:
 		return v.s != ""
@@ -220,17 +195,9 @@ func TruthyPtr(v *Value) bool {
 	}
 }
 
-// Truthy reports whether the value counts as true in a predicate:
-// booleans by their value, nil as false, everything else as non-empty.
-func (v Value) Truthy() bool { return TruthyPtr(&v) }
-
 // Equal reports deep equality of two values. Values of different kinds
 // are never equal (there is no implicit conversion).
-func (v Value) Equal(o Value) bool { return EqualPtr(&v, &o) }
-
-// EqualPtr is Equal without copying its operands; interpreter hot
-// paths (predicates, list membership) compare through pointers.
-func EqualPtr(v, o *Value) bool {
+func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
 		return false
 	}
@@ -249,7 +216,7 @@ func EqualPtr(v, o *Value) bool {
 		}
 		vl, ol := v.list(), o.list()
 		for i := range vl {
-			if !EqualPtr(&vl[i], &ol[i]) {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
@@ -260,7 +227,7 @@ func EqualPtr(v, o *Value) bool {
 		}
 		for k, ve := range v.m {
 			oe, ok := o.m[k]
-			if !ok || !EqualPtr(&ve, &oe) {
+			if !ok || !ve.Equal(oe) {
 				return false
 			}
 		}
@@ -303,7 +270,7 @@ func Identical(a, b Value) bool {
 		}
 		return true
 	default:
-		return EqualPtr(&a, &b)
+		return a.Equal(b)
 	}
 }
 

@@ -1,11 +1,11 @@
 package durable
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"lce/internal/cloud/aws/ec2"
+	"lce/internal/cloudapi/cloudapitest"
 )
 
 // TestExportRestoreBareEmulator: export from one live emulator,
@@ -25,14 +25,14 @@ func TestExportRestoreBareEmulator(t *testing.T) {
 	if err := RestoreBackend(dst, data); err != nil {
 		t.Fatalf("RestoreBackend: %v", err)
 	}
-	if !reflect.DeepEqual(dst.ExportState(), controlState(t, 7)) {
+	if !cloudapitest.DeepEqual(dst.ExportState(), controlState(t, 7)) {
 		t.Fatal("restored world differs from control")
 	}
 	// Post-migration calls must continue the ID streams exactly.
 	for i := 7; i < 12; i++ {
 		gotRes, gotErr := toyCall(dst, i)
 		wantRes, wantErr := toyCall(src, i)
-		if !reflect.DeepEqual(gotRes, wantRes) || !errEq(gotErr, wantErr) {
+		if !cloudapitest.DeepEqual(gotRes, wantRes) || !errEq(gotErr, wantErr) {
 			t.Fatalf("step %d diverged after restore: got (%v, %v) want (%v, %v)", i, gotRes, gotErr, wantRes, wantErr)
 		}
 	}
@@ -69,7 +69,7 @@ func TestExportRestoreJournaledSession(t *testing.T) {
 
 	recStore, _ := openTest(t, dstDir, nil)
 	_, recEmu := adoptEmu(t, recStore, "mig")
-	if !reflect.DeepEqual(recEmu.ExportState(), controlState(t, 9)) {
+	if !cloudapitest.DeepEqual(recEmu.ExportState(), controlState(t, 9)) {
 		t.Fatal("recovered world after import+crash differs from control")
 	}
 }
@@ -98,7 +98,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	if err := RestoreBackend(dst, []byte("not a snapshot")); err == nil {
 		t.Fatal("RestoreBackend(garbage) succeeded")
 	}
-	if !reflect.DeepEqual(dst.ExportState(), before) {
+	if !cloudapitest.DeepEqual(dst.ExportState(), before) {
 		t.Fatal("failed restore mutated the target world")
 	}
 }

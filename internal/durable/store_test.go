@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/fault"
 	"lce/internal/interp"
 	"lce/internal/obsv"
@@ -137,7 +138,7 @@ func TestCrashRecoveryJournalOnly(t *testing.T) {
 		t.Fatalf("Recover() = %+v", rec)
 	}
 	b2, emu2 := adoptEmu(t, s2, "alice")
-	if got, want := emu2.ExportState(), emu1.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := emu2.ExportState(), emu1.ExportState(); !cloudapitest.DeepEqual(got, want) {
 		t.Fatalf("recovered state differs:\n got %+v\nwant %+v", got, want)
 	}
 	ev, ok := sink.last(EventRehydrated)
@@ -151,7 +152,7 @@ func TestCrashRecoveryJournalOnly(t *testing.T) {
 	for i := 0; i <= n; i++ {
 		if i == n {
 			wr, we := toyCall(cr, i)
-			if !reflect.DeepEqual(gr, wr) || !reflect.DeepEqual(ge, we) {
+			if !cloudapitest.DeepEqual(gr, wr) || !cloudapitest.DeepEqual(ge, we) {
 				t.Errorf("post-recovery call diverged: (%v, %v) != (%v, %v)", gr, ge, wr, we)
 			}
 		} else {
@@ -187,7 +188,7 @@ func TestSpillRehydrateRoundTrip(t *testing.T) {
 	}
 
 	_, emu2 := adoptEmu(t, s, "bob")
-	if got, want := emu2.ExportState(), emu1.ExportState(); !reflect.DeepEqual(got, want) {
+	if got, want := emu2.ExportState(), emu1.ExportState(); !cloudapitest.DeepEqual(got, want) {
 		t.Fatalf("rehydrated state differs:\n got %+v\nwant %+v", got, want)
 	}
 	if ev, ok := sink.last(EventRehydrated); !ok || ev.attrs["checkpoint"] != "true" || ev.attrs["records"] != "0" {
@@ -226,7 +227,7 @@ func TestTornTailRecovery(t *testing.T) {
 
 	s2, sink := openTest(t, dir, nil)
 	_, emu2 := adoptEmu(t, s2, "torn")
-	if got, want := emu2.ExportState(), controlState(t, n-1); !reflect.DeepEqual(got, want) {
+	if got, want := emu2.ExportState(), controlState(t, n-1); !cloudapitest.DeepEqual(got, want) {
 		t.Fatalf("torn-tail recovery: state is not the %d-call prefix", n-1)
 	}
 	ev, ok := sink.last(EventRehydrated)
@@ -238,7 +239,7 @@ func TestTornTailRecovery(t *testing.T) {
 	// exactly the same state — the tear cannot re-surface.
 	s3, sink3 := openTest(t, dir, nil)
 	_, emu3 := adoptEmu(t, s3, "torn")
-	if !reflect.DeepEqual(emu3.ExportState(), emu2.ExportState()) {
+	if !cloudapitest.DeepEqual(emu3.ExportState(), emu2.ExportState()) {
 		t.Fatal("second recovery diverged from first")
 	}
 	if ev, ok := sink3.last(EventRehydrated); !ok || ev.attrs["dropped"] != "" {
@@ -277,7 +278,7 @@ func TestCRCCorruptionMidSegment(t *testing.T) {
 
 	s2, sink := openTest(t, dir, nil)
 	_, emu2 := adoptEmu(t, s2, "crc")
-	if got, want := emu2.ExportState(), controlState(t, 3); !reflect.DeepEqual(got, want) {
+	if got, want := emu2.ExportState(), controlState(t, 3); !cloudapitest.DeepEqual(got, want) {
 		t.Fatal("mid-segment corruption: state is not the 3-call prefix")
 	}
 	ev, ok := sink.last(EventRehydrated)
@@ -317,7 +318,7 @@ func TestDuplicateReplayAfterPartialCompaction(t *testing.T) {
 
 	s2, sink := openTest(t, dir, nil)
 	b2, emu2 := adoptEmu(t, s2, "dup")
-	if got, want := emu2.ExportState(), controlState(t, 5); !reflect.DeepEqual(got, want) {
+	if got, want := emu2.ExportState(), controlState(t, 5); !cloudapitest.DeepEqual(got, want) {
 		t.Fatal("stale pre-compaction segment was double-applied")
 	}
 	ev, ok := sink.last(EventRehydrated)
@@ -367,7 +368,7 @@ func TestCrashBetweenSegmentSyncAndUnlink(t *testing.T) {
 
 	s2, sink := openTest(t, dir, nil)
 	b2, emu2 := adoptEmu(t, s2, "win")
-	if !reflect.DeepEqual(emu2.ExportState(), controlState(t, n+1)) {
+	if !cloudapitest.DeepEqual(emu2.ExportState(), controlState(t, n+1)) {
 		t.Fatal("recovery over old+new segments differs from the control")
 	}
 	if ev, _ := sink.last(EventRehydrated); ev.attrs["skipped"] != fmt.Sprint(n) || ev.attrs["records"] != "1" || ev.attrs["dropped"] != "" {
@@ -380,7 +381,7 @@ func TestCrashBetweenSegmentSyncAndUnlink(t *testing.T) {
 	}
 	s3, _ := openTest(t, dir, nil)
 	_, emu3 := adoptEmu(t, s3, "win")
-	if !reflect.DeepEqual(emu3.ExportState(), controlState(t, n+2)) {
+	if !cloudapitest.DeepEqual(emu3.ExportState(), controlState(t, n+2)) {
 		t.Fatal("second recovery differs from the control")
 	}
 }
@@ -415,7 +416,7 @@ func TestTornCheckpointTail(t *testing.T) {
 
 	s2, sink := openTest(t, dir, nil)
 	b2, emu2 := adoptEmu(t, s2, "torn")
-	if !reflect.DeepEqual(emu2.ExportState(), controlState(t, n)) {
+	if !cloudapitest.DeepEqual(emu2.ExportState(), controlState(t, n)) {
 		t.Fatal("torn checkpoint: state is not the control at the previous record")
 	}
 	ev, _ := sink.last(EventRehydrated)
@@ -429,7 +430,7 @@ func TestTornCheckpointTail(t *testing.T) {
 	toyCall(b2, n)
 	s3, sink3 := openTest(t, dir, nil)
 	_, emu3 := adoptEmu(t, s3, "torn")
-	if !reflect.DeepEqual(emu3.ExportState(), controlState(t, n+1)) {
+	if !cloudapitest.DeepEqual(emu3.ExportState(), controlState(t, n+1)) {
 		t.Fatal("append after a trimmed tear did not recover")
 	}
 	if ev, _ := sink3.last(EventRehydrated); ev.attrs["dropped"] != "" {
@@ -494,7 +495,7 @@ func TestBitFlippedCheckpointMidSegment(t *testing.T) {
 
 	s2, sink := openTest(t, dir, nil)
 	_, emu2 := adoptEmu(t, s2, "rot")
-	if !reflect.DeepEqual(emu2.ExportState(), controlState(t, 4)) {
+	if !cloudapitest.DeepEqual(emu2.ExportState(), controlState(t, 4)) {
 		t.Fatal("rotted checkpoint: state is not checkpoint A plus the two calls before the damage")
 	}
 	ev, _ := sink.last(EventRehydrated)
@@ -549,7 +550,7 @@ func TestParentLayoutDirectory(t *testing.T) {
 
 	s2, sink := openTest(t, dir, func(c *Config) { c.CompactEvery = 4 })
 	b, emu := adoptEmu(t, s2, "old")
-	if !reflect.DeepEqual(emu.ExportState(), controlState(t, 5)) {
+	if !cloudapitest.DeepEqual(emu.ExportState(), controlState(t, 5)) {
 		t.Fatal("parent-layout directory did not recover to the control")
 	}
 	if ev, _ := sink.last(EventRehydrated); ev.attrs["checkpoint"] != "true" || ev.attrs["records"] != "2" {
@@ -564,7 +565,7 @@ func TestParentLayoutDirectory(t *testing.T) {
 		t.Fatalf("legacy snapshot gone before any compaction: %v", err)
 	}
 	b, emu = adoptEmu(t, s2, "old")
-	if !reflect.DeepEqual(emu.ExportState(), controlState(t, 5)) {
+	if !cloudapitest.DeepEqual(emu.ExportState(), controlState(t, 5)) {
 		t.Fatal("rehydrate from the appended checkpoint differs")
 	}
 	for i := 5; i < 9; i++ { // CompactEvery = 4
@@ -575,7 +576,7 @@ func TestParentLayoutDirectory(t *testing.T) {
 	}
 	s3, _ := openTest(t, dir, nil)
 	_, emu3 := adoptEmu(t, s3, "old")
-	if !reflect.DeepEqual(emu3.ExportState(), controlState(t, 9)) {
+	if !cloudapitest.DeepEqual(emu3.ExportState(), controlState(t, 9)) {
 		t.Fatal("recovery after folding the parent layout differs from the control")
 	}
 }
@@ -622,7 +623,7 @@ func TestChaosSessionRecovery(t *testing.T) {
 	for i := n; i < n+8; i++ {
 		gr, ge := toyCall(b2, i)
 		wr, we := toyCall(control, i)
-		if !reflect.DeepEqual(gr, wr) || !reflect.DeepEqual(ge, we) {
+		if !cloudapitest.DeepEqual(gr, wr) || !cloudapitest.DeepEqual(ge, we) {
 			t.Fatalf("call %d diverged after recovery: (%v, %v) != (%v, %v)", i, gr, ge, wr, we)
 		}
 	}
@@ -642,7 +643,7 @@ func TestReadOnlyStore(t *testing.T) {
 
 	s2, sink := openTest(t, dir, func(c *Config) { c.ReadOnly = true })
 	b2, emu2 := adoptEmu(t, s2, "ro")
-	if !reflect.DeepEqual(emu2.ExportState(), emu1.ExportState()) {
+	if !cloudapitest.DeepEqual(emu2.ExportState(), emu1.ExportState()) {
 		t.Fatal("read-only rehydration differs")
 	}
 	if ev, _ := sink.last(EventRehydrated); ev.attrs["checkpoint"] != "true" || ev.attrs["records"] != "0" {
@@ -707,7 +708,7 @@ func TestPoolSpillTransparency(t *testing.T) {
 			for k := 0; k < 2; k++ {
 				gr, ge := toyCall(lb, step+k)
 				wr, we := toyCall(ub, step+k)
-				if !reflect.DeepEqual(gr, wr) || !reflect.DeepEqual(ge, we) {
+				if !cloudapitest.DeepEqual(gr, wr) || !cloudapitest.DeepEqual(ge, we) {
 					t.Fatalf("round %d session %s call %d: limited (%v, %v) != unlimited (%v, %v)",
 						r, id, k, gr, ge, wr, we)
 				}
@@ -1008,7 +1009,7 @@ func TestDiskBoundedOverSpillCycles(t *testing.T) {
 		peak = max(peak, dirBytes(t, sdir))
 		b, emu = adoptEmu(t, s, "cyc")
 	}
-	if !reflect.DeepEqual(emu.ExportState(), controlState(t, 8)) {
+	if !cloudapitest.DeepEqual(emu.ExportState(), controlState(t, 8)) {
 		t.Fatal("state drifted across spill cycles")
 	}
 	snap := int64(len(EncodeSnapshot(&SessionState{World: emu.ExportState()})))

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/durable"
 	"lce/internal/interp"
 	"lce/internal/spec"
@@ -66,7 +66,7 @@ func TestDurableBenchSmoke(t *testing.T) {
 		if !ok {
 			t.Fatalf("fsync=%s: adopt failed", pol)
 		}
-		if got := run(b); !reflect.DeepEqual(got, want) {
+		if got := run(b); !cloudapitest.DeepEqual(got, want) {
 			t.Errorf("fsync=%s: journaled calls answered %v, bare emulator %v", pol, got, want)
 		}
 	}

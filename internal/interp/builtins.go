@@ -10,8 +10,9 @@ import (
 // This file holds the runtime pieces the compiled engine and the
 // reference walker (walker_test.go) both call: the assertion-failure
 // signal, ordered comparison, the builtin table and the describe
-// payload. Keeping one copy is what makes the walker a reference for
-// the compiler's lowering rather than for the builtins themselves.
+// payload. Each builtin has one implementation, its table entry, so
+// the walker is a reference for the compiler's lowering rather than
+// for the builtins themselves.
 
 // DefaultAssertCode is the error code used when a failed assertion
 // carries no explicit code. Spec linking normally attaches a code to
@@ -56,216 +57,176 @@ func compareSlow(l, r *cloudapi.Value) (int, error) {
 	return 0, internalErrf("ordered comparison between %s and %s", l.Kind(), r.Kind())
 }
 
-// applyBuiltin executes one builtin over already-evaluated arguments.
-// The compiled engine routes cold builtins here and specializes the
-// hot ones; the reference walker routes all of them here.
+// applyBuiltin executes one builtin over already-evaluated arguments,
+// checking its name and arity first. The reference walker calls every
+// builtin through it; the compiler resolves and arity-checks each call
+// site's table entry once and calls its fn directly.
 func applyBuiltin(world *World, self *Instance, name string, args []cloudapi.Value) (cloudapi.Value, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return internalErrf("builtin %s: %d args, want %d", name, len(args), n)
-		}
-		return nil
+	b, ok := builtins[name]
+	if !ok {
+		return cloudapi.Nil, unknownBuiltinErr(name)
 	}
-	switch name {
-	case "len":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		switch args[0].Kind() {
+	if len(args) != b.arity {
+		return cloudapi.Nil, builtinArityErr(name, len(args), b.arity)
+	}
+	return b.fn(world, self, args)
+}
+
+func unknownBuiltinErr(name string) error { return internalErrf("unknown builtin %q", name) }
+
+func builtinArityErr(name string, got, want int) error {
+	return internalErrf("builtin %s: %d args, want %d", name, got, want)
+}
+
+// builtin is one entry of the builtin table: fn runs over exactly
+// arity arguments.
+type builtin struct {
+	arity int
+	fn    func(world *World, self *Instance, args []cloudapi.Value) (cloudapi.Value, error)
+}
+
+// builtins is the builtin table, the only implementation of each
+// builtin.
+var builtins = map[string]builtin{
+	"len": {1, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		switch a[0].Kind() {
 		case cloudapi.KindList:
-			return cloudapi.Int(int64(len(args[0].AsList()))), nil
+			return cloudapi.Int(int64(len(a[0].AsList()))), nil
 		case cloudapi.KindString:
-			return cloudapi.Int(int64(len(args[0].AsString()))), nil
+			return cloudapi.Int(int64(len(a[0].AsString()))), nil
 		case cloudapi.KindMap:
-			return cloudapi.Int(int64(len(args[0].AsMap()))), nil
+			return cloudapi.Int(int64(len(a[0].AsMap()))), nil
 		case cloudapi.KindNil:
 			return cloudapi.Int(0), nil
 		default:
-			return cloudapi.Nil, internalErrf("builtin len: unsupported kind %s", args[0].Kind())
+			return cloudapi.Nil, internalErrf("builtin len: unsupported kind %s", a[0].Kind())
 		}
-	case "isnil":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
+	}},
+	"isnil": {1, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Bool(a[0].IsNil()), nil
+	}},
+	"id": {1, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		if a[0].Kind() != cloudapi.KindRef {
+			return cloudapi.Nil, internalErrf("builtin id: argument is %s, want ref", a[0].Kind())
 		}
-		return cloudapi.Bool(args[0].IsNil()), nil
-	case "id":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		if args[0].Kind() != cloudapi.KindRef {
-			return cloudapi.Nil, internalErrf("builtin id: argument is %s, want ref", args[0].Kind())
-		}
-		return cloudapi.Str(args[0].AsRef().ID), nil
-	case "children":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
+		return cloudapi.Str(a[0].AsRef().ID), nil
+	}},
+	"children": {1, func(world *World, self *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
 		if self == nil {
 			return cloudapi.Nil, internalErrf("builtin children with no receiver")
 		}
-		insts := world.Children(self.Ref, args[0].AsString())
-		return refList(insts), nil
-	case "instances":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		insts := world.Instances(args[0].AsString())
-		return refList(insts), nil
-	case "append":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		var base []cloudapi.Value
-		if !args[0].IsNil() {
-			base = args[0].AsList()
-		}
+		return refList(world.Children(self.Ref, a[0].AsString())), nil
+	}},
+	"instances": {1, func(world *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return refList(world.Instances(a[0].AsString())), nil
+	}},
+	"append": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		base := a[0].AsList()
 		out := make([]cloudapi.Value, 0, len(base)+1)
 		out = append(out, base...)
-		out = append(out, args[1])
+		out = append(out, a[1])
 		return cloudapi.List(out...), nil
-	case "remove":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
+	}},
+	"remove": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
 		var out []cloudapi.Value
-		for _, v := range args[0].AsList() {
-			if !v.Equal(args[1]) {
+		for _, v := range a[0].AsList() {
+			if !v.Equal(a[1]) {
 				out = append(out, v)
 			}
 		}
 		return cloudapi.List(out...), nil
-	case "contains":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		for _, v := range args[0].AsList() {
-			if v.Equal(args[1]) {
+	}},
+	"contains": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		for _, v := range a[0].AsList() {
+			if v.Equal(a[1]) {
 				return cloudapi.True, nil
 			}
 		}
 		return cloudapi.False, nil
-	case "concat":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Str(args[0].AsString() + args[1].AsString()), nil
-	case "emptyList":
-		if err := need(0); err != nil {
-			return cloudapi.Nil, err
-		}
+	}},
+	"concat": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Str(a[0].AsString() + a[1].AsString()), nil
+	}},
+	"emptyList": {0, func(*World, *Instance, []cloudapi.Value) (cloudapi.Value, error) {
 		return cloudapi.List(), nil
-	case "emptyMap":
-		if err := need(0); err != nil {
-			return cloudapi.Nil, err
-		}
+	}},
+	"emptyMap": {0, func(*World, *Instance, []cloudapi.Value) (cloudapi.Value, error) {
 		return cloudapi.Map(nil), nil
-	case "pluck":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
+	}},
+	"pluck": {2, func(world *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
 		out := []cloudapi.Value{}
-		for _, v := range args[0].AsList() {
+		for _, v := range a[0].AsList() {
 			if v.Kind() != cloudapi.KindRef {
 				continue
 			}
 			if inst, ok := world.Get(v.AsRef()); ok {
-				out = append(out, inst.attrOrNil(args[1].AsString()))
+				out = append(out, inst.attrOrNil(a[1].AsString()))
 			}
 		}
 		return cloudapi.List(out...), nil
-	case "describeEach":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		out := []cloudapi.Value{}
-		for _, v := range args[0].AsList() {
-			if v.Kind() != cloudapi.KindRef {
-				continue
-			}
-			if inst, ok := world.Get(v.AsRef()); ok {
-				out = append(out, describeInstance(inst))
-			}
-		}
-		return cloudapi.List(out...), nil
-	case "mapMerge":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		a, b := args[0].AsMap(), args[1].AsMap()
-		out := make(map[string]cloudapi.Value, len(a)+len(b))
-		for k, v := range a {
+	}},
+	"mapMerge": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		x, y := a[0].AsMap(), a[1].AsMap()
+		out := make(map[string]cloudapi.Value, len(x)+len(y))
+		for k, v := range x {
 			out[k] = v
 		}
-		for k, v := range b {
+		for k, v := range y {
 			out[k] = v
 		}
 		return cloudapi.Map(out), nil
-	case "first":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		l := args[0].AsList()
+	}},
+	"first": {1, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		l := a[0].AsList()
 		if len(l) == 0 {
 			return cloudapi.Nil, nil
 		}
 		return l[0], nil
-	case "hasPrefix":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Bool(strings.HasPrefix(args[0].AsString(), args[1].AsString())), nil
-	case "mapSet":
-		if err := need(3); err != nil {
-			return cloudapi.Nil, err
-		}
-		src := args[0].AsMap()
+	}},
+	"hasPrefix": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Bool(strings.HasPrefix(a[0].AsString(), a[1].AsString())), nil
+	}},
+	"mapSet": {3, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		src := a[0].AsMap()
 		out := make(map[string]cloudapi.Value, len(src)+1)
 		for k, v := range src {
 			out[k] = v
 		}
-		out[args[1].AsString()] = args[2]
+		out[a[1].AsString()] = a[2]
 		return cloudapi.Map(out), nil
-	case "mapDel":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		src := args[0].AsMap()
+	}},
+	"mapDel": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		src := a[0].AsMap()
 		out := make(map[string]cloudapi.Value, len(src))
 		for k, v := range src {
-			if k != args[1].AsString() {
+			if k != a[1].AsString() {
 				out[k] = v
 			}
 		}
 		return cloudapi.Map(out), nil
-	case "lookup":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		if args[1].Kind() != cloudapi.KindString {
+	}},
+	"lookup": {2, func(world *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		if a[1].Kind() != cloudapi.KindString {
 			return cloudapi.Nil, nil
 		}
-		inst, ok := world.Lookup(args[0].AsString(), args[1].AsString())
+		inst, ok := world.Lookup(a[0].AsString(), a[1].AsString())
 		if !ok {
 			return cloudapi.Nil, nil
 		}
 		return cloudapi.RefOf(inst.Ref), nil
-	case "matching":
-		if err := need(3); err != nil {
-			return cloudapi.Nil, err
-		}
+	}},
+	"matching": {3, func(world *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
 		var out []cloudapi.Value
-		for _, inst := range world.Instances(args[0].AsString()) {
-			if inst.attrOrNil(args[1].AsString()).Equal(args[2]) {
+		for _, inst := range world.Instances(a[0].AsString()) {
+			if inst.attrOrNil(a[1].AsString()).Equal(a[2]) {
 				out = append(out, cloudapi.RefOf(inst.Ref))
 			}
 		}
 		return cloudapi.List(out...), nil
-	case "filterEq":
-		if err := need(3); err != nil {
-			return cloudapi.Nil, err
-		}
+	}},
+	"filterEq": {3, func(world *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
 		var out []cloudapi.Value
-		for _, v := range args[0].AsList() {
+		for _, v := range a[0].AsList() {
 			if v.Kind() != cloudapi.KindRef {
 				continue
 			}
@@ -273,44 +234,32 @@ func applyBuiltin(world *World, self *Instance, name string, args []cloudapi.Val
 			if !ok {
 				continue
 			}
-			if inst.attrOrNil(args[1].AsString()).Equal(args[2]) {
+			if inst.attrOrNil(a[1].AsString()).Equal(a[2]) {
 				out = append(out, v)
 			}
 		}
 		return cloudapi.List(out...), nil
-	case "cidrCapacity":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
+	}},
+	"cidrCapacity": {1, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Int(cidr.HostCapacity(a[0].AsString())), nil
+	}},
+	"cidrValid": {1, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Bool(cidr.Valid(a[0].AsString())), nil
+	}},
+	"prefixLen": {1, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Int(int64(cidr.PrefixLen(a[0].AsString()))), nil
+	}},
+	"cidrWithin": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Bool(cidr.Within(a[0].AsString(), a[1].AsString())), nil
+	}},
+	"cidrOverlaps": {2, func(_ *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return cloudapi.Bool(cidr.Overlaps(a[0].AsString(), a[1].AsString())), nil
+	}},
+	"attrs": {1, func(world *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		if a[0].Kind() != cloudapi.KindRef {
+			return cloudapi.Nil, internalErrf("builtin attrs: argument is %s, want ref", a[0].Kind())
 		}
-		return cloudapi.Int(cidr.HostCapacity(args[0].AsString())), nil
-	case "cidrValid":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Bool(cidr.Valid(args[0].AsString())), nil
-	case "prefixLen":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Int(int64(cidr.PrefixLen(args[0].AsString()))), nil
-	case "cidrWithin":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Bool(cidr.Within(args[0].AsString(), args[1].AsString())), nil
-	case "cidrOverlaps":
-		if err := need(2); err != nil {
-			return cloudapi.Nil, err
-		}
-		return cloudapi.Bool(cidr.Overlaps(args[0].AsString(), args[1].AsString())), nil
-	case "attrs":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		if args[0].Kind() != cloudapi.KindRef {
-			return cloudapi.Nil, internalErrf("builtin attrs: argument is %s, want ref", args[0].Kind())
-		}
-		inst, ok := world.Get(args[0].AsRef())
+		inst, ok := world.Get(a[0].AsRef())
 		if !ok {
 			return cloudapi.Nil, nil
 		}
@@ -319,31 +268,62 @@ func applyBuiltin(world *World, self *Instance, name string, args []cloudapi.Val
 			m[k] = v
 		})
 		return cloudapi.Map(m), nil
-	case "describe":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		if args[0].Kind() != cloudapi.KindRef {
-			return cloudapi.Nil, internalErrf("builtin describe: argument is %s, want ref", args[0].Kind())
-		}
-		inst, ok := world.Get(args[0].AsRef())
-		if !ok {
-			return cloudapi.Nil, nil
-		}
-		return describeInstance(inst), nil
-	case "describeAll":
-		if err := need(1); err != nil {
-			return cloudapi.Nil, err
-		}
-		insts := world.Instances(args[0].AsString())
-		out := make([]cloudapi.Value, len(insts))
-		for i, inst := range insts {
-			out[i] = describeInstance(inst)
-		}
-		return cloudapi.List(out...), nil
-	default:
-		return cloudapi.Nil, internalErrf("unknown builtin %q", name)
+	}},
+	"describe":     describeEntry(describeOne),
+	"describeAll":  describeEntry(describeAll),
+	"describeEach": describeEntry(describeEach),
+}
+
+// describeFn is the body of a describe builtin: it renders each
+// instance its argument names with desc.
+type describeFn func(world *World, arg cloudapi.Value, desc func(*Instance) cloudapi.Value) (cloudapi.Value, error)
+
+// describeBuiltins are the builtins whose value is built from describe
+// payloads alone. A compiled return of one renders them normalized
+// (compiler.returnStmt); the table renders them with describeInstance.
+var describeBuiltins = map[string]describeFn{
+	"describe":     describeOne,
+	"describeAll":  describeAll,
+	"describeEach": describeEach,
+}
+
+func describeEntry(body describeFn) builtin {
+	return builtin{1, func(world *World, _ *Instance, a []cloudapi.Value) (cloudapi.Value, error) {
+		return body(world, a[0], describeInstance)
+	}}
+}
+
+func describeOne(world *World, arg cloudapi.Value, desc func(*Instance) cloudapi.Value) (cloudapi.Value, error) {
+	if arg.Kind() != cloudapi.KindRef {
+		return cloudapi.Nil, internalErrf("builtin describe: argument is %s, want ref", arg.Kind())
 	}
+	inst, ok := world.Get(arg.AsRef())
+	if !ok {
+		return cloudapi.Nil, nil
+	}
+	return desc(inst), nil
+}
+
+func describeAll(world *World, arg cloudapi.Value, desc func(*Instance) cloudapi.Value) (cloudapi.Value, error) {
+	insts := world.Instances(arg.AsString())
+	out := make([]cloudapi.Value, len(insts))
+	for i, inst := range insts {
+		out[i] = desc(inst)
+	}
+	return cloudapi.List(out...), nil
+}
+
+func describeEach(world *World, arg cloudapi.Value, desc func(*Instance) cloudapi.Value) (cloudapi.Value, error) {
+	out := []cloudapi.Value{}
+	for _, v := range arg.AsList() {
+		if v.Kind() != cloudapi.KindRef {
+			continue
+		}
+		if inst, ok := world.Get(v.AsRef()); ok {
+			out = append(out, desc(inst))
+		}
+	}
+	return cloudapi.List(out...), nil
 }
 
 // describeInstance renders an instance as the canonical describe

@@ -301,3 +301,95 @@ func TestDestroyViaCallCascades(t *testing.T) {
 		t.Errorf("children after purge = %d", n)
 	}
 }
+
+// TestBuiltinTable calls every entry of the builtin table through
+// applyBuiltin over a world holding one VPC and one subnet under it.
+// Its rows must name exactly the table's builtins, so a builtin added
+// without a row fails here.
+func TestBuiltinTable(t *testing.T) {
+	emu := newHierarchyEmulator(t)
+	for _, req := range []cloudapi.Request{
+		{Action: "CreateVpc", Params: cloudapi.Params{"cidrBlock": cloudapi.Str("10.0.0.0/16")}},
+		{Action: "CreateSubnet", Params: cloudapi.Params{"vpcId": cloudapi.Str("vpc-00000001"), "cidrBlock": cloudapi.Str("10.0.1.0/24")}},
+	} {
+		if _, err := emu.Invoke(req); err != nil {
+			t.Fatalf("%s: %v", req.Action, err)
+		}
+	}
+	w := emu.World()
+	vpc, subnet := cloudapi.RefVal("Vpc", "vpc-00000001"), cloudapi.RefVal("Subnet", "subnet-00000001")
+	self, ok := w.Get(vpc.AsRef())
+	if !ok {
+		t.Fatal("vpc-00000001 not in the world")
+	}
+	s, i := cloudapi.Str, cloudapi.Int
+	list := cloudapi.List
+	vpcPayload := cloudapi.Map(map[string]cloudapi.Value{"cidrBlock": s("10.0.0.0/16"), "id": s("vpc-00000001")})
+	rows := []struct {
+		name string
+		args []cloudapi.Value
+		want cloudapi.Value
+	}{
+		{"len", []cloudapi.Value{list(s("x"), s("y"))}, i(2)},
+		{"isnil", []cloudapi.Value{cloudapi.Nil}, cloudapi.True},
+		{"id", []cloudapi.Value{vpc}, s("vpc-00000001")},
+		{"children", []cloudapi.Value{s("Subnet")}, list(subnet)},
+		{"instances", []cloudapi.Value{s("Vpc")}, list(vpc)},
+		{"append", []cloudapi.Value{list(s("x")), s("y")}, list(s("x"), s("y"))},
+		{"remove", []cloudapi.Value{list(s("x"), s("y")), s("x")}, list(s("y"))},
+		{"contains", []cloudapi.Value{list(s("x"), s("y")), s("y")}, cloudapi.True},
+		{"concat", []cloudapi.Value{s("a-"), s("b")}, s("a-b")},
+		{"emptyList", nil, list()},
+		{"emptyMap", nil, cloudapi.Map(nil)},
+		{"pluck", []cloudapi.Value{list(vpc, s("x")), s("cidrBlock")}, list(s("10.0.0.0/16"))},
+		{"mapMerge", []cloudapi.Value{cloudapi.Map(map[string]cloudapi.Value{"a": i(1)}), cloudapi.Map(map[string]cloudapi.Value{"b": i(2)})},
+			cloudapi.Map(map[string]cloudapi.Value{"a": i(1), "b": i(2)})},
+		{"first", []cloudapi.Value{list(s("x"), s("y"))}, s("x")},
+		{"hasPrefix", []cloudapi.Value{s("t3.micro"), s("t3.")}, cloudapi.True},
+		{"mapSet", []cloudapi.Value{cloudapi.Map(nil), s("k"), s("v")}, cloudapi.Map(map[string]cloudapi.Value{"k": s("v")})},
+		{"mapDel", []cloudapi.Value{cloudapi.Map(map[string]cloudapi.Value{"k": s("v")}), s("k")}, cloudapi.Map(nil)},
+		{"lookup", []cloudapi.Value{s("Vpc"), s("vpc-00000001")}, vpc},
+		{"matching", []cloudapi.Value{s("Subnet"), s("cidrBlock"), s("10.0.1.0/24")}, list(subnet)},
+		{"filterEq", []cloudapi.Value{list(vpc, subnet, i(1)), s("cidrBlock"), s("10.0.0.0/16")}, list(vpc)},
+		{"cidrCapacity", []cloudapi.Value{s("10.0.0.0/24")}, i(256)},
+		{"cidrValid", []cloudapi.Value{s("10.0.0.0/33")}, cloudapi.False},
+		{"prefixLen", []cloudapi.Value{s("10.0.0.0/16")}, i(16)},
+		{"cidrWithin", []cloudapi.Value{s("10.0.1.0/24"), s("10.0.0.0/16")}, cloudapi.True},
+		{"cidrOverlaps", []cloudapi.Value{s("10.0.0.0/16"), s("10.1.0.0/16")}, cloudapi.False},
+		{"attrs", []cloudapi.Value{vpc}, cloudapi.Map(map[string]cloudapi.Value{"cidrBlock": s("10.0.0.0/16")})},
+		{"describe", []cloudapi.Value{vpc}, vpcPayload},
+		{"describeAll", []cloudapi.Value{s("Vpc")}, list(vpcPayload)},
+		{"describeEach", []cloudapi.Value{list(vpc, s("x"))}, list(vpcPayload)},
+	}
+	named := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		named[r.name] = true
+		got, err := applyBuiltin(w, self, r.name, r.args)
+		if err != nil || !cloudapi.Identical(got, r.want) {
+			t.Errorf("%s%v = %v, %v; want %v", r.name, r.args, got, err, r.want)
+		}
+	}
+	for name := range builtins {
+		if !named[name] {
+			t.Errorf("builtin %s has no row", name)
+		}
+	}
+	for name := range named {
+		if _, ok := builtins[name]; !ok {
+			t.Errorf("row for %s, which the table does not hold", name)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		args []cloudapi.Value
+		want string
+	}{
+		{"nosuch", nil, `interp: unknown builtin "nosuch"`},
+		{"len", nil, "interp: builtin len: 0 args, want 1"},
+		{"mapSet", []cloudapi.Value{cloudapi.Map(nil)}, "interp: builtin mapSet: 1 args, want 3"},
+	} {
+		if _, err := applyBuiltin(w, self, c.name, c.args); err == nil || err.Error() != c.want {
+			t.Errorf("%s%v: err %v, want %q", c.name, c.args, err, c.want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"strings"
 	"sync/atomic"
 
 	"lce/internal/cloudapi"
@@ -17,9 +16,9 @@ import (
 // keep (walker_test.go): same
 // results, same error codes, same error messages, byte for byte.
 //
-// Calling conventions. cloudapi.Value is a large struct, and the
-// walker's return-by-value style copies it at every node boundary;
-// the compiled form avoids that two ways:
+// Calling conventions. The walker returns every cloudapi.Value (48
+// bytes) by value and copies it at every node boundary; the compiled
+// form avoids most of those copies two ways:
 //
 //   - exprFn writes its result through a destination pointer, so each
 //     computed value is materialized exactly once. Temporaries live in
@@ -28,9 +27,12 @@ import (
 //     through an exprFn (an indirect call) would escape to the heap.
 //   - refFn returns a pointer to where a value ALREADY lives — a param
 //     slot, a foreach local, a state slot, a literal — so leaf
-//     operands of comparisons, predicates, and builtins are never
+//     operands of comparisons, predicates and statements are never
 //     copied at all. Computed sub-expressions fall back to
 //     materializing into a register and returning its address.
+//     Builtin arguments are the exception: each builtin is one table
+//     entry (builtins.go) over a contiguous []Value, so they are
+//     evaluated into consecutive registers.
 //
 // Invariants that keep this safe: refFn results are read-only and are
 // consumed before the next statement runs; an exprFn writes its final
@@ -409,17 +411,17 @@ func (c *compiler) stmt(s spec.Stmt) stmtFn {
 			if err != nil {
 				return err
 			}
-			if cloudapi.IsNilPtr(rv) {
+			if rv.IsNil() {
 				return nil
 			}
-			if cloudapi.KindOf(rv) != cloudapi.KindList {
-				return internalErrf("transition %s: foreach over %s", trName, cloudapi.KindOf(rv))
+			if rv.Kind() != cloudapi.KindList {
+				return internalErrf("transition %s: foreach over %s", trName, rv.Kind())
 			}
 			// Copy the slice header before iterating: body statements
 			// may overwrite rv's register or even the state slot it
 			// points into, and the walker likewise iterates the list
 			// value as of loop entry.
-			list := cloudapi.ListOf(rv)
+			list := rv.AsList()
 			for i := range list {
 				f.locals[slot] = &list[i]
 				if err := runBody(f, body); err != nil {
@@ -439,20 +441,24 @@ func (c *compiler) stmt(s spec.Stmt) stmtFn {
 // in one pass instead of two. A describe builtin's payload is fresh and
 // its attributes are all it holds, so a return of one builds it
 // normalized from the start (describeInstanceNormalized) and stores it
-// without a further copy. The register layout is the one c.ref gives
-// the same expression: payload in register 0, argument from 1.
+// without a further copy.
 func (c *compiler) returnStmt(st *spec.ReturnStmt) stmtFn {
 	name := st.Name
-	if ex, ok := st.Value.(*spec.BuiltinExpr); ok && len(ex.Args) == 1 && describeBuiltins[ex.Name] {
-		c.note(0)
-		payload := describeBuiltin(ex.Name, c.ref(ex.Args[0], 1), describeInstanceNormalized)
-		return func(f *frame) error {
-			r := &f.regs[0]
-			if err := payload(f, r); err != nil {
-				return err
+	if ex, ok := st.Value.(*spec.BuiltinExpr); ok && len(ex.Args) == 1 {
+		if body, ok := describeBuiltins[ex.Name]; ok {
+			arg := c.ref(ex.Args[0], 0)
+			return func(f *frame) error {
+				v, err := arg(f)
+				if err != nil {
+					return err
+				}
+				payload, err := body(f.world, *v, describeInstanceNormalized)
+				if err != nil {
+					return err
+				}
+				f.result()[name] = payload
+				return nil
 			}
-			f.result()[name] = *r
-			return nil
 		}
 	}
 	val := c.ref(st.Value, 0)
@@ -488,10 +494,10 @@ func (c *compiler) callStmt(st *spec.CallStmt) stmtFn {
 		if err != nil {
 			return err
 		}
-		if cloudapi.KindOf(tv) != cloudapi.KindRef {
-			return internalErrf("transition %s: call target is %s, want ref", trName, cloudapi.KindOf(tv))
+		if tv.Kind() != cloudapi.KindRef {
+			return internalErrf("transition %s: call target is %s, want ref", trName, tv.Kind())
 		}
-		ref := cloudapi.RefOfPtr(tv)
+		ref := tv.AsRef()
 		csm := f.prog.sms[ref.Type]
 		if csm == nil {
 			return internalErrf("transition %s: call into unknown SM %q", trName, ref.Type)
@@ -559,11 +565,12 @@ func (c *compiler) callStmt(st *spec.CallStmt) stmtFn {
 	}
 }
 
-// boolExpr lowers an expression in predicate position. Comparisons,
-// logical connectives, and isnil compile to direct machine-bool
-// evaluation over ref-form operands; anything else falls back to
-// ref-and-Truthy. Semantics match the walker exactly: && and || are
-// short-circuit and truthiness-based, ! negates truthiness.
+// boolExpr lowers an expression in predicate position; value position
+// reuses it for comparisons, connectives and ! (boolValue). Those
+// evaluate straight to a machine bool over ref-form operands; anything
+// else falls back to ref-and-Truthy. Semantics match the walker
+// exactly: && and || are short-circuit and truthiness-based, !
+// negates truthiness.
 func (c *compiler) boolExpr(x spec.Expr, base int) boolFn {
 	switch ex := x.(type) {
 	case *spec.BinaryExpr:
@@ -590,14 +597,8 @@ func (c *compiler) boolExpr(x spec.Expr, base int) boolFn {
 				}
 				return r(f)
 			}
-		case spec.TokEq:
-			if ls, ok := c.slotRef(ex.X); ok {
-				if rs, ok := c.slotRef(ex.Y); ok {
-					return func(f *frame) (bool, error) {
-						return cloudapi.EqualPtr(ls.get(f), rs.get(f)), nil
-					}
-				}
-			}
+		case spec.TokEq, spec.TokNeq:
+			neq := ex.Op == spec.TokNeq
 			l := c.ref(ex.X, base)
 			r := c.ref(ex.Y, base+1)
 			return func(f *frame) (bool, error) {
@@ -605,72 +606,11 @@ func (c *compiler) boolExpr(x spec.Expr, base int) boolFn {
 				if err != nil {
 					return false, err
 				}
-				return cloudapi.EqualPtr(a, b), nil
-			}
-		case spec.TokNeq:
-			if ls, ok := c.slotRef(ex.X); ok {
-				if rs, ok := c.slotRef(ex.Y); ok {
-					return func(f *frame) (bool, error) {
-						return !cloudapi.EqualPtr(ls.get(f), rs.get(f)), nil
-					}
-				}
-			}
-			l := c.ref(ex.X, base)
-			r := c.ref(ex.Y, base+1)
-			return func(f *frame) (bool, error) {
-				a, b, err := refPair(f, l, r)
-				if err != nil {
-					return false, err
-				}
-				return !cloudapi.EqualPtr(a, b), nil
+				return a.Equal(*b) != neq, nil
 			}
 		case spec.TokLt, spec.TokLe, spec.TokGt, spec.TokGe:
 			op := ex.Op
 			trName := c.tr.Name
-			li, liOK := c.intTerm(ex.X)
-			ri, riOK := c.intTerm(ex.Y)
-			ls, lsOK := c.slotRef(ex.X)
-			rs, rsOK := c.slotRef(ex.Y)
-			switch {
-			case liOK && riOK:
-				// Both sides are int arithmetic: the walker's + and -
-				// always produce Int, so no kind mismatch is possible.
-				return func(f *frame) (bool, error) {
-					return orderedHolds(op, cmpInt(li(f), ri(f))), nil
-				}
-			case liOK && rsOK:
-				return func(f *frame) (bool, error) {
-					a := li(f)
-					b := rs.get(f)
-					if cloudapi.KindOf(b) == cloudapi.KindInt {
-						return orderedHolds(op, cmpInt(a, cloudapi.IntOf(b))), nil
-					}
-					// Route the mismatch through compareValues so the
-					// error text matches the walker's byte for byte.
-					av := cloudapi.Int(a)
-					_, err := compareValues(&av, b)
-					return false, internalErrf("transition %s: %v", trName, err)
-				}
-			case lsOK && riOK:
-				return func(f *frame) (bool, error) {
-					a := ls.get(f)
-					b := ri(f)
-					if cloudapi.KindOf(a) == cloudapi.KindInt {
-						return orderedHolds(op, cmpInt(cloudapi.IntOf(a), b)), nil
-					}
-					bv := cloudapi.Int(b)
-					_, err := compareValues(a, &bv)
-					return false, internalErrf("transition %s: %v", trName, err)
-				}
-			case lsOK && rsOK:
-				return func(f *frame) (bool, error) {
-					cmp, err := compareValues(ls.get(f), rs.get(f))
-					if err != nil {
-						return false, internalErrf("transition %s: %v", trName, err)
-					}
-					return orderedHolds(op, cmp), nil
-				}
-			}
 			l := c.ref(ex.X, base)
 			r := c.ref(ex.Y, base+1)
 			return func(f *frame) (bool, error) {
@@ -696,22 +636,6 @@ func (c *compiler) boolExpr(x spec.Expr, base int) boolFn {
 				return !ok, nil
 			}
 		}
-	case *spec.BuiltinExpr:
-		if ex.Name == "isnil" && len(ex.Args) == 1 {
-			if s, ok := c.slotRef(ex.Args[0]); ok {
-				return func(f *frame) (bool, error) {
-					return cloudapi.IsNilPtr(s.get(f)), nil
-				}
-			}
-			a := c.ref(ex.Args[0], base)
-			return func(f *frame) (bool, error) {
-				v, err := a(f)
-				if err != nil {
-					return false, err
-				}
-				return cloudapi.IsNilPtr(v), nil
-			}
-		}
 	}
 	r := c.ref(x, base)
 	return func(f *frame) (bool, error) {
@@ -719,7 +643,7 @@ func (c *compiler) boolExpr(x spec.Expr, base int) boolFn {
 		if err != nil {
 			return false, err
 		}
-		return cloudapi.TruthyPtr(v), nil
+		return v.Truthy(), nil
 	}
 }
 
@@ -734,89 +658,6 @@ func orderedHolds(op spec.TokenKind, cmp int) bool {
 		return cmp > 0
 	default:
 		return cmp >= 0
-	}
-}
-
-// slotRef describes an infallible leaf operand — a foreach local, a
-// parameter, or a literal. Comparison closures over two slotRefs call
-// get, a static inlinable method, instead of two indirect refFn calls;
-// this is the hottest shape in validation-heavy specs (attr >= const,
-// param == literal).
-type slotRef struct {
-	kind uint8 // 0 local, 1 param, 2 literal
-	slot int
-	lit  *cloudapi.Value
-}
-
-func (s slotRef) get(f *frame) *cloudapi.Value {
-	switch s.kind {
-	case 0:
-		return f.locals[s.slot]
-	case 1:
-		return &f.params[s.slot]
-	default:
-		return s.lit
-	}
-}
-
-// slotRef reports whether x is an infallible leaf and its descriptor.
-func (c *compiler) slotRef(x spec.Expr) (slotRef, bool) {
-	switch ex := x.(type) {
-	case *spec.Lit:
-		v := ex.Value
-		return slotRef{kind: 2, lit: &v}, true
-	case *spec.Ident:
-		for i := len(c.locals) - 1; i >= 0; i-- {
-			if c.locals[i] == ex.Name {
-				return slotRef{kind: 0, slot: i}, true
-			}
-		}
-		if slot, ok := c.ct.known[ex.Name]; ok {
-			return slotRef{kind: 1, slot: slot}, true
-		}
-	}
-	return slotRef{}, false
-}
-
-// intFn produces an int64 directly, skipping Value materialization.
-type intFn func(f *frame) int64
-
-// intTerm recognizes expressions that are statically known to produce
-// an Int and cannot fail: integer + and - over infallible leaves (the
-// walker's arithmetic reads AsInt, which is 0 for non-ints, so the
-// result kind is Int regardless of operand kinds). Comparisons fuse
-// these so predicates like `it + 1 > it` never touch a register.
-func (c *compiler) intTerm(x spec.Expr) (intFn, bool) {
-	ex, ok := x.(*spec.BinaryExpr)
-	if !ok || (ex.Op != spec.TokPlus && ex.Op != spec.TokMinus) {
-		return nil, false
-	}
-	ls, ok := c.slotRef(ex.X)
-	if !ok {
-		return nil, false
-	}
-	rs, ok := c.slotRef(ex.Y)
-	if !ok {
-		return nil, false
-	}
-	if ex.Op == spec.TokPlus {
-		return func(f *frame) int64 {
-			return cloudapi.IntOf(ls.get(f)) + cloudapi.IntOf(rs.get(f))
-		}, true
-	}
-	return func(f *frame) int64 {
-		return cloudapi.IntOf(ls.get(f)) - cloudapi.IntOf(rs.get(f))
-	}, true
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
 	}
 }
 
@@ -969,14 +810,14 @@ func (c *compiler) expr(x spec.Expr, base int) exprFn {
 			if err != nil {
 				return err
 			}
-			if cloudapi.IsNilPtr(bv) {
+			if bv.IsNil() {
 				*dst = cloudapi.Nil
 				return nil
 			}
-			if cloudapi.KindOf(bv) != cloudapi.KindRef {
-				return internalErrf("transition %s: field access on %s", trName, cloudapi.KindOf(bv))
+			if bv.Kind() != cloudapi.KindRef {
+				return internalErrf("transition %s: field access on %s", trName, bv.Kind())
 			}
-			inst, ok := f.world.Get(cloudapi.RefOfPtr(bv))
+			inst, ok := f.world.Get(bv.AsRef())
 			if !ok {
 				*dst = cloudapi.Nil
 				return nil
@@ -987,23 +828,16 @@ func (c *compiler) expr(x spec.Expr, base int) exprFn {
 	case *spec.BuiltinExpr:
 		return c.builtin(ex, base)
 	case *spec.UnaryExpr:
-		xr := c.ref(ex.X, base)
 		if ex.Op == spec.TokBang {
-			return func(f *frame, dst *cloudapi.Value) error {
-				v, err := xr(f)
-				if err != nil {
-					return err
-				}
-				*dst = cloudapi.Bool(!cloudapi.TruthyPtr(v))
-				return nil
-			}
+			return c.boolValue(x, base)
 		}
+		xr := c.ref(ex.X, base)
 		return func(f *frame, dst *cloudapi.Value) error {
 			v, err := xr(f)
 			if err != nil {
 				return err
 			}
-			*dst = cloudapi.Int(-cloudapi.IntOf(v))
+			*dst = cloudapi.Int(-v.AsInt())
 			return nil
 		}
 	case *spec.BinaryExpr:
@@ -1014,129 +848,34 @@ func (c *compiler) expr(x spec.Expr, base int) exprFn {
 	}
 }
 
-// binary lowers a binary operator over ref-form operands: leaf
-// operands are compared in place, computed ones live in registers
-// base and base+1.
+// binary lowers a binary operator in value position. Comparisons and
+// connectives are boolExpr's lowering with its result stored as a Bool;
+// + and - read their operands as ints, in registers base and base+1
+// when computed.
 func (c *compiler) binary(ex *spec.BinaryExpr, base int) exprFn {
 	switch ex.Op {
-	case spec.TokAnd:
-		// The right operand may reuse the left's register: the left is
-		// dead once its truthiness is known.
-		l := c.ref(ex.X, base)
-		r := c.ref(ex.Y, base)
-		return func(f *frame, dst *cloudapi.Value) error {
-			a, err := l(f)
-			if err != nil {
-				return err
-			}
-			if !cloudapi.TruthyPtr(a) {
-				*dst = cloudapi.False
-				return nil
-			}
-			b, err := r(f)
-			if err != nil {
-				return err
-			}
-			*dst = cloudapi.Bool(cloudapi.TruthyPtr(b))
-			return nil
-		}
-	case spec.TokOr:
-		l := c.ref(ex.X, base)
-		r := c.ref(ex.Y, base)
-		return func(f *frame, dst *cloudapi.Value) error {
-			a, err := l(f)
-			if err != nil {
-				return err
-			}
-			if cloudapi.TruthyPtr(a) {
-				*dst = cloudapi.True
-				return nil
-			}
-			b, err := r(f)
-			if err != nil {
-				return err
-			}
-			*dst = cloudapi.Bool(cloudapi.TruthyPtr(b))
-			return nil
-		}
+	case spec.TokAnd, spec.TokOr, spec.TokEq, spec.TokNeq, spec.TokLt, spec.TokLe, spec.TokGt, spec.TokGe:
+		return c.boolValue(ex, base)
 	}
 	l := c.ref(ex.X, base)
 	r := c.ref(ex.Y, base+1)
 	switch ex.Op {
-	case spec.TokEq:
-		return func(f *frame, dst *cloudapi.Value) error {
-			a, b, err := refPair(f, l, r)
-			if err != nil {
-				return err
-			}
-			*dst = cloudapi.Bool(cloudapi.EqualPtr(a, b))
-			return nil
-		}
-	case spec.TokNeq:
-		return func(f *frame, dst *cloudapi.Value) error {
-			a, b, err := refPair(f, l, r)
-			if err != nil {
-				return err
-			}
-			*dst = cloudapi.Bool(!cloudapi.EqualPtr(a, b))
-			return nil
-		}
-	case spec.TokLt, spec.TokLe, spec.TokGt, spec.TokGe:
-		op := ex.Op
-		trName := c.tr.Name
-		return func(f *frame, dst *cloudapi.Value) error {
-			a, b, err := refPair(f, l, r)
-			if err != nil {
-				return err
-			}
-			cmp, err := compareValues(a, b)
-			if err != nil {
-				return internalErrf("transition %s: %v", trName, err)
-			}
-			switch op {
-			case spec.TokLt:
-				*dst = cloudapi.Bool(cmp < 0)
-			case spec.TokLe:
-				*dst = cloudapi.Bool(cmp <= 0)
-			case spec.TokGt:
-				*dst = cloudapi.Bool(cmp > 0)
-			default:
-				*dst = cloudapi.Bool(cmp >= 0)
-			}
-			return nil
-		}
 	case spec.TokPlus:
-		if ls, ok := c.slotRef(ex.X); ok {
-			if rs, ok := c.slotRef(ex.Y); ok {
-				return func(f *frame, dst *cloudapi.Value) error {
-					*dst = cloudapi.Int(cloudapi.IntOf(ls.get(f)) + cloudapi.IntOf(rs.get(f)))
-					return nil
-				}
-			}
-		}
 		return func(f *frame, dst *cloudapi.Value) error {
 			a, b, err := refPair(f, l, r)
 			if err != nil {
 				return err
 			}
-			*dst = cloudapi.Int(cloudapi.IntOf(a) + cloudapi.IntOf(b))
+			*dst = cloudapi.Int(a.AsInt() + b.AsInt())
 			return nil
 		}
 	case spec.TokMinus:
-		if ls, ok := c.slotRef(ex.X); ok {
-			if rs, ok := c.slotRef(ex.Y); ok {
-				return func(f *frame, dst *cloudapi.Value) error {
-					*dst = cloudapi.Int(cloudapi.IntOf(ls.get(f)) - cloudapi.IntOf(rs.get(f)))
-					return nil
-				}
-			}
-		}
 		return func(f *frame, dst *cloudapi.Value) error {
 			a, b, err := refPair(f, l, r)
 			if err != nil {
 				return err
 			}
-			*dst = cloudapi.Int(cloudapi.IntOf(a) - cloudapi.IntOf(b))
+			*dst = cloudapi.Int(a.AsInt() - b.AsInt())
 			return nil
 		}
 	default:
@@ -1153,6 +892,20 @@ func (c *compiler) binary(ex *spec.BinaryExpr, base int) exprFn {
 	}
 }
 
+// boolValue lowers a predicate-shaped expression (a comparison, a
+// connective or !) in value position: boolExpr's result as a Bool.
+func (c *compiler) boolValue(x spec.Expr, base int) exprFn {
+	pred := c.boolExpr(x, base)
+	return func(f *frame, dst *cloudapi.Value) error {
+		ok, err := pred(f)
+		if err != nil {
+			return err
+		}
+		*dst = cloudapi.Bool(ok)
+		return nil
+	}
+}
+
 // refPair resolves l then r in ref form.
 func refPair(f *frame, l, r refFn) (*cloudapi.Value, *cloudapi.Value, error) {
 	a, err := l(f)
@@ -1166,340 +919,46 @@ func refPair(f *frame, l, r refFn) (*cloudapi.Value, *cloudapi.Value, error) {
 	return a, b, nil
 }
 
-// builtinArity is the compile-time arity table; the walker re-checks
-// arity inside every case on every evaluation.
-var builtinArity = map[string]int{
-	"len": 1, "isnil": 1, "id": 1, "children": 1, "instances": 1,
-	"append": 2, "remove": 2, "contains": 2, "concat": 2,
-	"emptyList": 0, "emptyMap": 0, "pluck": 2, "describeEach": 1,
-	"mapMerge": 2, "first": 1, "hasPrefix": 2, "mapSet": 3, "mapDel": 2,
-	"lookup": 2, "matching": 3, "filterEq": 3,
-	"cidrCapacity": 1, "cidrValid": 1, "prefixLen": 1,
-	"cidrWithin": 2, "cidrOverlaps": 2,
-	"attrs": 1, "describe": 1, "describeAll": 1,
-}
-
-// builtin lowers one builtin call. Hot builtins are specialized to
-// fixed-arity closures over ref-form operands; the rest evaluate into
-// registers and go through the shared applyBuiltin. The walker
-// evaluates every argument before checking arity, so arity mismatches
-// and unknown builtins compile to eval-then-error closures, preserving
-// error ordering.
+// builtin lowers one builtin call: its table entry is resolved here,
+// its arguments are evaluated into registers base..base+n-1, and the
+// entry's fn runs over them. The walker evaluates every argument
+// before checking the name and arity, so an unknown builtin or a
+// wrong arity compiles to an eval-then-error closure, preserving error
+// ordering.
 func (c *compiler) builtin(ex *spec.BuiltinExpr, base int) exprFn {
 	name := ex.Name
-	want, known := builtinArity[name]
+	b, known := builtins[name]
 	if !known {
-		return c.evalThenErr(ex.Args, base, internalErrf("unknown builtin %q", name))
+		return c.evalThenErr(ex.Args, base, unknownBuiltinErr(name))
 	}
-	if len(ex.Args) != want {
-		return c.evalThenErr(ex.Args, base, internalErrf("builtin %s: %d args, want %d", name, len(ex.Args), want))
+	n := len(ex.Args)
+	if n != b.arity {
+		return c.evalThenErr(ex.Args, base, builtinArityErr(name, n, b.arity))
 	}
-	var a0, a1, a2 refFn
-	if want > 0 {
-		a0 = c.ref(ex.Args[0], base)
+	argFns := make([]exprFn, n)
+	for i, a := range ex.Args {
+		argFns[i] = c.expr(a, base+n)
 	}
-	if want > 1 {
-		a1 = c.ref(ex.Args[1], base+1)
+	if n > 0 {
+		c.note(base + n - 1)
 	}
-	if want > 2 {
-		a2 = c.ref(ex.Args[2], base+2)
-	}
-	switch name {
-	case "isnil":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			*dst = cloudapi.Bool(cloudapi.IsNilPtr(v))
-			return nil
-		}
-	case "len":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			switch cloudapi.KindOf(v) {
-			case cloudapi.KindList:
-				*dst = cloudapi.Int(int64(len(cloudapi.ListOf(v))))
-			case cloudapi.KindString:
-				*dst = cloudapi.Int(int64(len(cloudapi.StringOf(v))))
-			case cloudapi.KindMap:
-				*dst = cloudapi.Int(int64(len(cloudapi.MapOf(v))))
-			case cloudapi.KindNil:
-				*dst = cloudapi.Int(0)
-			default:
-				return internalErrf("builtin len: unsupported kind %s", cloudapi.KindOf(v))
-			}
-			return nil
-		}
-	case "id":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			if cloudapi.KindOf(v) != cloudapi.KindRef {
-				return internalErrf("builtin id: argument is %s, want ref", cloudapi.KindOf(v))
-			}
-			*dst = cloudapi.Str(cloudapi.RefOfPtr(v).ID)
-			return nil
-		}
-	case "children":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			if f.self == nil {
-				return internalErrf("builtin children with no receiver")
-			}
-			*dst = refList(f.world.Children(f.self.Ref, cloudapi.StringOf(v)))
-			return nil
-		}
-	case "instances":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			*dst = refList(f.world.Instances(cloudapi.StringOf(v)))
-			return nil
-		}
-	case "first":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			l := cloudapi.ListOf(v)
-			if len(l) == 0 {
-				*dst = cloudapi.Nil
-				return nil
-			}
-			*dst = l[0]
-			return nil
-		}
-	case "append":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v0, v1, err := refPair(f, a0, a1)
-			if err != nil {
-				return err
-			}
-			var bs []cloudapi.Value
-			if !cloudapi.IsNilPtr(v0) {
-				bs = cloudapi.ListOf(v0)
-			}
-			out := make([]cloudapi.Value, 0, len(bs)+1)
-			out = append(out, bs...)
-			out = append(out, *v1)
-			*dst = cloudapi.List(out...)
-			return nil
-		}
-	case "contains":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v0, v1, err := refPair(f, a0, a1)
-			if err != nil {
-				return err
-			}
-			list := cloudapi.ListOf(v0)
-			for i := range list {
-				if cloudapi.EqualPtr(&list[i], v1) {
-					*dst = cloudapi.True
-					return nil
-				}
-			}
-			*dst = cloudapi.False
-			return nil
-		}
-	case "concat":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v0, v1, err := refPair(f, a0, a1)
-			if err != nil {
-				return err
-			}
-			*dst = cloudapi.Str(cloudapi.StringOf(v0) + cloudapi.StringOf(v1))
-			return nil
-		}
-	case "hasPrefix":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v0, v1, err := refPair(f, a0, a1)
-			if err != nil {
-				return err
-			}
-			*dst = cloudapi.Bool(strings.HasPrefix(cloudapi.StringOf(v0), cloudapi.StringOf(v1)))
-			return nil
-		}
-	case "emptyList":
-		return func(_ *frame, dst *cloudapi.Value) error {
-			*dst = cloudapi.List()
-			return nil
-		}
-	case "emptyMap":
-		return func(_ *frame, dst *cloudapi.Value) error {
-			*dst = cloudapi.Map(nil)
-			return nil
-		}
-	case "lookup":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v0, v1, err := refPair(f, a0, a1)
-			if err != nil {
-				return err
-			}
-			if cloudapi.KindOf(v1) != cloudapi.KindString {
-				*dst = cloudapi.Nil
-				return nil
-			}
-			inst, ok := f.world.Lookup(cloudapi.StringOf(v0), cloudapi.StringOf(v1))
-			if !ok {
-				*dst = cloudapi.Nil
-				return nil
-			}
-			*dst = cloudapi.RefOf(inst.Ref)
-			return nil
-		}
-	case "matching":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v0, v1, err := refPair(f, a0, a1)
-			if err != nil {
-				return err
-			}
-			v2, err := a2(f)
-			if err != nil {
-				return err
-			}
-			var out []cloudapi.Value
-			attr := cloudapi.StringOf(v1)
-			for _, inst := range f.world.Instances(cloudapi.StringOf(v0)) {
-				av := inst.attrOrNil(attr)
-				if cloudapi.EqualPtr(&av, v2) {
-					out = append(out, cloudapi.RefOf(inst.Ref))
-				}
-			}
-			*dst = cloudapi.List(out...)
-			return nil
-		}
-	case "filterEq":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v0, v1, err := refPair(f, a0, a1)
-			if err != nil {
-				return err
-			}
-			v2, err := a2(f)
-			if err != nil {
-				return err
-			}
-			var out []cloudapi.Value
-			attr := cloudapi.StringOf(v1)
-			for _, el := range cloudapi.ListOf(v0) {
-				if el.Kind() != cloudapi.KindRef {
-					continue
-				}
-				inst, ok := f.world.Get(el.AsRef())
-				if !ok {
-					continue
-				}
-				av := inst.attrOrNil(attr)
-				if cloudapi.EqualPtr(&av, v2) {
-					out = append(out, el)
-				}
-			}
-			*dst = cloudapi.List(out...)
-			return nil
-		}
-	case "describe", "describeAll", "describeEach":
-		return describeBuiltin(name, a0, describeInstance)
-	default:
-		// Cold builtins (cidr math, map surgery, pluck, remove, attrs)
-		// route through the shared implementation, which takes a
-		// contiguous []Value: materialize arguments into registers
-		// base..base+n-1.
-		n := len(ex.Args)
-		argFns := make([]exprFn, n)
-		for i, a := range ex.Args {
-			argFns[i] = c.expr(a, base+n)
-		}
+	fn := b.fn
+	return func(f *frame, dst *cloudapi.Value) error {
+		var args []cloudapi.Value
 		if n > 0 {
-			c.note(base + n - 1)
+			args = f.regs[base : base+n]
 		}
-		return func(f *frame, dst *cloudapi.Value) error {
-			var vals []cloudapi.Value
-			if n > 0 {
-				vals = f.regs[base : base+n]
-			}
-			for i, fn := range argFns {
-				if err := fn(f, &vals[i]); err != nil {
-					return err
-				}
-			}
-			v, err := applyBuiltin(f.world, f.self, name, vals)
-			if err != nil {
+		for i, argFn := range argFns {
+			if err := argFn(f, &args[i]); err != nil {
 				return err
 			}
-			*dst = v
-			return nil
 		}
-	}
-}
-
-// describeBuiltins are the builtins whose value is built from describe
-// payloads alone.
-var describeBuiltins = map[string]bool{"describe": true, "describeAll": true, "describeEach": true}
-
-// describeBuiltin lowers one of describeBuiltins over its ref-form
-// argument, rendering each instance with desc.
-func describeBuiltin(name string, a0 refFn, desc func(*Instance) cloudapi.Value) exprFn {
-	switch name {
-	case "describe":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			if cloudapi.KindOf(v) != cloudapi.KindRef {
-				return internalErrf("builtin describe: argument is %s, want ref", cloudapi.KindOf(v))
-			}
-			inst, ok := f.world.Get(cloudapi.RefOfPtr(v))
-			if !ok {
-				*dst = cloudapi.Nil
-				return nil
-			}
-			*dst = desc(inst)
-			return nil
+		v, err := fn(f.world, f.self, args)
+		if err != nil {
+			return err
 		}
-	case "describeAll":
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			insts := f.world.Instances(cloudapi.StringOf(v))
-			out := make([]cloudapi.Value, len(insts))
-			for i, inst := range insts {
-				out[i] = desc(inst)
-			}
-			*dst = cloudapi.List(out...)
-			return nil
-		}
-	default: // describeEach
-		return func(f *frame, dst *cloudapi.Value) error {
-			v, err := a0(f)
-			if err != nil {
-				return err
-			}
-			out := []cloudapi.Value{}
-			for _, el := range cloudapi.ListOf(v) {
-				if el.Kind() != cloudapi.KindRef {
-					continue
-				}
-				if inst, ok := f.world.Get(el.AsRef()); ok {
-					out = append(out, desc(inst))
-				}
-			}
-			*dst = cloudapi.List(out...)
-			return nil
-		}
+		*dst = v
+		return nil
 	}
 }
 

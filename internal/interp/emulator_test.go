@@ -1,11 +1,11 @@
 package interp
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/spec"
 )
 
@@ -443,7 +443,7 @@ func TestReadOnlyActions(t *testing.T) {
 	} {
 		emu.Invoke(req)
 	}
-	if after := emu.ExportState(); !reflect.DeepEqual(before, after) {
+	if after := emu.ExportState(); !cloudapitest.DeepEqual(before, after) {
 		t.Errorf("describes changed the exported world:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -1,10 +1,10 @@
 package interp
 
 import (
-	"reflect"
 	"testing"
 
 	"lce/internal/cloudapi"
+	"lce/internal/cloudapi/cloudapitest"
 )
 
 // populate drives a small but representative history: live instances,
@@ -26,7 +26,7 @@ func TestExportStateDeterministic(t *testing.T) {
 	emu := newToyEmulator(t)
 	populate(t, emu)
 	a, b := emu.ExportState(), emu.ExportState()
-	if !reflect.DeepEqual(a, b) {
+	if !cloudapitest.DeepEqual(a, b) {
 		t.Fatalf("two exports of the same world differ:\n%+v\n%+v", a, b)
 	}
 	for i := 1; i < len(a.Instances); i++ {
@@ -46,7 +46,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if err := dst.RestoreState(st); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
-	if got := dst.ExportState(); !reflect.DeepEqual(got, st) {
+	if got := dst.ExportState(); !cloudapitest.DeepEqual(got, st) {
 		t.Fatalf("re-export differs from restored state:\n got %+v\nwant %+v", got, st)
 	}
 
@@ -71,7 +71,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	for _, s := range steps {
 		gr, ge := dst.Invoke(cloudapi.Request{Action: s.action, Params: s.params})
 		wr, we := src.Invoke(cloudapi.Request{Action: s.action, Params: s.params})
-		if !reflect.DeepEqual(gr, wr) || !reflect.DeepEqual(ge, we) {
+		if !cloudapitest.DeepEqual(gr, wr) || !cloudapitest.DeepEqual(ge, we) {
 			t.Errorf("%s: restored (%v, %v) != source (%v, %v)", s.action, gr, ge, wr, we)
 		}
 	}

@@ -10,14 +10,19 @@
 // The comparison phase of each round — one differential trace replay
 // per seed — is embarrassingly parallel and dominates wall-clock time,
 // so it fans out over a bounded worker pool (Options.Workers). Each
-// worker owns a private emulator instance (forked from one emulator
-// rebuilt — and by default compiled — from the shared spec, which is
-// read-only during comparison) and a private oracle
-// instance (stamped out by a cloudapi.BackendFactory), so no mutable
-// state crosses goroutines; per-trace reports are merged back in trace
-// order, which makes a parallel round's Result byte-identical to a
-// serial one's. The repair phase stays single-goroutine: it mutates
-// the spec.
+// worker owns a private emulator instance (forked from the round's
+// emulator, built from the shared spec, which is read-only during
+// comparison) and a private oracle instance (stamped out by a
+// cloudapi.BackendFactory), so no mutable state crosses goroutines;
+// per-trace reports are merged back in trace order, which makes a
+// parallel round's Result byte-identical to a serial one's. The repair
+// phase stays single-goroutine: it mutates the spec.
+//
+// A round costs what the previous round's repairs changed. Each repair
+// reports the SMs it touched; the repair itself re-indexes and
+// re-checks only those (and the SMs whose check read them), and the
+// next round's emulator is rebuilt from the previous one, compiling
+// only those SMs and reusing every other compiled SM.
 //
 // Only the emulator side changes between rounds. An oracle replay is a
 // pure function of its trace — Reset restarts the oracle's state and
@@ -33,6 +38,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -99,6 +105,10 @@ type Round struct {
 	// OracleMemoHits == Total.
 	OracleReplays  int
 	OracleMemoHits int
+	// SMsCompiled counts the SMs compiled to build this round's
+	// emulator: every SM in round 1, then only the SMs the previous
+	// round's repairs touched.
+	SMsCompiled int
 }
 
 // Result is the outcome of an alignment run.
@@ -193,6 +203,9 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	// memo[i] holds the oracle's outcomes for traces[i] once a replay
 	// was memoizable; later rounds diff against it instead of replaying.
 	memo := make([][]trace.Outcome, len(traces))
+	// touched collects the SMs the round's repairs changed: the next
+	// round recompiles only those.
+	var touched []string
 
 	for round := 1; round <= opts.MaxRounds; round++ {
 		// Each trace is compared once per round and its memo entry only
@@ -203,16 +216,18 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				hits++
 			}
 		}
-		reports, emu, err := compareRound(svc, oracle, factory, traces, memo, workers, opts.Retry, &tally, epoch, round, opts.Obs)
+		reports, emu, err := compareRound(svc, res.Final, touched, oracle, factory, traces, memo, workers, opts.Retry, &tally, epoch, round, opts.Obs)
 		if err != nil {
 			return res, err
 		}
 		res.Final = emu
+		touched = touched[:0]
 		r := Round{
 			Round:          round,
 			Total:          len(traces),
 			OracleReplays:  len(traces) - hits,
 			OracleMemoHits: hits,
+			SMsCompiled:    emu.SMsCompiled(),
 		}
 		implicated := map[string]trace.StepDiff{}
 		var wrongCodes []trace.StepDiff
@@ -264,7 +279,20 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 			if redocumented[n] {
 				continue
 			}
-			if err := synth.RepairSM(svc, brief, n); err != nil {
+			changed, err := synth.RepairSM(svc, brief, n)
+			touched = merge(touched, changed)
+			var neighbours []string
+			if err != nil {
+				// The fresh SM may read state that a neighbour's noisy
+				// draft dropped: re-read the documentation of the SMs
+				// the failing checks resolved, and check again.
+				neighbours = unredocumentedReads(svc, brief, redocumented, n)
+				if len(neighbours) > 0 {
+					changed, err = synth.RepairSM(svc, brief, neighbours...)
+					touched = merge(touched, changed)
+				}
+			}
+			if err != nil {
 				// The round happened: record it with the repairs that
 				// did apply before giving up.
 				res.Rounds = append(res.Rounds, r)
@@ -277,6 +305,14 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				Target: n,
 				Reason: fmt.Sprintf("divergence at %s (%s)", implicated[n].Action, implicated[n].Kind),
 			})
+			for _, m := range neighbours {
+				redocumented[m] = true
+				r.Repairs = append(r.Repairs, Repair{
+					Kind:   "redocument-sm",
+					Target: m,
+					Reason: fmt.Sprintf("the fresh %s did not check against its draft", n),
+				})
+			}
 		}
 		// Second preference: a wrong-code divergence that survived
 		// redocumentation means the documentation disagrees with the
@@ -288,7 +324,8 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				if adopted[key] {
 					continue
 				}
-				if synth.SetAssertCode(svc, d.Action, d.Subject.Code, d.Against.Code) {
+				if sm := synth.SetAssertCode(svc, d.Action, d.Subject.Code, d.Against.Code); sm != "" {
+					touched = merge(touched, []string{sm})
 					adopted[key] = true
 					progressed = true
 					r.Repairs = append(r.Repairs, Repair{
@@ -305,6 +342,37 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 		}
 	}
 	return res, nil
+}
+
+// merge adds the names in more that names lacks.
+func merge(names, more []string) []string {
+	for _, n := range more {
+		if !slices.Contains(names, n) {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// unredocumentedReads lists, sorted, the documented SMs that the failing
+// SMs' last checks resolved, leaving out repaired (already noise-free)
+// SMs. spec.Recheck with nothing changed re-checks nothing: it returns
+// the errors on record.
+func unredocumentedReads(svc *spec.Service, brief *docs.ServiceDoc, redocumented map[string]bool, repaired string) []string {
+	var out []string
+	for _, err := range spec.Recheck(svc, spec.Strict) {
+		ce, ok := err.(*spec.CheckError)
+		if !ok {
+			continue
+		}
+		for _, m := range svc.Reads(ce.SM) {
+			if m != repaired && !redocumented[m] && brief.Resource(m) != nil && !slices.Contains(out, m) {
+				out = append(out, m)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // poolSize resolves the effective worker count: requested (or
@@ -347,7 +415,7 @@ func CompareSuiteWith(svc *spec.Service, factory cloudapi.BackendFactory, traces
 	var tally retry.Tally
 	workers := poolSize(opts.Workers, len(traces), true)
 	epoch := opts.Obs.TracerOrNil().NextEpoch()
-	reports, _, err := compareRound(svc, nil, factory, traces, make([][]trace.Outcome, len(traces)), workers, opts.Retry, &tally, epoch, 0, opts.Obs)
+	reports, _, err := compareRound(svc, nil, nil, nil, factory, traces, make([][]trace.Outcome, len(traces)), workers, opts.Retry, &tally, epoch, 0, opts.Obs)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -365,23 +433,30 @@ func CompareSuiteWith(svc *spec.Service, factory cloudapi.BackendFactory, traces
 // per-trace reports in trace order plus the first worker's emulator
 // (the round's representative Final). Worker w owns emus[w] and its
 // own oracle for the whole phase; the spec is shared read-only. The
-// first emulator is built (and so compiled — repairs mutate the spec,
-// so every round recompiles) up front because spec indexing mutates
-// the service's lookup maps; remaining workers fork it, sharing the
-// immutable compiled program so the spec is lowered once per round,
-// not once per worker. A non-nil
-// retry policy wraps each worker's oracle in a resilient client
-// (derived jitter seed per worker, events counted in tally) so
+// first emulator is built up front, because indexing mutates the
+// spec's lookup tables: from scratch when prev is nil (round 1, or a
+// bare comparison), otherwise rebuilt from prev — the previous round's
+// emulator — compiling only the SMs the repairs since touched.
+// Remaining workers fork it, sharing the immutable compiled program,
+// so the spec is lowered once per round, not once per worker. A
+// non-nil retry policy wraps each worker's oracle in a resilient
+// client (derived jitter seed per worker, events counted in tally) so
 // transient oracle faults are retried inside the worker instead of
-// surfacing as divergences. A
-// non-nil obs roots one span per comparison, keyed by (epoch, round,
-// index) so trace IDs never depend on which worker drew which trace.
-// memo is the run's oracle memo (see diff): worker writes land on
-// disjoint indices, and the next round reads them after the pool joins.
-func compareRound(svc *spec.Service, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, memo [][]trace.Outcome, workers int, policy *retry.Policy, tally *retry.Tally, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
+// surfacing as divergences. A non-nil obs roots one span per
+// comparison, keyed by (epoch, round, index) so trace IDs never depend
+// on which worker drew which trace. memo is the run's oracle memo (see
+// diff): worker writes land on disjoint indices, and the next round
+// reads them after the pool joins.
+func compareRound(svc *spec.Service, prev *interp.Emulator, touched []string, oracle cloudapi.Backend, factory cloudapi.BackendFactory, traces []trace.Trace, memo [][]trace.Outcome, workers int, policy *retry.Policy, tally *retry.Tally, epoch int64, round int, obs *obsv.Obs) ([]trace.Report, *interp.Emulator, error) {
 	emus := make([]*interp.Emulator, workers)
 	oracles := make([]cloudapi.Backend, workers)
-	base, err := interp.New(svc)
+	var base *interp.Emulator
+	var err error
+	if prev == nil {
+		base, err = interp.New(svc)
+	} else {
+		base, err = prev.Rebuild(touched)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("align: emulator rebuild failed: %w", err)
 	}

@@ -42,6 +42,26 @@ func TestAlignLoopOracleBudget(t *testing.T) {
 	}
 }
 
+// TestAlignLoopCompileBudget pins what rebuilding saves on the default
+// four-service loop: round 1 of each service compiles every SM (49),
+// and each later round only the SMs the previous round's repairs
+// touched, 61 in all where compiling every SM of every round took 105.
+// A count, not a timing, so reuse cannot silently switch off.
+func TestAlignLoopCompileBudget(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		compiled := 0
+		for _, service := range goldenServices {
+			res := alignCase(t, service, workers, false)
+			for _, r := range res.Rounds {
+				compiled += r.SMsCompiled
+			}
+		}
+		if compiled != 61 {
+			t.Errorf("@%dw: %d SMs compiled, want 61", workers, compiled)
+		}
+	}
+}
+
 // TestMemoReplaysExhaustedTransient: under chaos without retries, a
 // round-1 oracle replay that ended on a transient code is not memoized
 // — round 2 replays exactly those traces against the oracle and serves
@@ -106,14 +126,21 @@ func TestMemoReplaysExhaustedTransient(t *testing.T) {
 
 // BenchmarkAlignLoop is one op of the learn-align workload: the default
 // loop for each learnable service in turn, serially. Next to time and
-// allocations it reports the oracle replays one op makes.
+// allocations it reports the oracle replays and SM compiles one op
+// makes.
 func BenchmarkAlignLoop(b *testing.B) {
 	b.ReportAllocs()
 	var replays int64
+	compiles := 0
 	for i := 0; i < b.N; i++ {
 		for _, service := range goldenServices {
-			replays += alignCase(b, service, 1, false).Stats.OracleReplays
+			res := alignCase(b, service, 1, false)
+			replays += res.Stats.OracleReplays
+			for _, r := range res.Rounds {
+				compiles += r.SMsCompiled
+			}
 		}
 	}
 	b.ReportMetric(float64(replays)/float64(b.N), "oracle-replays/op")
+	b.ReportMetric(float64(compiles)/float64(b.N), "sm-compiles/op")
 }

@@ -33,13 +33,17 @@ func TestAlignStatsString(t *testing.T) {
 	}
 }
 
-// TestErroredRunReportsItsRound: with noise seed 2 the azure-network
-// loop compares every trace in round 1, then a redocumentation fails
-// the spec checks. The run still returns that round, and its counts —
-// in Stats and in the registry — are the round's.
+// TestErroredRunReportsItsRound: with noise seed 12 and one state in
+// ten dropped, the azure-network loop compares every trace in round 1,
+// then a redocumentation fails the spec checks even after re-reading
+// the neighbours the failing check resolved (a re-read neighbour reads
+// state of an SM that was not re-read). The run still returns that
+// round, and its counts — in Stats and in the registry — are the
+// round's.
 func TestErroredRunReportsItsRound(t *testing.T) {
 	opts := lce.DefaultOptions()
-	opts.Noise.Seed = 2
+	opts.Noise.Seed = 12
+	opts.Noise.DropState = 0.1
 	ob := lce.NewObs(1)
 	res, err := lce.Align("azure-network", opts, lce.AlignConfig{Workers: 1, Obs: ob})
 	if err == nil || !strings.Contains(err.Error(), "repair of") {
@@ -102,4 +106,36 @@ func familySum(t *testing.T, reg *obsv.Registry, name string) int64 {
 		sum += v
 	}
 	return sum
+}
+
+// TestRepairRereadsDroppedNeighbours: in these five default-options
+// runs a redocumented SM reads state that a neighbour's noisy draft
+// dropped (ec2 seed 35: Instance reads Vpc's instanceTenancy), so the
+// fresh SM fails its check. The repair re-reads the documentation of
+// the SMs the failing check resolved and checks again, and each run
+// finishes, with those neighbours recorded as repairs.
+func TestRepairRereadsDroppedNeighbours(t *testing.T) {
+	for _, c := range []struct {
+		service string
+		seed    int64
+	}{{"ec2", 35}, {"dynamodb", 22}, {"dynamodb", 27}, {"azure-network", 2}, {"azure-network", 12}} {
+		opts := lce.DefaultOptions()
+		opts.Noise.Seed = c.seed
+		res, err := lce.Align(c.service, opts, lce.AlignConfig{Workers: 1})
+		if err != nil {
+			t.Errorf("%s seed %d: %v", c.service, c.seed, err)
+			continue
+		}
+		reread := 0
+		for _, r := range res.Rounds {
+			for _, rep := range r.Repairs {
+				if strings.Contains(rep.Reason, "did not check against its draft") {
+					reread++
+				}
+			}
+		}
+		if reread == 0 {
+			t.Errorf("%s seed %d: no neighbour was re-read", c.service, c.seed)
+		}
+	}
 }

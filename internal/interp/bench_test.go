@@ -106,9 +106,14 @@ func BenchmarkInvokePoint(b *testing.B) {
 	}
 }
 
+// createsPerWorld bounds the world BenchmarkInvokeCreate creates into.
+const createsPerWorld = 256
+
 // BenchmarkInvokeCreate measures the full mutate path: parameter
 // coercion, instance allocation, assertion, writes, and a returned
-// response.
+// response. The world is reset outside the timer every createsPerWorld
+// creates, so each create meets a world of the same sizes whatever
+// -benchtime is, not one that grows with it.
 func BenchmarkInvokeCreate(b *testing.B) {
 	req := cloudapi.Request{Action: "CreateVpc", Params: cloudapi.Params{"cidrBlock": cloudapi.Str("10.0.0.0/16")}}
 	for _, mode := range []struct {
@@ -120,6 +125,11 @@ func BenchmarkInvokeCreate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if i > 0 && i%createsPerWorld == 0 {
+					b.StopTimer()
+					emu.Reset()
+					b.StartTimer()
+				}
 				if _, err := emu.Invoke(req); err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"lce/internal/cloudapi"
@@ -46,12 +47,16 @@ import (
 // Program is the immutable compiled form of a service spec. It holds
 // no world state, so one Program is shared by every fork of an
 // emulator (tenant sessions, alignment workers). A Program is a
-// snapshot: mutating the spec afterwards (alignment repairs) requires
-// re-compiling.
+// snapshot: after the spec changes (alignment repairs), Emulator.Rebuild
+// builds the next Program, compiling the SMs that changed and sharing
+// the compiled form of the rest with this one.
 type Program struct {
 	svc     *spec.Service
 	actions map[string]*compiledTrans
 	sms     map[string]*compiledSM
+	// compiled counts the SMs this program compiled; it took the rest
+	// from the program it was rebuilt from.
+	compiled int
 }
 
 // compiledSM carries one SM's flattened error-code tables — the walker
@@ -96,8 +101,8 @@ type callArg struct {
 
 // paramBinder binds one declared parameter: presence check, default,
 // type coercion, receiver resolution. Its errors are formatted only
-// when they fire: most requests bind cleanly, and alignment recompiles
-// every round.
+// when they fire: most requests bind cleanly, and alignment compiles
+// the SMs its repairs touched every round.
 type paramBinder struct {
 	name     string
 	slot     int
@@ -121,7 +126,7 @@ func (b *paramBinder) missingErr() *cloudapi.APIError {
 	return e
 }
 
-type coerceFn func(w *World, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error)
+type coerceFn func(f *frame, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error)
 
 type stmtFn func(f *frame) error
 type exprFn func(f *frame, dst *cloudapi.Value) error
@@ -140,17 +145,49 @@ var nilValue = cloudapi.Nil
 // first, so like New this must not run concurrently with invocations
 // on emulators sharing the spec.
 func CompileService(svc *spec.Service) (*Program, error) {
-	if err := svc.Index(); err != nil {
+	return compileService(svc, nil, nil)
+}
+
+// compileService lowers svc into a Program. Given the program of an
+// earlier version of svc, an SM that is not named in changed and is
+// still the *spec.SM prev compiled keeps prev's compiledSM: a compiled
+// SM reaches other SMs only through the frame's Program at run time,
+// so it does not go stale when they change. Only when the service
+// gained or lost an SM, whose existence a compiled parameter check
+// reads, does every SM compile again. Without prev, every SM compiles
+// and the whole spec is indexed; with it, only the changed SMs are
+// re-indexed.
+func compileService(svc *spec.Service, prev *Program, changed []string) (*Program, error) {
+	var err error
+	if prev == nil {
+		err = svc.Index()
+	} else {
+		err = svc.Reindex(changed...)
+	}
+	if err != nil {
 		return nil, err
+	}
+	if prev != nil && (len(prev.sms) != len(svc.SMs) || slices.ContainsFunc(svc.SMs, func(sm *spec.SM) bool { return prev.sms[sm.Name] == nil })) {
+		prev = nil
 	}
 	p := &Program{
 		svc:     svc,
 		actions: make(map[string]*compiledTrans),
 		sms:     make(map[string]*compiledSM, len(svc.SMs)),
 	}
-	// Pass 1: allocate shells so call() sites can resolve callees of
-	// any SM through the program at run time.
+	// Pass 1: take each unchanged SM from prev, and allocate shells for
+	// the rest so call() sites can resolve callees of any SM through
+	// the program at run time.
+	var fresh []*compiledSM
 	for _, sm := range svc.SMs {
+		if prev != nil && prev.sms[sm.Name].sm == sm && !slices.Contains(changed, sm.Name) {
+			csm := prev.sms[sm.Name]
+			p.sms[sm.Name] = csm
+			for _, tr := range sm.Transitions {
+				p.actions[tr.Name] = csm.trans[tr.Name]
+			}
+			continue
+		}
 		csm := &compiledSM{
 			sm:           sm,
 			notFound:     sm.NotFound,
@@ -179,14 +216,15 @@ func CompileService(svc *spec.Service) (*Program, error) {
 			csm.trans[tr.Name] = ct
 			p.actions[tr.Name] = ct
 		}
+		fresh = append(fresh, csm)
 	}
-	// Pass 2: lower parameters and bodies.
-	for _, sm := range svc.SMs {
-		csm := p.sms[sm.Name]
-		for _, tr := range sm.Transitions {
+	// Pass 2: lower the new shells' parameters and bodies.
+	for _, csm := range fresh {
+		for _, tr := range csm.sm.Transitions {
 			compileTrans(p, csm, csm.trans[tr.Name])
 		}
 	}
+	p.compiled = len(fresh)
 	return p, nil
 }
 
@@ -221,36 +259,37 @@ func compileTrans(p *Program, csm *compiledSM, ct *compiledTrans) {
 	ct.maxRegs = c.maxRegs
 }
 
-// compileCoerce mirrors Emulator.coerce with target-SM resolution done
-// at compile time; the expected-type errors are formatted when a
-// request's value has the wrong kind.
+// compileCoerce mirrors Emulator.coerce with the target SM's existence
+// checked at compile time; the expected-type errors are formatted when
+// a request's value has the wrong kind. The not-found error takes the
+// target's code from the frame's program, so a compiled SM reused
+// across rebuilds never answers with a replaced neighbour's code.
 func compileCoerce(p *Program, prm *spec.Param) coerceFn {
 	name := prm.Name
 	switch prm.Type.Kind {
 	case spec.TRef:
 		refType := prm.Type.Ref
-		csm := p.sms[refType]
-		if csm == nil {
+		if p.sms[refType] == nil {
 			err := internalErrf("parameter %s references unknown SM %q", name, refType)
-			return func(*World, cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
+			return func(*frame, cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
 				return cloudapi.Nil, nil, err
 			}
 		}
-		return func(w *World, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
+		return func(f *frame, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
 			switch raw.Kind() {
 			case cloudapi.KindRef:
 				ref := raw.AsRef()
 				if ref.Type != refType {
 					return cloudapi.Nil, cloudapi.Errf(cloudapi.CodeInvalidParameter, "parameter %s expects a %s, got a %s", name, refType, ref.Type), nil
 				}
-				if _, ok := w.Lookup(ref.Type, ref.ID); !ok {
-					return cloudapi.Nil, compiledNotFound(csm, ref.ID), nil
+				if _, ok := f.world.Lookup(ref.Type, ref.ID); !ok {
+					return cloudapi.Nil, compiledNotFound(f.prog.sms[refType], ref.ID), nil
 				}
 				return raw, nil, nil
 			case cloudapi.KindString:
-				inst, ok := w.Lookup(refType, raw.AsString())
+				inst, ok := f.world.Lookup(refType, raw.AsString())
 				if !ok {
-					return cloudapi.Nil, compiledNotFound(csm, raw.AsString()), nil
+					return cloudapi.Nil, compiledNotFound(f.prog.sms[refType], raw.AsString()), nil
 				}
 				return cloudapi.RefOf(inst.Ref), nil, nil
 			default:
@@ -273,7 +312,7 @@ func compileCoerce(p *Program, prm *spec.Param) coerceFn {
 }
 
 func kindCoerce(want cloudapi.Kind, name, expects string) coerceFn {
-	return func(_ *World, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
+	return func(_ *frame, raw cloudapi.Value) (cloudapi.Value, *cloudapi.APIError, error) {
 		if raw.Kind() != want {
 			return cloudapi.Nil, badKindErr(name, expects), nil
 		}
@@ -495,6 +534,9 @@ func (c *compiler) callStmt(st *spec.CallStmt) stmtFn {
 			return err
 		}
 		if tv.Kind() != cloudapi.KindRef {
+			if owner := f.prog.actions[calleeName]; owner != nil && tv.IsNil() {
+				return nilTargetErr(owner.csm.callNotFound, trName)
+			}
 			return internalErrf("transition %s: call target is %s, want ref", trName, tv.Kind())
 		}
 		ref := tv.AsRef()
@@ -563,6 +605,14 @@ func (c *compiler) callStmt(st *spec.CallStmt) stmtFn {
 		}
 		return nil
 	}
+}
+
+// nilTargetErr is a call on a nil target: the resource is missing, so
+// the call answers the not-found code of the SM that owns the callee.
+// Transition names are unique within a service, which makes that SM
+// the only one the call could have reached.
+func nilTargetErr(code, trName string) error {
+	return &assertFailure{err: cloudapi.Errf(code, "resource referenced by %s does not exist", trName)}
 }
 
 // boolExpr lowers an expression in predicate position; value position

@@ -425,3 +425,47 @@ func TestInterpDifferentialRandomized(t *testing.T) {
 		invokeBoth(t, walk, comp, action, params)
 	}
 }
+
+// TestRebuildReusesSMsWithoutStaleNeighbours: after B is replaced by an
+// SM with another not-found code and only B is rebuilt, A's compiled
+// form is reused, yet its ref(B) parameter and its call on a nil
+// target answer the new B's code, as a fresh build does.
+func TestRebuildReusesSMsWithoutStaleNeighbours(t *testing.T) {
+	const a = `sm A {
+    transition MkA(b: ref(B)) create { }
+    transition Poke() create { call(first(emptyList())._Touch()) }
+  }`
+	b := func(code string) string {
+		return `sm B { notfound "` + code + `" transition _Touch(self: ref(B)) modify internal { } }`
+	}
+	svc, err := spec.Parse("service s {\n" + a + "\n" + b("OldB") + "\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emu, err := New(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emu.SMsCompiled() != 2 {
+		t.Fatalf("New compiled %d SMs, want 2", emu.SMsCompiled())
+	}
+	if svc.SMs[1], err = spec.ParseSM(b("NewB")); err != nil {
+		t.Fatal(err)
+	}
+	re, err := emu.Rebuild([]string{"B"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.SMsCompiled() != 1 || re.prog.sms["A"] != emu.prog.sms["A"] {
+		t.Fatalf("Rebuild compiled %d SMs and reused A: %v; want 1 and A reused", re.SMsCompiled(), re.prog.sms["A"] == emu.prog.sms["A"])
+	}
+	for _, req := range []cloudapi.Request{
+		{Action: "MkA", Params: cloudapi.Params{"b": cloudapi.Str("b-missing")}},
+		{Action: "Poke"},
+	} {
+		_, err := re.Invoke(req)
+		if ae, ok := cloudapi.AsAPIError(err); !ok || ae.Code != "NewB" {
+			t.Errorf("%s: err %v, want the new B's NewB", req.Action, err)
+		}
+	}
+}

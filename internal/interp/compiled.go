@@ -205,7 +205,7 @@ func (ct *compiledTrans) bind(f *frame, w *World, in cloudapi.Params) (*Instance
 		}
 		v := raw
 		if b.coerce != nil {
-			cv, apiErr, err := b.coerce(w, raw)
+			cv, apiErr, err := b.coerce(f, raw)
 			if err != nil || apiErr != nil {
 				return nil, apiErr, err
 			}

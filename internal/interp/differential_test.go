@@ -3,6 +3,7 @@ package interp
 import (
 	"testing"
 
+	"lce/internal/cloud/aws/dynamodb"
 	"lce/internal/cloudapi"
 	"lce/internal/cloudapi/cloudapitest"
 	"lce/internal/docs"
@@ -214,5 +215,30 @@ func TestInterpDifferentialHotLoop(t *testing.T) {
 	}
 	if _, err := invokeBoth(t, walk, comp, "Audit", self); err != nil {
 		t.Fatalf("Audit: %v", err)
+	}
+}
+
+// TestNilCallTargetAnswersNotFound: in the dynamodb noise-seed-5 draft,
+// DeleteTable lost its existence check and reclaims
+// first(matching("Table", …)) — nil for a table that does not exist.
+// A call on a nil target answers the not-found code of the SM owning
+// the callee, as the cloud does, on both engines; it used to break the
+// step with an interpreter error.
+func TestNilCallTargetAnswersNotFound(t *testing.T) {
+	opts := synth.DefaultOptions()
+	opts.Noise.Seed = 5
+	ref, emu := learnedPair(t, corpus.DynamoDB, opts)
+	var tr trace.Trace
+	for _, s := range scenarios.DynamoDB() {
+		if s.Name == "ddb-global-export-import" {
+			tr = s
+		}
+	}
+	tr.Steps = append(tr.Steps[:3:3], trace.Step{Action: "DeleteTable", Params: map[string]trace.Arg{"tableName": {Lit: cloudapi.Str("zz")}}})
+	diffSuite(t, ref, emu, []trace.Trace{tr}, 0, 0)
+	rep := trace.Compare(emu, dynamodb.New(), tr)
+	last, cloud := rep.Subject[len(rep.Subject)-1], rep.Oracle[len(rep.Oracle)-1]
+	if last.Broken || last.Code != "ResourceNotFoundException" || last.Code != cloud.Code {
+		t.Errorf("DeleteTable(zz): broken=%v code=%q (%s); the oracle answers %q", last.Broken, last.Code, last.Message, cloud.Code)
 	}
 }

@@ -18,9 +18,9 @@ import (
 // was built from is shared and must be treated as read-only while any
 // emulator built from it is live; the alignment engine therefore
 // confines spec repairs to its single-goroutine repair phase and
-// rebuilds per-worker emulators afterwards. New (which re-indexes the
-// spec's lookup maps) must likewise not run concurrently with other
-// New calls or invocations on the same spec.
+// rebuilds per-worker emulators afterwards. New and Rebuild (which
+// re-index the spec's lookup maps) must likewise not run concurrently
+// with each other or with invocations on the same spec.
 type Emulator struct {
 	mu    sync.Mutex
 	svc   *spec.Service
@@ -28,7 +28,7 @@ type Emulator struct {
 	// prog is the compiled program Invoke dispatches through: an
 	// immutable snapshot of the spec taken at construction. Mutating
 	// the spec afterwards does not change this emulator's behaviour —
-	// build a new emulator to pick the change up.
+	// Rebuild (or New) one to pick the change up.
 	prog *Program
 }
 
@@ -58,6 +58,26 @@ func NewCompiled(svc *spec.Service) (*Emulator, error) { return New(svc) }
 func (e *Emulator) Fork() cloudapi.Backend {
 	return &Emulator{svc: e.svc, world: NewWorld(e.svc), prog: e.prog}
 }
+
+// Rebuild returns a fresh emulator, with an empty world, for e's spec
+// after the named SMs changed: replaced, added, or edited in place. It
+// re-indexes and compiles only those SMs and takes every other SM's
+// compiled form from e's program; New is the case with no program to
+// take from. e keeps its program, a snapshot of the spec as it was.
+// Like New, Rebuild must not run concurrently with invocations on
+// emulators sharing the spec.
+func (e *Emulator) Rebuild(changed []string) (*Emulator, error) {
+	prog, err := compileService(e.svc, e.prog, changed)
+	if err != nil {
+		return nil, err
+	}
+	return &Emulator{svc: e.svc, world: NewWorld(e.svc), prog: prog}, nil
+}
+
+// SMsCompiled reports how many SMs building this emulator's program
+// compiled: every SM for New, the changed ones for Rebuild. A fork
+// reports its parent's count, as it shares the program.
+func (e *Emulator) SMsCompiled() int { return e.prog.compiled }
 
 // Service implements cloudapi.Backend.
 func (e *Emulator) Service() string { return e.svc.Name }

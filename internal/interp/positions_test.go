@@ -8,10 +8,11 @@ import (
 	"lce/internal/cloudapi"
 )
 
-// positionsSpec holds one expression in the three places an expression
-// is lowered: as a written value, as an asserted predicate and as a
-// returned value. The spec is never type-checked, so it can hold
-// expressions a checked spec rejects.
+// positionsSpec holds one expression in the four places an expression
+// is lowered: as a written value, as an asserted predicate, as a
+// returned value and as a call target (B owns the callee). The spec is
+// never type-checked, so it can hold expressions a checked spec
+// rejects.
 const positionsSpec = `
 service x {
   sm A {
@@ -29,16 +30,23 @@ service x {
     transition W(self: ref(A), p: int, q: str) modify { write(out, %[1]s) }
     transition S(self: ref(A), p: int, q: str) modify { assert(%[1]s) error "Failed" }
     transition R(self: ref(A), p: int, q: str) describe { return(v, %[1]s) }
+    transition C(self: ref(A), p: int, q: str) modify { call((%[1]s)._Touch()) }
+  }
+  sm B {
+    notfound "NoSuchB"
+    transition _Touch(self: ref(B)) modify internal { }
   }
 }
 `
 
 // TestInterpDifferentialPositions runs each expression through write,
-// assert and return on the walker and on the engine, which must agree
-// on results, error text and world state (invokeBoth). err is the
-// framework error the expression must raise, "" if it must evaluate;
-// as a predicate, an expression that evaluates may also fail its
-// assertion.
+// assert, return and call on the walker and on the engine, which must
+// agree on results, error text and world state (invokeBoth). err is
+// the framework error the expression must raise, "" if it must
+// evaluate; as a predicate, an expression that evaluates may also fail
+// its assertion. As a call target, a value that returns nil answers
+// B's not-found code, and any other (none is a live B) a framework
+// error.
 func TestInterpDifferentialPositions(t *testing.T) {
 	cases := []struct{ expr, err string }{
 		// Ordered comparisons: strings, ints, computed ints.
@@ -142,6 +150,10 @@ func TestInterpDifferentialPositions(t *testing.T) {
 		{`describe(self)`, ""},
 		{`describeAll("A")`, ""},
 		{`describeEach(instances("A"))`, ""},
+		// Nil call targets.
+		{`first(emptyList())`, ""},
+		{`lookup("A", "a-missing")`, ""},
+		{`first(matching("A", "n", 99))`, ""},
 	}
 	params := cloudapi.Params{"self": cloudapi.Str("a-00000001"), "p": cloudapi.Int(3), "q": cloudapi.Str("abc")}
 	for _, tc := range cases {
@@ -150,16 +162,29 @@ func TestInterpDifferentialPositions(t *testing.T) {
 			if _, err := invokeBoth(t, walk, comp, "Mk", nil); err != nil {
 				t.Fatalf("Mk: %v", err)
 			}
-			for _, action := range []string{"W", "S", "R"} {
-				_, err := invokeBoth(t, walk, comp, action, params)
+			var returned cloudapi.Value
+			for _, action := range []string{"W", "S", "R", "C"} {
+				res, err := invokeBoth(t, walk, comp, action, params)
+				if action == "R" {
+					returned = res.Get("v")
+				}
+				ae, isAPI := cloudapi.AsAPIError(err)
 				switch {
 				case tc.err != "":
 					if err == nil || !strings.Contains(err.Error(), tc.err) {
 						t.Errorf("%s: err %v, want %q", action, err, tc.err)
 					}
+				case action == "C" && returned.IsNil():
+					if !isAPI || ae.Code != "NoSuchB" {
+						t.Errorf("C: nil target: err %v, want B's NoSuchB", err)
+					}
+				case action == "C":
+					if err == nil || isAPI {
+						t.Errorf("C: target %s: err %v, want a framework error", returned, err)
+					}
 				case err == nil:
 				case action == "S":
-					if ae, ok := cloudapi.AsAPIError(err); !ok || ae.Code != "Failed" {
+					if !isAPI || ae.Code != "Failed" {
 						t.Errorf("%s: err %v, want success or the assertion's Failed", action, err)
 					}
 				default:

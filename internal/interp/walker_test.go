@@ -402,6 +402,13 @@ func (e *env) execCall(st *spec.CallStmt) error {
 		return err
 	}
 	if tv.Kind() != cloudapi.KindRef {
+		if owner, _, ok := e.world.svc.Action(st.Trans); ok && tv.IsNil() {
+			code := owner.NotFound
+			if code == "" {
+				code = "InvalidResourceID.NotFound"
+			}
+			return &assertFailure{err: cloudapi.Errf(code, "resource referenced by %s does not exist", e.tr.Name)}
+		}
 		return internalErrf("transition %s: call target is %s, want ref", e.tr.Name, tv.Kind())
 	}
 	ref := tv.AsRef()

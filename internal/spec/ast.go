@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lce/internal/cloudapi"
@@ -167,6 +168,9 @@ type Service struct {
 
 	smIndex map[string]*SM
 	actIdx  map[string]actionRef
+	// checked holds each SM's last check (Check, Recheck), by
+	// position in SMs.
+	checked []smCheck
 }
 
 type actionRef struct {
@@ -462,7 +466,8 @@ func (e *BinaryExpr) Position() Pos { return e.Pos }
 
 // Index (re)builds the service's lookup tables. It must be called
 // after constructing or mutating a Service programmatically; the
-// parser and the repair engine call it automatically.
+// parser and the repair engine call it automatically. An SM whose
+// States still match its slot layout keeps that layout.
 func (s *Service) Index() error {
 	s.smIndex = make(map[string]*SM, len(s.SMs))
 	nTrans := 0
@@ -485,21 +490,84 @@ func (s *Service) Index() error {
 		}
 	}
 	for _, sm := range s.SMs {
-		sm.slotIdx = make(map[string]int, len(sm.States))
-		sm.slotNames = make([]string, 0, len(sm.States))
-		for _, sv := range sm.States {
-			if _, dup := sm.slotIdx[sv.Name]; dup {
-				continue // typecheck reports duplicates; keep the first slot
-			}
-			sm.slotIdx[sv.Name] = len(sm.slotNames)
-			sm.slotNames = append(sm.slotNames, sv.Name)
-		}
-		sm.idPrefix = sm.IDPrefix
-		if sm.idPrefix == "" {
-			sm.idPrefix = lowerFirst(sm.Name)
-		}
+		sm.layout()
 	}
 	return nil
+}
+
+// Reindex updates the lookup tables for the named SMs only: the SMs
+// replaced, added, removed or changed in place since the last Index or
+// Reindex. Every other SM must be as the tables last saw it. A name
+// clash, or a transition an SM lost in place (which leaves the table
+// holding more actions than the service), falls back to Index.
+func (s *Service) Reindex(names ...string) error {
+	if s.smIndex == nil {
+		return s.Index()
+	}
+	for _, name := range names {
+		old := s.smIndex[name]
+		if old == nil {
+			continue
+		}
+		for _, tr := range old.Transitions {
+			if ref, ok := s.actIdx[tr.Name]; ok && ref.sm == old {
+				delete(s.actIdx, tr.Name)
+			}
+		}
+		delete(s.smIndex, name)
+	}
+	nTrans := 0
+	for _, sm := range s.SMs {
+		nTrans += len(sm.Transitions)
+		if !slices.Contains(names, sm.Name) {
+			continue
+		}
+		if _, dup := s.smIndex[sm.Name]; dup {
+			return s.Index()
+		}
+		s.smIndex[sm.Name] = sm
+		for _, tr := range sm.Transitions {
+			if _, dup := s.actIdx[tr.Name]; dup {
+				return s.Index()
+			}
+			s.actIdx[tr.Name] = actionRef{sm: sm, trans: tr}
+		}
+		sm.layout()
+	}
+	if len(s.actIdx) != nTrans {
+		return s.Index()
+	}
+	return nil
+}
+
+// layout builds the SM's slot layout and resolved ID prefix, keeping a
+// layout that still matches its States.
+func (sm *SM) layout() {
+	sm.idPrefix = sm.IDPrefix
+	if sm.idPrefix == "" {
+		sm.idPrefix = lowerFirst(sm.Name)
+	}
+	if sm.slotIdx != nil && len(sm.slotNames) == len(sm.States) {
+		same := true
+		for i, sv := range sm.States {
+			if sm.slotNames[i] != sv.Name {
+				same = false
+				break
+			}
+		}
+		if same {
+			return
+		}
+	}
+	sm.slotIdx = make(map[string]int, len(sm.States))
+	sm.slotNames = make([]string, 0, len(sm.States))
+	for _, sv := range sm.States {
+		if _, dup := sm.slotIdx[sv.Name]; dup {
+			continue // typecheck reports duplicates; keep the first slot
+		}
+		sm.slotIdx[sv.Name] = len(sm.slotNames)
+		sm.slotNames = append(sm.slotNames, sv.Name)
+	}
 }
 
 // StateSlot resolves a state-variable name to its dense slot index in

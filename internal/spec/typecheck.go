@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 
 	"lce/internal/cloudapi"
 )
@@ -33,11 +34,22 @@ func (e *CheckError) Error() string {
 	return fmt.Sprintf("spec: %s: sm %s: %s", e.Pos, e.SM, e.Msg)
 }
 
-// checker validates one service.
+// checker validates one service, one SM at a time.
 type checker struct {
 	svc  *Service
 	mode CheckMode
 	errs []error
+	// reads collects the other SMs the current SM's check resolved.
+	reads []string
+}
+
+// smCheck is the record of one SM's last check: the errors it found,
+// in the mode it ran, and the other SMs it resolved.
+type smCheck struct {
+	sm    *SM
+	mode  CheckMode
+	errs  []error
+	reads []string
 }
 
 // Check validates the well-formedness of a service specification:
@@ -51,31 +63,72 @@ type checker struct {
 // both pass. Behavioural soundness checks (describe-must-not-write and
 // friends) live in internal/checks, mirroring the paper's separation
 // between grammar conformance and consistency checking.
+//
+// Check is Recheck with every SM's record discarded.
 func Check(svc *Service, mode CheckMode) []error {
-	c := &checker{svc: svc, mode: mode}
+	svc.checked = svc.checked[:0]
+	return Recheck(svc, mode)
+}
+
+// Recheck is Check for a service whose last check is on record and
+// whose named SMs changed since: it re-checks those SMs and every SM
+// whose last check resolved one of the names, and reuses the recorded
+// errors of the rest. An SM checks only itself and the SMs it resolves
+// by name, so the result equals a whole-service Check as long as every
+// SM that changed since its last check is named. An SM with no record
+// (a new or replaced one), or one checked in another mode, is checked.
+func Recheck(svc *Service, mode CheckMode, changed ...string) []error {
 	if svc.smIndex == nil {
 		if err := svc.Index(); err != nil {
 			return []error{err}
 		}
 	}
-	for _, sm := range svc.SMs {
-		c.checkSM(sm)
+	c := &checker{svc: svc, mode: mode}
+	var errs []error
+	for i, sm := range svc.SMs {
+		if i == len(svc.checked) {
+			svc.checked = append(svc.checked, smCheck{})
+		}
+		rec := &svc.checked[i]
+		if rec.sm != sm || rec.mode != mode || slices.Contains(changed, sm.Name) || slices.ContainsFunc(rec.reads, func(n string) bool { return slices.Contains(changed, n) }) {
+			c.errs, c.reads = nil, nil
+			c.checkSM(sm)
+			*rec = smCheck{sm: sm, mode: mode, errs: c.errs, reads: c.reads}
+		}
+		errs = append(errs, rec.errs...)
 	}
-	return c.errs
+	svc.checked = svc.checked[:len(svc.SMs)]
+	return errs
+}
+
+// Reads returns the other SMs the named SM's last check resolved: the
+// SMs its well-formedness depends on.
+func (s *Service) Reads(sm string) []string {
+	for i := range s.checked {
+		if s.checked[i].sm.Name == sm {
+			return s.checked[i].reads
+		}
+	}
+	return nil
 }
 
 func (c *checker) errorf(sm *SM, pos Pos, format string, args ...any) {
 	c.errs = append(c.errs, &CheckError{Pos: pos, SM: sm.Name, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (c *checker) resolveSM(name string) *SM {
+// resolveSM is the checker's only lookup of an SM by name, so it is
+// where the current SM's reads are recorded, resolved or not.
+func (c *checker) resolveSM(sm *SM, name string) *SM {
+	if name != sm.Name && !slices.Contains(c.reads, name) {
+		c.reads = append(c.reads, name)
+	}
 	return c.svc.SM(name)
 }
 
 func (c *checker) checkType(sm *SM, t Type, pos Pos) {
 	switch t.Kind {
 	case TRef:
-		if c.mode == Strict && c.resolveSM(t.Ref) == nil {
+		if c.mode == Strict && c.resolveSM(sm, t.Ref) == nil {
 			c.errorf(sm, pos, "reference to unknown SM %q", t.Ref)
 		}
 	case TList:
@@ -88,7 +141,7 @@ func (c *checker) checkType(sm *SM, t Type, pos Pos) {
 }
 
 func (c *checker) checkSM(sm *SM) {
-	if sm.Parent != "" && c.mode == Strict && c.resolveSM(sm.Parent) == nil {
+	if sm.Parent != "" && c.mode == Strict && c.resolveSM(sm, sm.Parent) == nil {
 		c.errorf(sm, sm.Pos, "parent SM %q does not exist", sm.Parent)
 	}
 	seen := map[string]bool{}
@@ -224,7 +277,7 @@ func (c *checker) checkStmt(env *scope, s Stmt) {
 			c.inferExpr(env, a)
 		}
 		if known && tt.Kind == TRef {
-			target := c.resolveSM(tt.Ref)
+			target := c.resolveSM(sm, tt.Ref)
 			if target == nil {
 				if c.mode == Strict {
 					c.errorf(sm, st.Pos, "transition %s: call into unknown SM %q", tr.Name, tt.Ref)
@@ -354,7 +407,7 @@ func (c *checker) inferExpr(env *scope, e Expr) (Type, bool) {
 			c.errorf(sm, x.Pos, "transition %s: field access on %s, want a ref", tr.Name, xt)
 			return Type{}, false
 		}
-		target := c.resolveSM(xt.Ref)
+		target := c.resolveSM(sm, xt.Ref)
 		if target == nil {
 			// Dangling in Partial mode: the field type is unknowable.
 			if c.mode == Strict {
@@ -450,7 +503,7 @@ func (c *checker) inferBuiltin(env *scope, x *BuiltinExpr) (Type, bool) {
 		if arity(1) {
 			if lit, ok := x.Args[0].(*Lit); !ok || lit.Value.Kind() != cloudapi.KindString {
 				c.errorf(sm, x.Pos, "transition %s: children() takes a string literal SM name", tr.Name)
-			} else if c.mode == Strict && c.resolveSM(lit.Value.AsString()) == nil {
+			} else if c.mode == Strict && c.resolveSM(sm, lit.Value.AsString()) == nil {
 				c.errorf(sm, x.Pos, "transition %s: children(%q): unknown SM", tr.Name, lit.Value.AsString())
 			} else {
 				return ListT(RefT(lit.Value.AsString())), true
@@ -462,7 +515,7 @@ func (c *checker) inferBuiltin(env *scope, x *BuiltinExpr) (Type, bool) {
 		if arity(1) {
 			if lit, ok := x.Args[0].(*Lit); !ok || lit.Value.Kind() != cloudapi.KindString {
 				c.errorf(sm, x.Pos, "transition %s: instances() takes a string literal SM name", tr.Name)
-			} else if c.mode == Strict && c.resolveSM(lit.Value.AsString()) == nil {
+			} else if c.mode == Strict && c.resolveSM(sm, lit.Value.AsString()) == nil {
 				c.errorf(sm, x.Pos, "transition %s: instances(%q): unknown SM", tr.Name, lit.Value.AsString())
 			} else {
 				return ListT(RefT(lit.Value.AsString())), true
@@ -522,7 +575,7 @@ func (c *checker) inferBuiltin(env *scope, x *BuiltinExpr) (Type, bool) {
 		if arity(2) {
 			if lit, ok := x.Args[0].(*Lit); !ok || lit.Value.Kind() != cloudapi.KindString {
 				c.errorf(sm, x.Pos, "transition %s: lookup() takes a string literal SM name", tr.Name)
-			} else if c.mode == Strict && c.resolveSM(lit.Value.AsString()) == nil {
+			} else if c.mode == Strict && c.resolveSM(sm, lit.Value.AsString()) == nil {
 				c.errorf(sm, x.Pos, "transition %s: lookup(%q, …): unknown SM", tr.Name, lit.Value.AsString())
 			} else {
 				return RefT(lit.Value.AsString()), true
@@ -542,7 +595,7 @@ func (c *checker) inferBuiltin(env *scope, x *BuiltinExpr) (Type, bool) {
 				c.errorf(sm, x.Pos, "transition %s: matching() takes a string literal state name", tr.Name)
 				return Type{}, false
 			}
-			if c.mode == Strict && c.resolveSM(lit.Value.AsString()) == nil {
+			if c.mode == Strict && c.resolveSM(sm, lit.Value.AsString()) == nil {
 				c.errorf(sm, x.Pos, "transition %s: matching(%q, …): unknown SM", tr.Name, lit.Value.AsString())
 				return Type{}, false
 			}
@@ -593,7 +646,7 @@ func (c *checker) inferBuiltin(env *scope, x *BuiltinExpr) (Type, bool) {
 		if arity(1) {
 			if lit, ok := x.Args[0].(*Lit); !ok || lit.Value.Kind() != cloudapi.KindString {
 				c.errorf(sm, x.Pos, "transition %s: describeAll() takes a string literal SM name", tr.Name)
-			} else if c.mode == Strict && c.resolveSM(lit.Value.AsString()) == nil {
+			} else if c.mode == Strict && c.resolveSM(sm, lit.Value.AsString()) == nil {
 				c.errorf(sm, x.Pos, "transition %s: describeAll(%q): unknown SM", tr.Name, lit.Value.AsString())
 			} else {
 				return ListT(MapT), true

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,10 +16,11 @@ import (
 // stubs (e.g. a cross-write into a state the model failed to capture)
 // are pruned so the linked spec is Strict-valid. Pruned stubs are the
 // kind of residue the alignment phase later detects as divergence.
-func link(svc *spec.Service) (patched, pruned int, err error) {
-	if err := svc.Index(); err != nil {
-		return 0, 0, err
-	}
+//
+// The service's SM index must be current. link returns the SMs it
+// changed — those it patched a transition onto and those it pruned a
+// call from — for the caller to re-index.
+func link(svc *spec.Service) (patched, pruned int, changed []string) {
 	// Pass 1: collect every referenced internal transition.
 	type need struct {
 		sm    string
@@ -84,6 +86,7 @@ func link(svc *spec.Service) (patched, pruned int, err error) {
 				Body: []spec.Stmt{&spec.WriteStmt{State: n.state, Value: &spec.Ident{Name: "v"}}},
 			})
 			patched++
+			changed = appendNew(changed, target.Name)
 		} else if strings.HasPrefix(n.trans, "_Reclaim_") {
 			target.Transitions = append(target.Transitions, &spec.Transition{
 				Name:     n.trans,
@@ -95,17 +98,30 @@ func link(svc *spec.Service) (patched, pruned int, err error) {
 				},
 			})
 			patched++
+			changed = appendNew(changed, target.Name)
 		}
 	}
 	// Pass 3: prune calls to unresolvable stubs.
 	if len(unresolvable) > 0 {
 		for _, sm := range svc.SMs {
+			before := pruned
 			for _, tr := range sm.Transitions {
 				tr.Body = pruneCalls(tr.Body, unresolvable, &pruned)
 			}
+			if pruned > before {
+				changed = appendNew(changed, sm.Name)
+			}
 		}
 	}
-	return patched, pruned, svc.Index()
+	return patched, pruned, changed
+}
+
+// appendNew appends name to names unless it is already there.
+func appendNew(names []string, name string) []string {
+	if slices.Contains(names, name) {
+		return names
+	}
+	return append(names, name)
 }
 
 func pruneCalls(stmts []spec.Stmt, bad map[string]bool, pruned *int) []spec.Stmt {

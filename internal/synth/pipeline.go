@@ -2,6 +2,8 @@ package synth
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 
 	"lce/internal/docs"
@@ -104,8 +106,11 @@ func SynthesizeFromBrief(brief *docs.ServiceDoc, opts Options) (*spec.Service, *
 	}
 	rep.SMCount = len(svc.SMs)
 
-	patched, pruned, err := link(svc)
-	if err != nil {
+	if err := svc.Index(); err != nil {
+		return nil, rep, fmt.Errorf("synth: linking failed: %w", err)
+	}
+	patched, pruned, changed := link(svc)
+	if err := svc.Reindex(changed...); err != nil {
 		return nil, rep, fmt.Errorf("synth: linking failed: %w", err)
 	}
 	rep.StubsPatched = patched
@@ -203,59 +208,82 @@ func resourceDeps(rd *docs.ResourceDoc) []string {
 	return out
 }
 
-// RepairSM re-extracts one SM noise-free from the brief and splices it
-// into the service, then re-links. This is the alignment engine's
-// repair primitive: "re-reading the documentation" for the implicated
-// resource (§4.3).
-func RepairSM(svc *spec.Service, brief *docs.ServiceDoc, smName string) error {
-	rd := brief.Resource(smName)
-	if rd == nil {
-		return fmt.Errorf("synth: no documentation for SM %q", smName)
-	}
+// RepairSM re-extracts the named SMs noise-free from the brief,
+// splices them into the service and re-links. This is the alignment
+// engine's repair primitive: "re-reading the documentation" for the
+// implicated resources (§4.3).
+//
+// It returns the SMs it touched, sorted: the re-extracted ones, the
+// ones that lost linker-synthesized transitions targeting them, and
+// the ones the linker patched or pruned. Only those are re-indexed and
+// re-checked (spec.Recheck), so the rest of the service must be as its
+// last check found it, which synthesis and earlier repairs leave it.
+// When the repaired spec is not well-formed, the error wraps the first
+// *spec.CheckError and the service keeps the repair.
+func RepairSM(svc *spec.Service, brief *docs.ServiceDoc, names ...string) ([]string, error) {
+	fresh := make([]*spec.SM, len(names))
 	x := &extractor{doc: brief, noise: Perfect, service: brief.Service}
-	fresh := x.extractSM(rd, 0)
-	replaced := false
-	for i, sm := range svc.SMs {
-		if sm.Name == smName {
-			svc.SMs[i] = fresh
-			replaced = true
-			break
+	for i, name := range names {
+		rd := brief.Resource(name)
+		if rd == nil {
+			return nil, fmt.Errorf("synth: no documentation for SM %q", name)
 		}
+		fresh[i] = x.extractSM(rd, 0)
 	}
-	if !replaced {
-		svc.SMs = append(svc.SMs, fresh)
+	var touched []string
+	for _, sm := range fresh {
+		i := slices.IndexFunc(svc.SMs, func(old *spec.SM) bool { return old.Name == sm.Name })
+		if i >= 0 {
+			svc.SMs[i] = sm
+		} else {
+			svc.SMs = append(svc.SMs, sm)
+		}
+		touched = appendNew(touched, sm.Name)
 	}
 	// Drop previously linker-synthesized internal transitions that
-	// target the replaced SM: they will be regenerated as needed, and
+	// target a replaced SM: they will be regenerated as needed, and
 	// stale setters for renamed states must not linger.
 	for _, sm := range svc.SMs {
 		kept := sm.Transitions[:0]
 		for _, tr := range sm.Transitions {
-			if tr.Internal && strings.Contains(tr.Name, "_"+smName+"_") {
+			if tr.Internal && slices.ContainsFunc(names, func(n string) bool { return strings.Contains(tr.Name, "_"+n+"_") }) {
 				continue
 			}
 			kept = append(kept, tr)
 		}
+		if len(kept) < len(sm.Transitions) {
+			touched = appendNew(touched, sm.Name)
+		}
 		sm.Transitions = kept
 	}
-	if _, _, err := link(svc); err != nil {
-		return err
+	if err := svc.Reindex(touched...); err != nil {
+		return touched, err
 	}
-	if errs := spec.Check(svc, spec.Strict); len(errs) > 0 {
-		return fmt.Errorf("synth: repaired spec is not well-formed: %v", errs[0])
+	_, _, changed := link(svc)
+	if err := svc.Reindex(changed...); err != nil {
+		return touched, err
 	}
-	return nil
+	for _, n := range changed {
+		touched = appendNew(touched, n)
+	}
+	sort.Strings(touched)
+	if errs := spec.Recheck(svc, spec.Strict, touched...); len(errs) > 0 {
+		return touched, fmt.Errorf("synth: repaired spec is not well-formed: %w", errs[0])
+	}
+	return touched, nil
 }
 
 // SetAssertCode patches the error code of the assert in the given
-// transition whose current code is oldCode. The alignment engine uses
-// it when a divergence is attributed to the documentation itself: the
+// transition whose current code is oldCode, and returns the SM it
+// changed ("" when no assert matched). The alignment engine uses it
+// when a divergence is attributed to the documentation itself: the
 // observed cloud code overrides the documented one (§4.3 "learn how
-// the cloud produces error logs").
-func SetAssertCode(svc *spec.Service, action, oldCode, newCode string) bool {
-	_, tr, ok := svc.Action(action)
+// the cloud produces error logs"). An error code is nothing the
+// checker reads, so the SM's check record stays valid.
+func SetAssertCode(svc *spec.Service, action, oldCode, newCode string) string {
+	sm, tr, ok := svc.Action(action)
 	if !ok {
-		return false
+		return ""
 	}
 	found := false
 	walkStmts(tr.Body, func(s spec.Stmt) {
@@ -264,5 +292,8 @@ func SetAssertCode(svc *spec.Service, action, oldCode, newCode string) bool {
 			found = true
 		}
 	})
-	return found
+	if !found {
+		return ""
+	}
+	return sm.Name
 }

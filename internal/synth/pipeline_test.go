@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -230,8 +231,12 @@ func TestRepairSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RepairSM(svc, brief, "Vpc"); err != nil {
+	touched, err := RepairSM(svc, brief, "Vpc")
+	if err != nil {
 		t.Fatalf("RepairSM: %v", err)
+	}
+	if !slices.Contains(touched, "Vpc") {
+		t.Errorf("RepairSM touched %v, not the SM it re-extracted", touched)
 	}
 	emu, err := interp.New(svc)
 	if err != nil {

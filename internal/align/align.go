@@ -203,8 +203,8 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 	// memo[i] holds the oracle's outcomes for traces[i] once a replay
 	// was memoizable; later rounds diff against it instead of replaying.
 	memo := make([][]trace.Outcome, len(traces))
-	// touched collects the SMs the round's repairs changed: the next
-	// round recompiles only those.
+	// touched collects the SMs the round's repairs changed (a name may
+	// repeat): the next round recompiles only those.
 	var touched []string
 
 	for round := 1; round <= opts.MaxRounds; round++ {
@@ -280,7 +280,7 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				continue
 			}
 			changed, err := synth.RepairSM(svc, brief, n)
-			touched = merge(touched, changed)
+			touched = append(touched, changed...)
 			var neighbours []string
 			if err != nil {
 				// The fresh SM may read state that a neighbour's noisy
@@ -289,7 +289,7 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 				neighbours = unredocumentedReads(svc, brief, redocumented, n)
 				if len(neighbours) > 0 {
 					changed, err = synth.RepairSM(svc, brief, neighbours...)
-					touched = merge(touched, changed)
+					touched = append(touched, changed...)
 				}
 			}
 			if err != nil {
@@ -325,7 +325,7 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 					continue
 				}
 				if sm := synth.SetAssertCode(svc, d.Action, d.Subject.Code, d.Against.Code); sm != "" {
-					touched = merge(touched, []string{sm})
+					touched = append(touched, sm)
 					adopted[key] = true
 					progressed = true
 					r.Repairs = append(r.Repairs, Repair{
@@ -342,16 +342,6 @@ func run(svc *spec.Service, brief *docs.ServiceDoc, oracle cloudapi.Backend, fac
 		}
 	}
 	return res, nil
-}
-
-// merge adds the names in more that names lacks.
-func merge(names, more []string) []string {
-	for _, n := range more {
-		if !slices.Contains(names, n) {
-			names = append(names, n)
-		}
-	}
-	return names
 }
 
 // unredocumentedReads lists, sorted, the documented SMs that the failing

@@ -132,7 +132,7 @@ func (p *Program) invoke(w *World, req cloudapi.Request) (cloudapi.Result, error
 	f.readonly = ct.readonly
 	f.ro = &f.owner
 
-	self, apiErr, err := ct.bind(f, w, req.Params)
+	self, apiErr, err := ct.bind(f, req.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +186,7 @@ func (p *Program) invoke(w *World, req cloudapi.Request) (cloudapi.Result, error
 // errors surface in the walker's order), then the unknown-parameter
 // sweep — skipped entirely when the declared-present count already
 // accounts for every request key.
-func (ct *compiledTrans) bind(f *frame, w *World, in cloudapi.Params) (*Instance, *cloudapi.APIError, error) {
+func (ct *compiledTrans) bind(f *frame, in cloudapi.Params) (*Instance, *cloudapi.APIError, error) {
 	f.ensureParams(ct.nParams)
 	var self *Instance
 	present := 0
@@ -213,7 +213,7 @@ func (ct *compiledTrans) bind(f *frame, w *World, in cloudapi.Params) (*Instance
 		}
 		f.params[b.slot] = v
 		if b.isRecv {
-			inst, ok := w.Get(v.AsRef())
+			inst, ok := f.world.Get(v.AsRef())
 			if !ok || !inst.Alive {
 				return nil, compiledNotFound(ct.csm, v.AsRef().ID), nil
 			}

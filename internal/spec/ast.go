@@ -476,21 +476,9 @@ func (s *Service) Index() error {
 	}
 	s.actIdx = make(map[string]actionRef, nTrans)
 	for _, sm := range s.SMs {
-		if _, dup := s.smIndex[sm.Name]; dup {
-			return fmt.Errorf("spec: duplicate SM %q in service %q", sm.Name, s.Name)
+		if err := s.add(sm); err != nil {
+			return err
 		}
-		s.smIndex[sm.Name] = sm
-	}
-	for _, sm := range s.SMs {
-		for _, tr := range sm.Transitions {
-			if prev, dup := s.actIdx[tr.Name]; dup {
-				return fmt.Errorf("spec: action %q defined on both %q and %q", tr.Name, prev.sm.Name, sm.Name)
-			}
-			s.actIdx[tr.Name] = actionRef{sm: sm, trans: tr}
-		}
-	}
-	for _, sm := range s.SMs {
-		sm.layout()
 	}
 	return nil
 }
@@ -519,24 +507,32 @@ func (s *Service) Reindex(names ...string) error {
 	nTrans := 0
 	for _, sm := range s.SMs {
 		nTrans += len(sm.Transitions)
-		if !slices.Contains(names, sm.Name) {
-			continue
-		}
-		if _, dup := s.smIndex[sm.Name]; dup {
-			return s.Index()
-		}
-		s.smIndex[sm.Name] = sm
-		for _, tr := range sm.Transitions {
-			if _, dup := s.actIdx[tr.Name]; dup {
+		if slices.Contains(names, sm.Name) {
+			if err := s.add(sm); err != nil {
 				return s.Index()
 			}
-			s.actIdx[tr.Name] = actionRef{sm: sm, trans: tr}
 		}
-		sm.layout()
 	}
 	if len(s.actIdx) != nTrans {
 		return s.Index()
 	}
+	return nil
+}
+
+// add enters one SM and its transitions into the lookup tables and
+// lays out its slots.
+func (s *Service) add(sm *SM) error {
+	if _, dup := s.smIndex[sm.Name]; dup {
+		return fmt.Errorf("spec: duplicate SM %q in service %q", sm.Name, s.Name)
+	}
+	s.smIndex[sm.Name] = sm
+	for _, tr := range sm.Transitions {
+		if prev, dup := s.actIdx[tr.Name]; dup {
+			return fmt.Errorf("spec: action %q defined on both %q and %q", tr.Name, prev.sm.Name, sm.Name)
+		}
+		s.actIdx[tr.Name] = actionRef{sm: sm, trans: tr}
+	}
+	sm.layout()
 	return nil
 }
 

@@ -18,8 +18,8 @@ import (
 // kind of residue the alignment phase later detects as divergence.
 //
 // The service's SM index must be current. link returns the SMs it
-// changed — those it patched a transition onto and those it pruned a
-// call from — for the caller to re-index.
+// changed, sorted — those it patched a transition onto and those it
+// pruned a call from — for the caller to re-index.
 func link(svc *spec.Service) (patched, pruned int, changed []string) {
 	// Pass 1: collect every referenced internal transition.
 	type need struct {
@@ -86,7 +86,7 @@ func link(svc *spec.Service) (patched, pruned int, changed []string) {
 				Body: []spec.Stmt{&spec.WriteStmt{State: n.state, Value: &spec.Ident{Name: "v"}}},
 			})
 			patched++
-			changed = appendNew(changed, target.Name)
+			changed = append(changed, target.Name)
 		} else if strings.HasPrefix(n.trans, "_Reclaim_") {
 			target.Transitions = append(target.Transitions, &spec.Transition{
 				Name:     n.trans,
@@ -98,7 +98,7 @@ func link(svc *spec.Service) (patched, pruned int, changed []string) {
 				},
 			})
 			patched++
-			changed = appendNew(changed, target.Name)
+			changed = append(changed, target.Name)
 		}
 	}
 	// Pass 3: prune calls to unresolvable stubs.
@@ -109,19 +109,12 @@ func link(svc *spec.Service) (patched, pruned int, changed []string) {
 				tr.Body = pruneCalls(tr.Body, unresolvable, &pruned)
 			}
 			if pruned > before {
-				changed = appendNew(changed, sm.Name)
+				changed = append(changed, sm.Name)
 			}
 		}
 	}
-	return patched, pruned, changed
-}
-
-// appendNew appends name to names unless it is already there.
-func appendNew(names []string, name string) []string {
-	if slices.Contains(names, name) {
-		return names
-	}
-	return append(names, name)
+	slices.Sort(changed)
+	return patched, pruned, slices.Compact(changed)
 }
 
 func pruneCalls(stmts []spec.Stmt, bad map[string]bool, pruned *int) []spec.Stmt {

@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"lce/internal/docs"
@@ -238,7 +237,7 @@ func RepairSM(svc *spec.Service, brief *docs.ServiceDoc, names ...string) ([]str
 		} else {
 			svc.SMs = append(svc.SMs, sm)
 		}
-		touched = appendNew(touched, sm.Name)
+		touched = append(touched, sm.Name)
 	}
 	// Drop previously linker-synthesized internal transitions that
 	// target a replaced SM: they will be regenerated as needed, and
@@ -252,7 +251,7 @@ func RepairSM(svc *spec.Service, brief *docs.ServiceDoc, names ...string) ([]str
 			kept = append(kept, tr)
 		}
 		if len(kept) < len(sm.Transitions) {
-			touched = appendNew(touched, sm.Name)
+			touched = append(touched, sm.Name)
 		}
 		sm.Transitions = kept
 	}
@@ -263,10 +262,9 @@ func RepairSM(svc *spec.Service, brief *docs.ServiceDoc, names ...string) ([]str
 	if err := svc.Reindex(changed...); err != nil {
 		return touched, err
 	}
-	for _, n := range changed {
-		touched = appendNew(touched, n)
-	}
-	sort.Strings(touched)
+	touched = append(touched, changed...)
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 	if errs := spec.Recheck(svc, spec.Strict, touched...); len(errs) > 0 {
 		return touched, fmt.Errorf("synth: repaired spec is not well-formed: %w", errs[0])
 	}

@@ -452,7 +452,7 @@ func TestRebuildReusesSMsWithoutStaleNeighbours(t *testing.T) {
 	if svc.SMs[1], err = spec.ParseSM(b("NewB")); err != nil {
 		t.Fatal(err)
 	}
-	re, err := emu.Rebuild([]string{"B"})
+	re, err := emu.Rebuild()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,9 @@ type Emulator struct {
 	svc   *spec.Service
 	world *World
 	// prog is the compiled program Invoke dispatches through: an
-	// immutable snapshot of the spec taken at construction. Mutating
-	// the spec afterwards does not change this emulator's behaviour —
-	// Rebuild (or New) one to pick the change up.
+	// immutable snapshot of the spec taken at construction. Replacing
+	// SMs of the spec afterwards does not change this emulator's
+	// behaviour — Rebuild (or New) one to pick the change up.
 	prog *Program
 }
 
@@ -60,14 +60,15 @@ func (e *Emulator) Fork() cloudapi.Backend {
 }
 
 // Rebuild returns a fresh emulator, with an empty world, for e's spec
-// after the named SMs changed: replaced, added, or edited in place. It
-// re-indexes and compiles only those SMs and takes every other SM's
-// compiled form from e's program; New is the case with no program to
-// take from. e keeps its program, a snapshot of the spec as it was.
-// Like New, Rebuild must not run concurrently with invocations on
-// emulators sharing the spec.
-func (e *Emulator) Rebuild(changed []string) (*Emulator, error) {
-	prog, err := compileService(e.svc, e.prog, changed)
+// after SMs were replaced in, added to or removed from it — never
+// edited in place (see spec.Service.Reindex). It re-indexes the spec,
+// compiles each SM that is not the *spec.SM e's program compiled, and
+// takes every other SM's compiled form from e's program; New is the
+// case with no program to take from. e keeps its program, a snapshot of
+// the spec as it was. Like New, Rebuild must not run concurrently with
+// invocations on emulators sharing the spec.
+func (e *Emulator) Rebuild() (*Emulator, error) {
+	prog, err := compileService(e.svc, e.prog)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +76,7 @@ func (e *Emulator) Rebuild(changed []string) (*Emulator, error) {
 }
 
 // SMsCompiled reports how many SMs building this emulator's program
-// compiled: every SM for New, the changed ones for Rebuild. A fork
+// compiled: every SM for New, the replaced ones for Rebuild. A fork
 // reports its parent's count, as it shares the program.
 func (e *Emulator) SMsCompiled() int { return e.prog.compiled }
 

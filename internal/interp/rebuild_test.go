@@ -28,6 +28,9 @@ type rebuildCase struct {
 	// walk replays the suite through the reference walker too, step by
 	// step with world snapshots; otherwise outcomes are compared.
 	walk bool
+	// held is the printed form of each SM the service held before the
+	// repair under test (hold).
+	held map[*spec.SM]string
 }
 
 // briefs are the learnable services' documentation.
@@ -60,13 +63,35 @@ func newRebuildCase(t *testing.T, service string, opts synth.Options, walk bool)
 	}
 }
 
-// after checks the service once a repair changed the SMs in touched:
-// the check on record (synth's incremental one) equals a whole-service
-// Check, the incremental index equals a rebuilt one, and the rebuilt
-// emulator, a freshly compiled one and the reference walker give the
-// same outcomes over the align suite.
-func (c *rebuildCase) after(t *testing.T, what string, touched, before []string) {
+// hold records the printed form of every SM the service holds, before
+// a repair. An SM held at the last hold and not edited since keeps the
+// form recorded then.
+func (c *rebuildCase) hold() {
+	held := make(map[*spec.SM]string, len(c.svc.SMs))
+	for _, sm := range c.svc.SMs {
+		p, ok := c.held[sm]
+		if !ok {
+			p = spec.PrintSM(sm)
+		}
+		held[sm] = p
+	}
+	c.held = held
+}
+
+// after checks the service once a repair replaced some of its SMs: no
+// SM it held at the last hold was edited in place, the check on record
+// (synth's incremental one) equals a whole-service Check, the
+// incremental index equals a rebuilt one, and the rebuilt emulator, a
+// freshly compiled one and the reference walker give the same outcomes
+// over the align suite. before names the actions the service had
+// before the repair.
+func (c *rebuildCase) after(t *testing.T, what string, before []string) {
 	t.Helper()
+	for sm, p := range c.held {
+		if spec.PrintSM(sm) != p {
+			t.Fatalf("%s, %s: SM %s was edited in place:\n%s\nnow\n%s", c.name, what, sm.Name, p, spec.PrintSM(sm))
+		}
+	}
 	// A second service over the same SMs is indexed and checked from
 	// scratch without disturbing the first one's tables and records.
 	whole := &spec.Service{Name: c.svc.Name, SMs: slices.Clone(c.svc.SMs)}
@@ -82,7 +107,7 @@ func (c *rebuildCase) after(t *testing.T, what string, touched, before []string)
 		t.Fatalf("%s, %s: incremental index\n%s\nrebuilt index\n%s", c.name, what, incView, rebuilt)
 	}
 
-	emu, err := c.emu.Rebuild(touched)
+	emu, err := c.emu.Rebuild()
 	if err != nil {
 		t.Fatalf("%s, %s: Rebuild: %v", c.name, what, err)
 	}
@@ -153,8 +178,11 @@ func errText(errs []error) string {
 // TestRebuildMatchesFreshBuild replays every repair of the default loop
 // — redocumented SMs and adopted cloud codes, in the loop's order — and
 // then, for noise seeds 1–50, repairs every SM of the draft in turn,
-// for each learnable service. After each repair the incremental check,
-// index and rebuild must equal their from-scratch versions (after).
+// for each learnable service, putting back the saved SMs after each
+// repair that fails its check. No repair may edit an SM the service
+// held before it, and after each repair and each roll-back the
+// incremental check, index and rebuild must equal their from-scratch
+// versions (after).
 func TestRebuildMatchesFreshBuild(t *testing.T) {
 	for _, service := range []string{"ec2", "dynamodb", "network-firewall", "azure-network"} {
 		t.Run(service, func(t *testing.T) {
@@ -170,11 +198,22 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 				}
 				for _, name := range order {
 					before := transitionNames(c.svc)
+					saved := slices.Clone(c.svc.SMs)
+					c.hold()
 					// A repair that leaves the spec ill-formed still
 					// changed it: the check on record must say so, and
 					// the engines must still agree on the ill-formed spec.
-					touched, _ := synth.RepairSM(c.svc, c.brief, name)
-					c.after(t, "repair "+name, touched, before)
+					// Then the saved SMs are put back, as the loop does.
+					err := synth.RepairSM(c.svc, c.brief, name)
+					c.after(t, "repair "+name, before)
+					if err != nil {
+						repaired := transitionNames(c.svc)
+						c.svc.SMs = saved
+						if err := c.svc.Reindex(); err != nil {
+							t.Fatalf("%s: roll back %s: %v", c.name, name, err)
+						}
+						c.after(t, "roll back "+name, repaired)
+					}
 				}
 			}
 		})
@@ -193,10 +232,10 @@ func replayDefaultLoop(t *testing.T, service string) {
 	for _, r := range res.Rounds {
 		for _, rep := range r.Repairs {
 			before := transitionNames(c.svc)
-			var touched []string
+			c.hold()
 			switch rep.Kind {
 			case "redocument-sm":
-				if touched, err = synth.RepairSM(c.svc, c.brief, rep.Target); err != nil {
+				if err := synth.RepairSM(c.svc, c.brief, rep.Target); err != nil {
 					t.Fatalf("%s: repair %s: %v", c.name, rep.Target, err)
 				}
 			case "adopt-cloud-code":
@@ -205,13 +244,11 @@ func replayDefaultLoop(t *testing.T, service string) {
 				if _, err := fmt.Sscanf(rep.Reason, "documentation says %s cloud returns %s", &doc, &cloud); err != nil {
 					t.Fatalf("%s: reason %q: %v", c.name, rep.Reason, err)
 				}
-				sm := synth.SetAssertCode(c.svc, action, strings.TrimSuffix(doc, ","), cloud)
-				if sm == "" {
+				if !synth.SetAssertCode(c.svc, action, strings.TrimSuffix(doc, ","), cloud) {
 					t.Fatalf("%s: %s matched no assert", c.name, rep.Target)
 				}
-				touched = []string{sm}
 			}
-			c.after(t, rep.Kind+" "+rep.Target, touched, before)
+			c.after(t, rep.Kind+" "+rep.Target, before)
 			repairs++
 		}
 	}

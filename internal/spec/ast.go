@@ -168,8 +168,8 @@ type Service struct {
 
 	smIndex map[string]*SM
 	actIdx  map[string]actionRef
-	// checked holds each SM's last check (Check, Recheck), by
-	// position in SMs.
+	// checked holds the last check (Check, Recheck) of each SM in
+	// SMs, in order; Recheck matches records to SMs by pointer.
 	checked []smCheck
 }
 
@@ -465,9 +465,9 @@ func (e *UnaryExpr) Position() Pos { return e.Pos }
 func (e *BinaryExpr) Position() Pos { return e.Pos }
 
 // Index (re)builds the service's lookup tables. It must be called
-// after constructing or mutating a Service programmatically; the
-// parser and the repair engine call it automatically. An SM whose
-// States still match its slot layout keeps that layout.
+// after constructing a Service programmatically or editing its SMs in
+// place; the parser and the repair engine index automatically. An SM
+// whose States still match its slot layout keeps that layout.
 func (s *Service) Index() error {
 	s.smIndex = make(map[string]*SM, len(s.SMs))
 	nTrans := 0
@@ -483,18 +483,20 @@ func (s *Service) Index() error {
 	return nil
 }
 
-// Reindex updates the lookup tables for the named SMs only: the SMs
-// replaced, added, removed or changed in place since the last Index or
-// Reindex. Every other SM must be as the tables last saw it. A name
-// clash, or a transition an SM lost in place (which leaves the table
-// holding more actions than the service), falls back to Index.
-func (s *Service) Reindex(names ...string) error {
+// Reindex brings the lookup tables up to date after SMs were replaced
+// in, added to or removed from s.SMs: it drops the entries of each
+// indexed SM that s.SMs no longer holds and enters each SM that is not
+// the one indexed under its name. That holds by one rule: an SM is
+// never edited in place once indexed, checked or compiled — a change
+// puts a new *SM in its place. Code that edits SMs in place (synth's
+// scrub, d2c.Naivify) follows with a whole-service Index, Check or New.
+// A name clash falls back to Index.
+func (s *Service) Reindex() error {
 	if s.smIndex == nil {
 		return s.Index()
 	}
-	for _, name := range names {
-		old := s.smIndex[name]
-		if old == nil {
+	for name, old := range s.smIndex {
+		if slices.Contains(s.SMs, old) {
 			continue
 		}
 		for _, tr := range old.Transitions {
@@ -504,17 +506,12 @@ func (s *Service) Reindex(names ...string) error {
 		}
 		delete(s.smIndex, name)
 	}
-	nTrans := 0
 	for _, sm := range s.SMs {
-		nTrans += len(sm.Transitions)
-		if slices.Contains(names, sm.Name) {
+		if s.smIndex[sm.Name] != sm {
 			if err := s.add(sm); err != nil {
 				return s.Index()
 			}
 		}
-	}
-	if len(s.actIdx) != nTrans {
-		return s.Index()
 	}
 	return nil
 }

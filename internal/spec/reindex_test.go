@@ -31,12 +31,12 @@ const freshA = `sm A {
   transition MkA() create { write(y, "y") }
 }`
 
-// reindexed re-indexes the changed SMs of svc, then indexes and checks
-// a second service over the same SMs from scratch and requires its
-// tables and errors to equal svc's incremental ones.
-func reindexed(t *testing.T, what string, svc *Service, changed ...string) error {
+// reindexed re-indexes svc after SMs were replaced, then indexes and
+// checks a second service over the same SMs from scratch and requires
+// its tables and errors to equal svc's incremental ones.
+func reindexed(t *testing.T, what string, svc *Service) error {
 	t.Helper()
-	incErr := svc.Reindex(changed...)
+	incErr := svc.Reindex()
 	whole := &Service{Name: svc.Name, SMs: slices.Clone(svc.SMs)}
 	if err := whole.Index(); fmt.Sprint(err) != fmt.Sprint(incErr) {
 		t.Fatalf("%s: Reindex error %v, Index error %v", what, incErr, err)
@@ -47,18 +47,27 @@ func reindexed(t *testing.T, what string, svc *Service, changed ...string) error
 	if !reflect.DeepEqual(svc.smIndex, whole.smIndex) || !reflect.DeepEqual(svc.actIdx, whole.actIdx) {
 		t.Fatalf("%s: incremental tables differ from rebuilt ones", what)
 	}
-	inc, full := fmt.Sprint(Recheck(svc, Strict, changed...)), fmt.Sprint(Check(whole, Strict))
+	inc, full := fmt.Sprint(Recheck(svc, Strict)), fmt.Sprint(Check(whole, Strict))
 	if inc != full {
 		t.Fatalf("%s: incremental check %s, whole-service Check %s", what, inc, full)
 	}
 	return nil
 }
 
-// TestReindexMatchesIndex changes a service in every way Reindex and
-// Recheck are told about — an SM replaced by one without a state a
-// neighbour reads, a transition lost in place, a transition moved, an
-// SM appended, a clashing action — and compares the incremental tables
-// and check with a from-scratch Index and Check.
+// replaced returns a copy of sm with the given transitions: the way a
+// change reaches an SM that was indexed or checked.
+func replaced(sm *SM, trs ...*Transition) *SM {
+	cp := *sm
+	cp.Transitions = trs
+	return &cp
+}
+
+// TestReindexMatchesIndex replaces SMs of a service in every way
+// Reindex and Recheck must follow — an SM replaced by one without a
+// state a neighbour reads and then restored, a transition dropped, a
+// transition moved, an SM appended, a clashing action and the list
+// restored after it — and compares the incremental tables and check
+// with a from-scratch Index and Check.
 func TestReindexMatchesIndex(t *testing.T) {
 	svc, err := Parse(reindexSrc)
 	if err != nil {
@@ -71,32 +80,43 @@ func TestReindexMatchesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := slices.Clone(svc.SMs)
 	svc.SMs[0] = a
-	reindexed(t, "replace A", svc, "A")
+	reindexed(t, "replace A", svc)
 	if got := Recheck(svc, Strict); len(got) == 0 {
 		t.Fatal("B reads A.x, which the fresh A lacks, yet the check passed")
 	}
 	if !slices.Contains(svc.Reads("B"), "A") {
 		t.Errorf("B's reads %v lack A", svc.Reads("B"))
 	}
+	svc.SMs = slices.Clone(orig)
+	reindexed(t, "restore A", svc)
+	if got := Recheck(svc, Strict); len(got) != 0 {
+		t.Fatalf("restored A: %v", got)
+	}
+	svc.SMs[0] = a
+	reindexed(t, "replace A again", svc)
 
 	c := svc.SM("C")
 	drop := c.Transitions[1]
-	c.Transitions = c.Transitions[:1]
-	reindexed(t, "C loses DropC in place", svc, "C")
+	svc.SMs[2] = replaced(c, c.Transitions[0])
+	reindexed(t, "C loses DropC", svc)
 
-	a.Transitions = append(a.Transitions, drop)
-	reindexed(t, "DropC appears on A", svc, "A")
+	svc.SMs[0] = replaced(a, append(slices.Clip(a.Transitions), drop)...)
+	reindexed(t, "DropC appears on A", svc)
 
 	d, err := ParseSM(`sm D { transition MkD() create { } }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.SMs = append(svc.SMs, d)
-	reindexed(t, "D appended", svc, "D")
+	reindexed(t, "D appended", svc)
 
-	d.Transitions = append(d.Transitions, &Transition{Name: "MkC", Kind: KCreate})
-	if reindexed(t, "D clashes with C", svc, "D") == nil {
+	beforeClash := slices.Clone(svc.SMs)
+	svc.SMs[3] = replaced(d, append(slices.Clip(d.Transitions), &Transition{Name: "MkC", Kind: KCreate})...)
+	if reindexed(t, "D clashes with C", svc) == nil {
 		t.Fatal("a clashing action indexed cleanly")
 	}
+	svc.SMs = beforeClash
+	reindexed(t, "restore D", svc)
 }

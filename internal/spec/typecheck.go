@@ -70,47 +70,50 @@ func Check(svc *Service, mode CheckMode) []error {
 	return Recheck(svc, mode)
 }
 
-// Recheck is Check for a service whose last check is on record and
-// whose named SMs changed since: it re-checks those SMs and every SM
-// whose last check resolved one of the names, and reuses the recorded
-// errors of the rest. An SM checks only itself and the SMs it resolves
-// by name, so the result equals a whole-service Check as long as every
-// SM that changed since its last check is named. An SM with no record
-// (a new or replaced one), or one checked in another mode, is checked.
-func Recheck(svc *Service, mode CheckMode, changed ...string) []error {
+// Recheck is Check for a service whose last check is on record: it
+// re-checks each SM that is not the *SM recorded under its name, and
+// each SM whose last check resolved a name whose SM is not the one
+// recorded under it; the rest keep the errors on record. An SM checks
+// only itself and the SMs it resolves by name, so the result equals a
+// whole-service Check as long as no SM was edited in place since its
+// last check: a change replaces the SM (see Service.Reindex).
+func Recheck(svc *Service, mode CheckMode) []error {
 	if svc.smIndex == nil {
 		if err := svc.Index(); err != nil {
 			return []error{err}
 		}
 	}
+	changed := func(name string) bool { return svc.record(name).sm != svc.SM(name) }
 	c := &checker{svc: svc, mode: mode}
 	var errs []error
+	recs := make([]smCheck, len(svc.SMs))
 	for i, sm := range svc.SMs {
-		if i == len(svc.checked) {
-			svc.checked = append(svc.checked, smCheck{})
-		}
-		rec := &svc.checked[i]
-		if rec.sm != sm || rec.mode != mode || slices.Contains(changed, sm.Name) || slices.ContainsFunc(rec.reads, func(n string) bool { return slices.Contains(changed, n) }) {
+		if rec := svc.record(sm.Name); rec.sm == sm && rec.mode == mode && !slices.ContainsFunc(rec.reads, changed) {
+			recs[i] = rec
+		} else {
 			c.errs, c.reads = nil, nil
 			c.checkSM(sm)
-			*rec = smCheck{sm: sm, mode: mode, errs: c.errs, reads: c.reads}
+			recs[i] = smCheck{sm: sm, mode: mode, errs: c.errs, reads: c.reads}
 		}
-		errs = append(errs, rec.errs...)
+		errs = append(errs, recs[i].errs...)
 	}
-	svc.checked = svc.checked[:len(svc.SMs)]
+	svc.checked = recs
 	return errs
+}
+
+// record returns the named SM's last check (zero when there is none).
+func (s *Service) record(name string) smCheck {
+	for _, rec := range s.checked {
+		if rec.sm.Name == name {
+			return rec
+		}
+	}
+	return smCheck{}
 }
 
 // Reads returns the other SMs the named SM's last check resolved: the
 // SMs its well-formedness depends on.
-func (s *Service) Reads(sm string) []string {
-	for i := range s.checked {
-		if s.checked[i].sm.Name == sm {
-			return s.checked[i].reads
-		}
-	}
-	return nil
-}
+func (s *Service) Reads(sm string) []string { return s.record(sm).reads }
 
 func (c *checker) errorf(sm *SM, pos Pos, format string, args ...any) {
 	c.errs = append(c.errs, &CheckError{Pos: pos, SM: sm.Name, Msg: fmt.Sprintf(format, args...)})

@@ -17,10 +17,10 @@ import (
 // are pruned so the linked spec is Strict-valid. Pruned stubs are the
 // kind of residue the alignment phase later detects as divergence.
 //
-// The service's SM index must be current. link returns the SMs it
-// changed, sorted — those it patched a transition onto and those it
-// pruned a call from — for the caller to re-index.
-func link(svc *spec.Service) (patched, pruned int, changed []string) {
+// The service's SM index must be current. Each SM link patches or
+// prunes is replaced in svc.SMs by a copy; the SM itself is left as it
+// was, so re-indexing finds the change by pointer.
+func link(svc *spec.Service) (patched, pruned int) {
 	// Pass 1: collect every referenced internal transition.
 	type need struct {
 		sm    string
@@ -29,32 +29,33 @@ func link(svc *spec.Service) (patched, pruned int, changed []string) {
 	}
 	needs := map[string]need{}
 	for _, sm := range svc.SMs {
-		for _, tr := range sm.Transitions {
-			walkStmts(tr.Body, func(s spec.Stmt) {
-				call, ok := s.(*spec.CallStmt)
-				if !ok || !strings.HasPrefix(call.Trans, "_") {
-					return
+		editSM(sm, func(s spec.Stmt) spec.Stmt {
+			call, ok := s.(*spec.CallStmt)
+			if !ok || !strings.HasPrefix(call.Trans, "_") {
+				return s
+			}
+			n := need{trans: call.Trans}
+			if strings.HasPrefix(call.Trans, "_Set_") {
+				rest := strings.TrimPrefix(call.Trans, "_Set_")
+				if i := strings.Index(rest, "_"); i > 0 {
+					n.sm, n.state = rest[:i], rest[i+1:]
 				}
-				n := need{trans: call.Trans}
-				if strings.HasPrefix(call.Trans, "_Set_") {
-					rest := strings.TrimPrefix(call.Trans, "_Set_")
-					if i := strings.Index(rest, "_"); i > 0 {
-						n.sm, n.state = rest[:i], rest[i+1:]
-					}
-				} else if strings.HasPrefix(call.Trans, "_Reclaim_") {
-					n.sm = strings.TrimPrefix(call.Trans, "_Reclaim_")
-				}
-				needs[call.Trans] = n
-			})
-		}
+			} else if strings.HasPrefix(call.Trans, "_Reclaim_") {
+				n.sm = strings.TrimPrefix(call.Trans, "_Reclaim_")
+			}
+			needs[call.Trans] = n
+			return s
+		})
 	}
-	// Pass 2: synthesize the internal transitions (deterministic order).
+	// Pass 2: synthesize the internal transitions (deterministic order),
+	// collected per target SM.
 	keys := make([]string, 0, len(needs))
 	for k := range needs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	unresolvable := map[string]bool{}
+	added := map[string][]*spec.Transition{}
 	for _, k := range keys {
 		n := needs[k]
 		target := svc.SM(n.sm)
@@ -65,6 +66,14 @@ func link(svc *spec.Service) (patched, pruned int, changed []string) {
 		if target.Transition(n.trans) != nil {
 			continue
 		}
+		// n.sm resolved, so n.trans is a setter or a reclaim.
+		tr := &spec.Transition{
+			Name:     n.trans,
+			Kind:     spec.KDestroy,
+			Internal: true,
+			Doc:      fmt.Sprintf("linker-synthesized reclaim for %s", n.sm),
+			Params:   []*spec.Param{{Name: "self", Type: spec.RefT(n.sm), Receiver: true}},
+		}
 		if strings.HasPrefix(n.trans, "_Set_") {
 			sv := target.State(n.state)
 			if sv == nil {
@@ -74,81 +83,91 @@ func link(svc *spec.Service) (patched, pruned int, changed []string) {
 				unresolvable[k] = true
 				continue
 			}
-			target.Transitions = append(target.Transitions, &spec.Transition{
-				Name:     n.trans,
-				Kind:     spec.KModify,
-				Internal: true,
-				Doc:      fmt.Sprintf("linker-synthesized setter for %s.%s", n.sm, n.state),
-				Params: []*spec.Param{
-					{Name: "self", Type: spec.RefT(n.sm), Receiver: true},
-					{Name: "v", Type: sv.Type, Optional: true},
-				},
-				Body: []spec.Stmt{&spec.WriteStmt{State: n.state, Value: &spec.Ident{Name: "v"}}},
-			})
-			patched++
-			changed = append(changed, target.Name)
-		} else if strings.HasPrefix(n.trans, "_Reclaim_") {
-			target.Transitions = append(target.Transitions, &spec.Transition{
-				Name:     n.trans,
-				Kind:     spec.KDestroy,
-				Internal: true,
-				Doc:      fmt.Sprintf("linker-synthesized reclaim for %s", n.sm),
-				Params: []*spec.Param{
-					{Name: "self", Type: spec.RefT(n.sm), Receiver: true},
-				},
-			})
-			patched++
-			changed = append(changed, target.Name)
+			tr.Kind = spec.KModify
+			tr.Doc = fmt.Sprintf("linker-synthesized setter for %s.%s", n.sm, n.state)
+			tr.Params = append(tr.Params, &spec.Param{Name: "v", Type: sv.Type, Optional: true})
+			tr.Body = []spec.Stmt{&spec.WriteStmt{State: n.state, Value: &spec.Ident{Name: "v"}}}
 		}
+		added[n.sm] = append(added[n.sm], tr)
+		patched++
 	}
-	// Pass 3: prune calls to unresolvable stubs.
-	if len(unresolvable) > 0 {
-		for _, sm := range svc.SMs {
-			before := pruned
-			for _, tr := range sm.Transitions {
-				tr.Body = pruneCalls(tr.Body, unresolvable, &pruned)
-			}
-			if pruned > before {
-				changed = append(changed, sm.Name)
-			}
+	// Pass 3: prune calls to unresolvable stubs, and put in a copy of
+	// each SM that lost a call or gained a transition.
+	prune := func(s spec.Stmt) spec.Stmt {
+		if call, ok := s.(*spec.CallStmt); ok && unresolvable[call.Trans] {
+			pruned++
+			return nil
 		}
+		return s
 	}
-	slices.Sort(changed)
-	return patched, pruned, slices.Compact(changed)
+	for i, sm := range svc.SMs {
+		sm = editSM(sm, prune)
+		if extra := added[sm.Name]; len(extra) > 0 {
+			cp := *sm
+			cp.Transitions = append(slices.Clip(sm.Transitions), extra...)
+			sm = &cp
+		}
+		svc.SMs[i] = sm
+	}
+	return patched, pruned
 }
 
-func pruneCalls(stmts []spec.Stmt, bad map[string]bool, pruned *int) []spec.Stmt {
-	out := stmts[:0]
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *spec.CallStmt:
-			if bad[st.Trans] {
-				*pruned++
-				continue
+// editSM runs edit over sm's transition bodies (see editStmts) and
+// returns a copy holding the changed ones, or sm when none changed.
+func editSM(sm *spec.SM, edit func(spec.Stmt) spec.Stmt) *spec.SM {
+	var trs []*spec.Transition
+	for i, tr := range sm.Transitions {
+		if body, changed := editStmts(tr.Body, edit); changed {
+			if trs == nil {
+				trs = slices.Clone(sm.Transitions)
 			}
-		case *spec.IfStmt:
-			st.Then = pruneCalls(st.Then, bad, pruned)
-			st.Else = pruneCalls(st.Else, bad, pruned)
-		case *spec.ForEachStmt:
-			st.Body = pruneCalls(st.Body, bad, pruned)
+			cp := *tr
+			cp.Body = body
+			trs[i] = &cp
 		}
-		out = append(out, s)
 	}
-	return out
+	if trs == nil {
+		return sm
+	}
+	cp := *sm
+	cp.Transitions = trs
+	return &cp
 }
 
-// walkStmts visits every statement in a body, recursing into blocks.
-func walkStmts(stmts []spec.Stmt, f func(spec.Stmt)) {
-	for _, s := range stmts {
-		f(s)
-		switch st := s.(type) {
+// editStmts applies edit to every statement of stmts, recursing into
+// blocks in order: edit returns what takes the statement's place — the
+// statement itself, a replacement, or nil to drop it. A block in which
+// something changed is copied, along with the statement holding it;
+// nothing is written to in place, and an edit that keeps every
+// statement only visits them. It reports whether anything changed.
+func editStmts(stmts []spec.Stmt, edit func(spec.Stmt) spec.Stmt) ([]spec.Stmt, bool) {
+	out, changed := stmts, false
+	for i, s := range stmts {
+		e := edit(s)
+		switch st := e.(type) {
 		case *spec.IfStmt:
-			walkStmts(st.Then, f)
-			walkStmts(st.Else, f)
+			then, c1 := editStmts(st.Then, edit)
+			els, c2 := editStmts(st.Else, edit)
+			if c1 || c2 {
+				cp := *st
+				cp.Then, cp.Else = then, els
+				e = &cp
+			}
 		case *spec.ForEachStmt:
-			walkStmts(st.Body, f)
+			if body, c := editStmts(st.Body, edit); c {
+				cp := *st
+				cp.Body = body
+				e = &cp
+			}
+		}
+		if e != s && !changed {
+			out, changed = slices.Clone(stmts[:i]), true
+		}
+		if changed && e != nil {
+			out = append(out, e)
 		}
 	}
+	return out, changed
 }
 
 // dependencyOrder topologically sorts resource names by their ref

@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -231,12 +230,12 @@ func TestRepairSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched, err := RepairSM(svc, brief, "Vpc")
-	if err != nil {
+	draft := svc.SM("Vpc")
+	if err := RepairSM(svc, brief, "Vpc"); err != nil {
 		t.Fatalf("RepairSM: %v", err)
 	}
-	if !slices.Contains(touched, "Vpc") {
-		t.Errorf("RepairSM touched %v, not the SM it re-extracted", touched)
+	if svc.SM("Vpc") == draft {
+		t.Error("RepairSM left the draft Vpc in place, not the SM it re-extracted")
 	}
 	emu, err := interp.New(svc)
 	if err != nil {
@@ -247,6 +246,26 @@ func TestRepairSM(t *testing.T) {
 	ae, ok := cloudapi.AsAPIError(err)
 	if !ok || ae.Code != "InvalidParameterValue" {
 		t.Errorf("repaired CreateVpc validation = %v", err)
+	}
+}
+
+// TestSetAssertCodeReplacesSM: adopting a code puts an edited copy of
+// the SM in the service and leaves the SM it held as it was.
+func TestSetAssertCodeReplacesSM(t *testing.T) {
+	svc, _, err := SynthesizeFromBrief(corpus.EC2(), Options{Noise: Perfect, Decoding: Constrained})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := svc.SM("Vpc")
+	printed := spec.PrintSM(old)
+	if !SetAssertCode(svc, "CreateVpc", "InvalidVpc.Range", "Adopted.Code") {
+		t.Fatal("no assert of CreateVpc carries InvalidVpc.Range")
+	}
+	if spec.PrintSM(old) != printed {
+		t.Error("SetAssertCode edited the SM the service held")
+	}
+	if sm, _, _ := svc.Action("CreateVpc"); sm == old || sm != svc.SM("Vpc") || !strings.Contains(spec.PrintSM(sm), `"Adopted.Code"`) {
+		t.Errorf("CreateVpc resolves to %p (held %p), want a copy carrying the adopted code", sm, old)
 	}
 }
 
